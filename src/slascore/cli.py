@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import fileio, fusion, head, metrics, synth
 from .core import join
-from .errors import ParseError, SlaError, ValidationError
+from .errors import EmptyJoin, MissingReference, ParseError, SlaError, ValidationError
 from .metrics import MetricReport, format_metric_row
 
 EXIT_VALIDATION = 2
@@ -23,16 +26,26 @@ EXIT_IO = 3
 
 TABLE_HEADER = "RMSE PCC SRC %<=0.5 %<=1.0"
 
+log = logging.getLogger(__name__)
+
 
 def _pair_on_keys(pred_records, ref_records):
-    """Match prediction and reference records on (speaker, part)."""
-    from .errors import EmptyJoin
+    """Match prediction and reference records on (speaker, part).
 
+    Every prediction needs a reference; references without a prediction
+    are dropped with one warning giving their count.
+    """
     refs = {r.key: r.score for r in ref_records}
-    pairs = [(p.score, refs[p.key]) for p in pred_records if p.key in refs]
-    if not pairs:
+    missing = [p.key for p in pred_records if p.key not in refs]
+    if len(missing) == len(pred_records):
         raise EmptyJoin("no shared (speaker, part) keys between predictions and references")
-    return [p for p, _ in pairs], [r for _, r in pairs]
+    if missing:
+        raise MissingReference(f"{len(missing)} prediction key(s) without a reference, "
+                               f"first {missing[:3]}")
+    unscored = len(refs.keys() - {p.key for p in pred_records})
+    if unscored:
+        log.warning("%d reference key(s) without a prediction dropped", unscored)
+    return [p.score for p in pred_records], [refs[p.key] for p in pred_records]
 
 
 def cmd_evaluate(args) -> int:
@@ -75,13 +88,14 @@ def cmd_calibrate(args) -> int:
     }
     fileio.write_calibration(args.out, calib, provenance)
     print(f"{'bin':>3} {'interval':>14} {'count':>6} {'w':>6} {'bin_rmse':>9}")
+    dev_mllm, dev_ref = np.asarray(dev.mllm_scores()), np.asarray(dev.references())
+    bins = fusion.bin_index(dev_mllm, calib.layout)
+    fused = fusion.fuse_one(dev.w2v_scores(), dev_mllm, calib)
     edges = calib.layout.edges
     for k in range(fusion.N_BINS):
-        rows = [row for row in dev.rows
-                if fusion.bin_index(row.mllm, calib.layout) == k]
-        if rows:
-            fused = [fusion.fuse_one(row.w2v, row.mllm, calib) for row in rows]
-            bin_rmse = f"{metrics.rmse(fused, [row.reference for row in rows]):9.4f}"
+        rows = bins == k
+        if rows.any():
+            bin_rmse = f"{metrics.rmse(fused[rows], dev_ref[rows]):9.4f}"
         else:
             bin_rmse = f"{'-':>9}"
         close = "]" if k == fusion.N_BINS - 1 else ")"
@@ -272,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import logging
-
     logging.basicConfig(format="warning: %(message)s", level=logging.WARNING)
     args = build_parser().parse_args(argv)
     try:

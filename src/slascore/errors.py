@@ -77,10 +77,6 @@ class InvalidConfig(ValidationError):
     pass
 
 
-class EmptyBin(ValidationError):
-    pass
-
-
 class StaleCache(SlaError):
     """Backward called with a cache from an outdated forward pass."""
 

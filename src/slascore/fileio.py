@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .core import OVERALL, ScoredRecord, validate_record
-from .errors import CalibrationVersionMismatch, DuplicateKey, ParseError
+from .errors import CalibrationVersionMismatch, DuplicateKey, NonFiniteScore, ParseError
 from .fusion import N_BINS, FusionCalibration, IntervalLayout
 from .head import CLASSIFICATION, REGRESSION, HeadParameters
 from .head import FrameSequence
@@ -28,6 +29,10 @@ PARAMS_VERSION = 1
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +76,8 @@ def read_predictions(
         if part_str == OVERALL:
             if not allow_overall:
                 raise ParseError(f"{path}:{lineno}: 'overall' rows not allowed here")
+            if not math.isfinite(score):
+                raise NonFiniteScore(f"{path}:{lineno}: non-finite overall score for {sid}")
             rec = ScoredRecord(sid, OVERALL, score)
         else:
             try:
@@ -117,11 +124,17 @@ def read_calibration(path: str | Path) -> tuple[FusionCalibration, dict]:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read calibration {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: calibration must be a JSON object")
     version = doc.get("format_version")
     if version != CALIBRATION_VERSION:
         raise CalibrationVersionMismatch(
             f"{path}: format_version {version!r}, expected {CALIBRATION_VERSION}"
         )
+    for name in ("weights", "edges", "per_bin_counts"):
+        values = doc.get(name, [])
+        if not isinstance(values, list) or not all(_is_number(v) for v in values):
+            raise ParseError(f"{path}: {name} must be a list of numbers")
     try:
         calib = FusionCalibration(
             weights=tuple(doc["weights"]),
@@ -171,6 +184,8 @@ def read_features(path: str | Path) -> list[FrameSequence]:
             label = None if header[3] == "-" else float(header[3])
         except ValueError as exc:
             raise ParseError(f"{path}:{i + 1}: bad record header") from exc
+        if t < 1 or d < 1:
+            raise ParseError(f"{path}:{i + 1}: need T >= 1 and d >= 1, got {t} {d}")
         if i + t > len(lines) - 1:
             raise ParseError(f"{path}:{i + 1}: truncated record (declared T={t})")
         frames = np.empty((t, d))

@@ -12,7 +12,6 @@ Overall speaker scores are the mean of the four part scores.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,32 +75,48 @@ def weight_grid(grid_step: float) -> list[float]:
     return [i * grid_step for i in range(n + 1)]
 
 
-def bin_index(mllm_score: float, layout: IntervalLayout | None = None) -> int:
-    """Index of the interval containing the multimodal score.
+def bin_index(
+    mllm_score: float | np.ndarray,
+    layout: IntervalLayout | None = None,
+) -> int | np.ndarray:
+    """Index of the interval containing each multimodal score.
 
-    Out-of-range inputs clamp to the end bins (with a warning); the last
-    interval is closed at its right edge.
+    Elementwise: a scalar gives an int, an array an array of ints. The
+    last interval is closed at its right edge; scores outside the edges
+    clamp to the end bins, with one warning per call giving their count.
     """
-    if not math.isfinite(mllm_score):
-        raise NonFiniteScore(f"cannot bin non-finite score {mllm_score}")
+    s = np.asarray(mllm_score, dtype=np.float64)
+    finite = np.isfinite(s)
+    if not finite.all():
+        raise NonFiniteScore(f"cannot bin {np.count_nonzero(~finite)} non-finite score(s)")
     edges = (layout or IntervalLayout()).edges
-    if mllm_score < edges[0]:
-        log.warning("score %s below %s, clamped to bin 0", mllm_score, edges[0])
-        return 0
-    if mllm_score > edges[-1]:
-        log.warning("score %s above %s, clamped to bin %d", mllm_score, edges[-1], N_BINS - 1)
-        return N_BINS - 1
-    if mllm_score == edges[-1]:
-        return N_BINS - 1
-    return int(np.searchsorted(edges, mllm_score, side="right")) - 1
+    outside = np.count_nonzero((s < edges[0]) | (s > edges[-1]))
+    if outside:
+        log.warning("%d score(s) outside [%s, %s] clamped to the end bins",
+                    outside, edges[0], edges[-1])
+    k = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, N_BINS - 1)
+    return int(k) if k.ndim == 0 else k
 
 
-def fuse_one(w2v: float, mllm: float, calib: FusionCalibration) -> float:
-    """Convex combination with the weight of the mllm score's interval."""
-    if not (math.isfinite(w2v) and math.isfinite(mllm)):
-        raise NonFiniteScore(f"cannot fuse non-finite scores ({w2v}, {mllm})")
-    w = calib.weights[bin_index(mllm, calib.layout)]
+def _mix(w2v, mllm, w):
+    """The fusion formula, given each row's interval weight."""
     return (1.0 - w) * w2v + w * mllm
+
+
+def fuse_one(
+    w2v: float | np.ndarray,
+    mllm: float | np.ndarray,
+    calib: FusionCalibration,
+) -> float | np.ndarray:
+    """Convex combination with the weight of the mllm score's interval.
+
+    Elementwise: scalars give a float, arrays an array.
+    """
+    w2v, mllm = np.asarray(w2v, dtype=np.float64), np.asarray(mllm, dtype=np.float64)
+    if not np.isfinite(w2v).all():
+        raise NonFiniteScore("cannot fuse non-finite w2v score(s)")
+    fused = _mix(w2v, mllm, np.asarray(calib.weights)[bin_index(mllm, calib.layout)])
+    return float(fused) if fused.ndim == 0 else fused
 
 
 def calibrate(
@@ -125,37 +140,24 @@ def calibrate(
     w2v = np.asarray(dev.w2v_scores())
     mllm = np.asarray(dev.mllm_scores())
     ref = np.asarray(dev.references())
-    bins = np.array([bin_index(s, layout) for s in mllm])
+    bins = bin_index(mllm, layout)
+    counts = np.bincount(bins, minlength=N_BINS)
+    g = np.asarray(grid)[:, None]
 
-    # errs[i, j]: fusion error of row j under grid weight i
-    fused = w2v[None, :] + np.asarray(grid)[:, None] * (mllm - w2v)[None, :]
-    sq = (fused - ref[None, :]) ** 2
+    def best_weight(rows):
+        # sq[i, j]: squared fusion error of row j under grid weight i
+        w2v_r, mllm_r = w2v[rows], mllm[rows]
+        sq = (w2v_r + g * (mllm_r - w2v_r) - ref[rows]) ** 2
+        return grid[int(np.argmin(np.sqrt(np.mean(sq, axis=1))))]
 
-    global_w = grid[int(np.argmin(np.sqrt(np.mean(sq, axis=1))))]
-    weights, counts = [], []
-    for k in range(N_BINS):
-        mask = bins == k
-        counts.append(int(np.sum(mask)))
-        if counts[-1] == 0:
-            weights.append(global_w)
-        else:
-            bin_rmse = np.sqrt(np.mean(sq[:, mask], axis=1))
-            weights.append(grid[int(np.argmin(bin_rmse))])
-
-    calib = FusionCalibration(
-        weights=tuple(weights),
-        grid_step=grid_step,
-        layout=layout,
-        per_bin_counts=tuple(counts),
-    )
-    fused_dev = fuse_dataset(dev, calib)
-    dev_rmse = metrics.rmse([r.score for r in fused_dev], list(ref))
+    global_w = best_weight(slice(None)) if 0 in counts else None
+    weights = tuple(best_weight(bins == k) if counts[k] else global_w for k in range(N_BINS))
     return FusionCalibration(
-        weights=calib.weights,
+        weights=weights,
         grid_step=grid_step,
         layout=layout,
-        dev_rmse=dev_rmse,
-        per_bin_counts=calib.per_bin_counts,
+        dev_rmse=metrics.rmse(_mix(w2v, mllm, np.asarray(weights)[bins]), ref),
+        per_bin_counts=tuple(counts.tolist()),
     )
 
 
@@ -169,13 +171,11 @@ def fuse_dataset(
     ``clamp`` optionally clips fused scores to the reference range
     [2.0, 5.5] (off by default: references never leave it, but graders may).
     """
-    out = []
-    for row in data.rows:
-        score = fuse_one(row.w2v, row.mllm, calib)
-        if clamp:
-            score = min(max(score, 2.0), 5.5)
-        out.append(ScoredRecord(row.speaker_id, row.part, score))
-    return out
+    fused = fuse_one(data.w2v_scores(), data.mllm_scores(), calib)
+    if clamp:
+        fused = np.clip(fused, 2.0, 5.5)
+    return [ScoredRecord(row.speaker_id, row.part, score)
+            for row, score in zip(data.rows, fused.tolist())]
 
 
 def aggregate_overall(per_part: list[ScoredRecord]) -> list[ScoredRecord]:

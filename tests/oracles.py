@@ -1,14 +1,20 @@
 """Independent second transcriptions of the metric formulas and
 brute-force helpers, used only as test oracles.
 
-These deliberately avoid sharing code with slascore.metrics: different
-formulations (np.corrcoef, explicit confusion counts, loop-based
-ranking) of the same definitions.
+The metric oracles deliberately avoid sharing code with slascore.metrics:
+different formulations (np.corrcoef, explicit confusion counts,
+loop-based ranking) of the same definitions. The calibration and
+separability oracles at the end work on the library's own record types.
 """
 
 import math
 
 import numpy as np
+
+from slascore.core import JoinedRow
+from slascore.errors import InvalidConfig, NoReferences, ValidationError
+from slascore.head import FrameSequence
+from slascore.metrics import macro_f1
 
 
 def rmse_oracle(pred, ref):
@@ -66,3 +72,59 @@ def macro_f1_oracle(pred, ref):
         rec = tp / (tp + fn) if tp + fn else 0.0
         f1s.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
     return sum(f1s) / len(f1s)
+
+
+class EmptyBin(ValidationError):
+    pass
+
+
+def brute_force_bin_weight(
+    rows: list[JoinedRow],
+    grid_step: float = 0.01,
+) -> tuple[float, float]:
+    """Exhaustively scan the weight grid over one bin's rows.
+
+    Independent oracle for the calibrated per-bin weight; returns the
+    first (smallest-w) minimizer and its RMSE.
+    """
+    if not rows:
+        raise EmptyBin("no rows in bin")
+    if any(r.reference is None for r in rows):
+        raise NoReferences("bin rows must carry references")
+    n = round(1.0 / grid_step)
+    if abs(n * grid_step - 1.0) > 1e-9:
+        raise InvalidConfig(f"grid_step {grid_step} does not divide 1 evenly")
+    best_w, best_rmse = 0.0, float("inf")
+    for i in range(n + 1):
+        w = i * grid_step
+        sse = 0.0
+        for r in rows:
+            err = (1.0 - w) * r.w2v + w * r.mllm - r.reference
+            sse += err * err
+        rm = (sse / len(rows)) ** 0.5
+        if rm < best_rmse:
+            best_w, best_rmse = w, rm
+    return best_w, best_rmse
+
+
+def nearest_class_mean_f1(
+    train: list[FrameSequence],
+    dev: list[FrameSequence],
+) -> float:
+    """Macro F1 of a nearest-class-mean classifier over frame-averaged
+    vectors; confirms (or refutes) separability of generated features."""
+    if not train or not dev:
+        raise InvalidConfig("train and dev must be nonempty")
+    sums: dict[float, np.ndarray] = {}
+    counts: dict[float, int] = {}
+    for seq in train:
+        vec = seq.frames.mean(axis=0)
+        sums[seq.label] = sums.get(seq.label, 0.0) + vec
+        counts[seq.label] = counts.get(seq.label, 0) + 1
+    levels = sorted(sums)
+    means = np.stack([sums[lvl] / counts[lvl] for lvl in levels])
+    preds = []
+    for seq in dev:
+        vec = seq.frames.mean(axis=0)
+        preds.append(levels[int(np.argmin(np.linalg.norm(means - vec, axis=1)))])
+    return macro_f1(preds, [seq.label for seq in dev])

@@ -84,7 +84,7 @@ def test_criterion_2_fusion_dominance():
         for k in range(N_BINS):
             rows = [r for r in data.rows if bin_index(r.mllm) == k]
             if rows:
-                w, _ = synth.brute_force_bin_weight(rows)
+                w, _ = oracles.brute_force_bin_weight(rows)
                 assert w == calib.weights[k]
 
 
@@ -164,7 +164,7 @@ def test_criterion_5_toy_training():
     levels = [2.5, 3.5, 4.5]
     train_d = synth.generate_frames(67, levels, d=8, separation=8.0, seed=0)  # 201
     dev_d = synth.generate_frames(33, levels, d=8, separation=8.0, seed=1)  # 99
-    assert synth.nearest_class_mean_f1(train_d, dev_d) >= 0.95
+    assert oracles.nearest_class_mean_f1(train_d, dev_d) >= 0.95
     start = time.monotonic()
     cfg = TrainConfig(epochs=30, learning_rate=0.01, warmup_steps=20,
                       seed=0, mode=CLASSIFICATION)

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -70,6 +71,36 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", str(tmp_path / "x.csv"),
                            str(tmp_path / "y.csv"))
         assert code == cli.EXIT_IO
+
+    def test_prediction_without_reference_exit_code(self, tmp_path, capsys):
+        pred, ref = tmp_path / "p.csv", tmp_path / "r.csv"
+        fileio.write_predictions(pred, [ScoredRecord("a", 1, 3.0), ScoredRecord("b", 1, 3.0)])
+        fileio.write_predictions(ref, [ScoredRecord("a", 1, 3.0)])
+        code, out, err = run(capsys, "evaluate", str(pred), str(ref))
+        assert code == cli.EXIT_VALIDATION
+        assert "1 prediction key(s) without a reference" in err
+        assert out == ""
+
+    def test_unpredicted_references_warned_once(self, tmp_path, capsys, caplog):
+        pred, ref = tmp_path / "p.csv", tmp_path / "r.csv"
+        levels = (2.0, 3.0, 4.0, 5.0, 5.5, 2.5)
+        fileio.write_predictions(pred, [ScoredRecord(f"s{i}", 1, 2.0 + i) for i in range(4)])
+        fileio.write_predictions(ref, [ScoredRecord(f"s{i}", 1, lvl)
+                                       for i, lvl in enumerate(levels)])
+        with caplog.at_level(logging.WARNING):
+            code, out, _ = run(capsys, "evaluate", str(pred), str(ref), "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1].endswith(",4")  # metrics over the 4 predicted keys
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 reference key(s) without a prediction dropped"]
+
+    def test_non_finite_overall_exit_code(self, tmp_path, capsys):
+        pred, ref = tmp_path / "p.csv", tmp_path / "r.csv"
+        pred.write_text("speaker_id,part,score\na,overall,nan\nb,overall,3.0\n")
+        ref.write_text("speaker_id,part,score\na,overall,3.0\nb,overall,4.0\n")
+        code, out, err = run(capsys, "evaluate", "--overall", str(pred), str(ref))
+        assert code == cli.EXIT_VALIDATION
+        assert "non-finite" in err and "nan" not in out
 
 
 class TestCalibrateFuse:
@@ -223,6 +254,34 @@ class TestTrainHead:
         f1s = [line.split("dev_macro_f1=")[1]
                for line in stdout.splitlines() if line.startswith("epoch=")]
         assert len(set(f1s)) == 1
+
+
+CALIB_FIELDS = {"format_version": 1, "grid_step": 0.01, "edges": list(fusion.DEFAULT_EDGES),
+                "weights": [0.5] * 8, "per_bin_counts": [0] * 8, "dev_rmse": 0.1}
+
+
+@pytest.mark.parametrize("command,content", [
+    ("fuse", "[1, 2, 3]"),
+    ("fuse", json.dumps({**CALIB_FIELDS, "weights": ["a"] * 8})),
+    ("fuse", json.dumps({**CALIB_FIELDS, "weights": 0.5})),
+    ("fuse", json.dumps({**CALIB_FIELDS, "edges": [True] * 9})),
+    ("fuse", json.dumps({**CALIB_FIELDS, "per_bin_counts": [None] * 8})),
+    ("train-head", "slascore-features v1\nrecord -1 2 3.0\n"),
+    ("train-head", "slascore-features v1\nrecord 1 0 3.0\n\n"),
+], ids=["list-document", "string-weights", "scalar-weights", "bool-edges", "null-counts",
+        "negative-T", "zero-d"])
+def test_malformed_file_exit_code(tmp_path, capsys, command, content):
+    bad = tmp_path / "bad"
+    bad.write_text(content)
+    if command == "fuse":
+        scores = tmp_path / "scores.csv"
+        fileio.write_predictions(scores, [ScoredRecord("a", 1, 3.0)])
+        argv = ["fuse", str(scores), str(scores), str(bad), "--out", str(tmp_path / "o.csv")]
+    else:
+        argv = ["train-head", str(bad), str(bad), "--out", str(tmp_path / "p.json")]
+    code, _, err = run(capsys, *argv)
+    assert code == cli.EXIT_IO
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestReport:

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -60,20 +61,36 @@ class TestBinIndex:
     def test_examples(self, score, expected):
         assert bin_index(score) == expected
 
-    def test_clamping(self):
+    def test_clamping(self, caplog):
         assert bin_index(-0.5) == 0
         assert bin_index(6.5) == 7
+        # four scores outside [0, 6]: one warning for the whole call
+        scores = np.array([-0.5, 0.0, 3.0, 6.0, 6.5, 7.0, -2.0])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert bin_index(scores).tolist() == [0, 0, 2, 7, 7, 7, 0]
+        assert len(caplog.records) == 1
+        assert "4" in caplog.records[0].getMessage()
 
     def test_non_finite(self):
         with pytest.raises(NonFiniteScore):
             bin_index(math.nan)
+        with pytest.raises(NonFiniteScore):
+            bin_index(np.array([3.0, math.inf]))
 
-    @given(st.floats(min_value=0.0, max_value=6.0, allow_nan=False))
-    def test_partition(self, score):
+    @given(st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+           st.lists(st.floats(min_value=-10.0, max_value=16.0, allow_nan=False),
+                    max_size=40))
+    def test_partition(self, score, scores):
         k = bin_index(score)
         assert 0 <= k <= 7
         lo, hi = DEFAULT_EDGES[k], DEFAULT_EDGES[k + 1]
         assert lo <= score and (score < hi or (k == 7 and score <= hi))
+        ks = bin_index(np.array(scores))
+        assert ks.shape == (len(scores),)
+        for s, k in zip(np.clip(scores, 0.0, 6.0), ks.tolist()):
+            lo, hi = DEFAULT_EDGES[k], DEFAULT_EDGES[k + 1]
+            assert lo <= s and (s < hi or (k == 7 and s <= hi))
 
     @pytest.mark.parametrize("edge_i", range(1, 8))
     def test_adjacent_bins_at_edges(self, edge_i):
@@ -108,11 +125,19 @@ class TestFuseOne:
 
     @given(st.floats(min_value=0, max_value=6, allow_nan=False),
            st.floats(min_value=0, max_value=6, allow_nan=False),
-           st.floats(min_value=0, max_value=1, allow_nan=False))
-    def test_convexity(self, w2v, mllm, w):
+           st.floats(min_value=0, max_value=1, allow_nan=False),
+           st.lists(st.tuples(st.floats(min_value=-10, max_value=16, allow_nan=False),
+                              st.floats(min_value=-10, max_value=16, allow_nan=False)),
+                    max_size=40))
+    def test_convexity(self, w2v, mllm, w, pairs):
         calib = make_calib([w] * N_BINS)
         fused = fuse_one(w2v, mllm, calib)
         assert min(w2v, mllm) - 1e-12 <= fused <= max(w2v, mllm) + 1e-12
+        a, b = np.array(pairs).reshape(-1, 2).T
+        fused = fuse_one(a, b, calib)
+        assert fused.shape == a.shape
+        assert np.all(np.minimum(a, b) - 1e-12 <= fused)
+        assert np.all(fused <= np.maximum(a, b) + 1e-12)
 
     def test_weight_out_of_range_rejected(self):
         with pytest.raises(InvalidConfig):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import nearest_class_mean_f1
 from slascore import head
 from slascore.errors import (
     EmptyDataset,
@@ -28,7 +29,7 @@ from slascore.head import (
     prototype_similarity,
     train,
 )
-from slascore.synth import generate_frames, nearest_class_mean_f1
+from slascore.synth import generate_frames
 
 PARAM_NAMES = ("attn_W", "attn_b", "attn_u", "prototypes", "mlp_W", "mlp_b")
 

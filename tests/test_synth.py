@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
+from oracles import EmptyBin, brute_force_bin_weight, nearest_class_mean_f1
 from slascore import metrics
 from slascore.core import REFERENCE_LEVELS, JoinedRow
-from slascore.errors import EmptyBin, InvalidConfig, NoReferences
+from slascore.errors import InvalidConfig, NoReferences
 from slascore.fusion import N_BINS, bin_index, calibrate
 from slascore.synth import (
     SynthConfig,
-    brute_force_bin_weight,
     generate_frames,
     generate_scores,
     heteroscedastic_config,
-    nearest_class_mean_f1,
 )
 
 
