@@ -11,8 +11,7 @@ from .core import (
     PARTS,
     REFERENCE_LEVELS,
     JoinedDataset,
-    JoinedRow,
-    ScoredRecord,
+    Scores,
     join,
     validate_record,
 )
@@ -56,8 +55,7 @@ __all__ = [
     "REFERENCE_LEVELS",
     "DEFAULT_EDGES",
     "JoinedDataset",
-    "JoinedRow",
-    "ScoredRecord",
+    "Scores",
     "join",
     "validate_record",
     "FusionCalibration",

@@ -12,12 +12,13 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio, fusion, head, metrics, synth
-from .core import join
+from .core import Scores, join, match_keys
 from .errors import EmptyJoin, MissingReference, ParseError, SlaError, ValidationError
 from .metrics import MetricReport, format_metric_row
 
@@ -29,31 +30,31 @@ TABLE_HEADER = "RMSE PCC SRC %<=0.5 %<=1.0"
 log = logging.getLogger(__name__)
 
 
-def _pair_on_keys(pred_records, ref_records):
-    """Match prediction and reference records on (speaker, part).
+def _pair_on_keys(pred, ref):
+    """Match prediction and reference scores on (speaker, part), in
+    prediction-file order.
 
     Every prediction needs a reference; references without a prediction
     are dropped with one warning giving their count.
     """
-    refs = {r.key: r.score for r in ref_records}
-    missing = [p.key for p in pred_records if p.key not in refs]
-    if len(missing) == len(pred_records):
+    at = match_keys(pred, ref, "reference")
+    missing = np.flatnonzero(at < 0)
+    if len(missing) == len(pred):
         raise EmptyJoin("no shared (speaker, part) keys between predictions and references")
-    if missing:
+    if len(missing):
+        first = pred.take(missing[:3])
         raise MissingReference(f"{len(missing)} prediction key(s) without a reference, "
-                               f"first {missing[:3]}")
-    unscored = len(refs.keys() - {p.key for p in pred_records})
-    if unscored:
-        log.warning("%d reference key(s) without a prediction dropped", unscored)
-    return [p.score for p in pred_records], [refs[p.key] for p in pred_records]
+                               f"first {list(zip(first.speaker_id, first.part.tolist()))}")
+    if len(ref) > len(pred):  # each file holds every key once
+        log.warning("%d reference key(s) without a prediction dropped", len(ref) - len(pred))
+    return pred.score, ref.score[at]
 
 
 def cmd_evaluate(args) -> int:
     allow_overall = args.overall
     pred = fileio.read_predictions(args.predictions, "prediction", allow_overall)
-    ref = fileio.read_predictions(
-        args.references, "prediction" if allow_overall else "reference", allow_overall
-    )
+    ref = fileio.read_predictions(args.references,
+                                  "prediction" if allow_overall else "reference", allow_overall)
     p, r = _pair_on_keys(pred, ref)
     report = metrics.full_report(p, r)
     if args.format == "csv":
@@ -64,12 +65,7 @@ def cmd_evaluate(args) -> int:
         print(TABLE_HEADER)
         print(format_metric_row(report))
     if args.out:
-        doc = {
-            "rmse": report.rmse, "pcc": report.pcc, "src": report.src,
-            "within_half": report.within_half, "within_one": report.within_one,
-            "n": report.n,
-        }
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+        Path(args.out).write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n",
                                   encoding="utf-8")
     return 0
 
@@ -88,14 +84,13 @@ def cmd_calibrate(args) -> int:
     }
     fileio.write_calibration(args.out, calib, provenance)
     print(f"{'bin':>3} {'interval':>14} {'count':>6} {'w':>6} {'bin_rmse':>9}")
-    dev_mllm, dev_ref = np.asarray(dev.mllm_scores()), np.asarray(dev.references())
-    bins = fusion.bin_index(dev_mllm, calib.layout)
-    fused = fusion.fuse_one(dev.w2v_scores(), dev_mllm, calib)
+    bins = fusion.bin_index(dev.mllm, calib.layout)
+    fused = fusion.fuse_one(dev.w2v, dev.mllm, calib)
     edges = calib.layout.edges
     for k in range(fusion.N_BINS):
         rows = bins == k
         if rows.any():
-            bin_rmse = f"{metrics.rmse(fused[rows], dev_ref[rows]):9.4f}"
+            bin_rmse = f"{metrics.rmse(fused[rows], dev.reference[rows]):9.4f}"
         else:
             bin_rmse = f"{'-':>9}"
         close = "]" if k == fusion.N_BINS - 1 else ")"
@@ -112,7 +107,6 @@ def cmd_fuse(args) -> int:
     calib, _ = fileio.read_calibration(args.calibration)
     data = join(w2v, mllm)
     fused = fusion.fuse_dataset(data, calib, clamp=args.clamp)
-    fused.sort(key=lambda r: (r.speaker_id, r.part))
     fileio.write_predictions(args.out, fused)
     print(f"wrote {len(fused)} fused scores to {args.out}")
     return 0
@@ -164,14 +158,9 @@ def cmd_synth(args) -> int:
                                 w2v_noise=(args.noise,) * fusion.N_BINS,
                                 mllm_noise=(args.noise,) * fusion.N_BINS)
     data = synth.generate_scores(cfg)
-    from .core import ScoredRecord
-
-    fileio.write_predictions(out_dir / "w2v.csv",
-                             [ScoredRecord(r.speaker_id, r.part, r.w2v) for r in data.rows])
-    fileio.write_predictions(out_dir / "mllm.csv",
-                             [ScoredRecord(r.speaker_id, r.part, r.mllm) for r in data.rows])
-    fileio.write_predictions(out_dir / "refs.csv",
-                             [ScoredRecord(r.speaker_id, r.part, r.reference) for r in data.rows])
+    for name, column in (("w2v", data.w2v), ("mllm", data.mllm), ("refs", data.reference)):
+        fileio.write_predictions(out_dir / f"{name}.csv",
+                                 Scores(data.speaker_id, data.part, column))
     print(f"wrote {len(data)} rows per file to {out_dir} (w2v.csv, mllm.csv, refs.csv)")
 
     if args.features:
@@ -190,10 +179,7 @@ def cmd_synth(args) -> int:
 def cmd_report(args) -> int:
     """Render precomputed leaderboard rows (name,rmse,pcc,src,within_half,within_one)."""
     path = Path(args.rows)
-    try:
-        lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    lines = [ln for ln in fileio.read_text(path).splitlines() if ln.strip()]
     expected = "name,rmse,pcc,src,within_half,within_one"
     if not lines or lines[0] != expected:
         raise ParseError(f"{path}: expected header {expected!r}")

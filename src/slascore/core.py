@@ -1,20 +1,26 @@
-"""Domain types for scores, parts, records, and joined grader datasets.
+"""Domain types: score tables and joined grader datasets, held as numpy
+columns with one entry per (speaker, part) row, plus validation and key
+matching. Speaker ids are ``object`` arrays of ``str``, so every id
+survives exactly.
 
 Scores live on a CEFR-aligned numeric scale: references take the eight
 levels 2.0, 2.5, ..., 5.5; grader predictions are unconstrained finite
-reals (flagged when outside [0.0, 6.0]).
+reals (counted when outside [0.0, 6.0]).
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .errors import (
     DuplicateKey,
     EmptyJoin,
     InvalidPart,
+    LengthMismatch,
     MissingReference,
     NonFiniteScore,
     OffGridReference,
@@ -26,8 +32,9 @@ log = logging.getLogger(__name__)
 #: Communication Activity).
 PARTS = (1, 3, 4, 5)
 
-#: Sentinel part id for per-speaker overall scores.
-OVERALL = "overall"
+#: Sentinel part id for per-speaker overall scores; score files spell it
+#: ``overall``.
+OVERALL = 0
 
 #: Valid reference levels: 2.0 through 5.5 in 0.5 steps.
 REFERENCE_LEVELS = tuple(2.0 + 0.5 * i for i in range(8))
@@ -35,144 +42,140 @@ REFERENCE_LEVELS = tuple(2.0 + 0.5 * i for i in range(8))
 _GRID_TOL = 1e-9
 
 
-def is_on_grid(value: float) -> bool:
-    """True when ``value`` is one of the eight 0.5-step reference levels."""
-    if not math.isfinite(value):
-        return False
-    return any(abs(value - lvl) <= _GRID_TOL for lvl in REFERENCE_LEVELS)
+def is_on_grid(values: np.ndarray) -> np.ndarray:
+    """True where a value is one of the eight 0.5-step reference levels."""
+    diff = np.abs(np.asarray(values, dtype=np.float64)[:, None] - np.asarray(REFERENCE_LEVELS))
+    return (diff <= _GRID_TOL).any(axis=1)
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredRecord:
-    """One (speaker, part) score: a grader prediction or a reference."""
+def _store_columns(table, **dtypes) -> None:
+    """Store each named field of ``table`` (except a ``None`` one) as a
+    1-D array of its dtype; all of them must have one length."""
+    columns = {name: np.asarray(getattr(table, name), dtype=dtype)
+               for name, dtype in dtypes.items() if getattr(table, name) is not None}
+    shapes = {col.shape for col in columns.values()}
+    if len(shapes) != 1 or len(shapes.pop()) != 1:
+        raise LengthMismatch(f"need 1-D columns of one length, got shapes "
+                             f"{[col.shape for col in columns.values()]}")
+    for name, col in columns.items():
+        object.__setattr__(table, name, col)
 
-    speaker_id: str
-    part: int | str
-    score: float
 
-    @property
-    def key(self) -> tuple[str, int | str]:
-        return (self.speaker_id, self.part)
+@dataclass(frozen=True, eq=False)
+class Scores:
+    """One score per (speaker, part) row: grader predictions, references,
+    fused or overall scores."""
+
+    speaker_id: np.ndarray
+    part: np.ndarray
+    score: np.ndarray
+
+    def __post_init__(self):
+        _store_columns(self, speaker_id=object, part=np.int64, score=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def take(self, rows) -> Scores:
+        """The rows selected by an index array or boolean mask."""
+        return Scores(self.speaker_id[rows], self.part[rows], self.score[rows])
 
 
-def validate_record(rec: ScoredRecord, kind: str) -> ScoredRecord:
-    """Validate one record as a ``"reference"`` or ``"prediction"``.
+def _keys(table, rows=slice(None)) -> list[tuple[str, int]]:
+    """(speaker, part) tuples of the selected rows, for messages."""
+    return list(zip(table.speaker_id[rows].tolist(), table.part[rows].tolist()))
+
+
+def validate_record(scores: Scores, kind: str) -> Scores:
+    """Validate a column of ``"reference"`` or ``"prediction"`` scores.
 
     References must sit exactly on the 0.5-step level grid; predictions
-    only need to be finite (values outside [0.0, 6.0] are logged, not
-    rejected, since both graders regress continuously).
+    only need to be finite (values outside [0.0, 6.0] are counted in one
+    warning, not rejected, since both graders regress continuously).
     """
     if kind not in ("reference", "prediction"):
         raise ValueError(f"unknown record kind {kind!r}")
-    if rec.part not in PARTS:
-        raise InvalidPart(f"part {rec.part!r} not in {PARTS} (speaker {rec.speaker_id})")
-    if not math.isfinite(rec.score):
-        raise NonFiniteScore(f"non-finite score for ({rec.speaker_id}, {rec.part})")
+    faults = [(~np.isin(scores.part, PARTS), InvalidPart, "part {1} not in {3} (speaker {0})"),
+              (~np.isfinite(scores.score), NonFiniteScore, "non-finite score for ({0}, {1})")]
     if kind == "reference":
-        if not is_on_grid(rec.score):
-            raise OffGridReference(
-                f"reference {rec.score} for ({rec.speaker_id}, {rec.part}) "
-                "is not a 0.5-step level in [2.0, 5.5]"
-            )
-    elif not 0.0 <= rec.score <= 6.0:
-        log.warning(
-            "prediction %s for (%s, %s) outside [0.0, 6.0]",
-            rec.score, rec.speaker_id, rec.part,
-        )
-    return rec
+        faults.append((~is_on_grid(scores.score), OffGridReference,
+                       "reference {2} for ({0}, {1}) is not a 0.5-step level in [2.0, 5.5]"))
+    for bad, error, message in faults:
+        if bad.any():
+            row = np.argmax(bad)
+            raise error(message.format(scores.speaker_id[row], scores.part[row],
+                                       scores.score[row], PARTS))
+    if kind == "prediction":
+        outside = np.count_nonzero((scores.score < 0.0) | (scores.score > 6.0))
+        if outside:
+            log.warning("%d prediction(s) outside [0.0, 6.0]", outside)
+    return scores
 
 
-@dataclass(frozen=True, slots=True)
-class JoinedRow:
-    """Both grader scores (plus optional reference) for one (speaker, part)."""
-
-    speaker_id: str
-    part: int
-    w2v: float
-    mllm: float
-    reference: float | None = None
-
-    @property
-    def key(self) -> tuple[str, int]:
-        return (self.speaker_id, self.part)
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class JoinedDataset:
     """Inner join of the two grader streams, keyed by (speaker, part).
 
-    ``blind`` datasets carry no references and can only be fused, not
-    evaluated or calibrated.
+    ``blind`` datasets carry no reference column and can only be fused,
+    not evaluated or calibrated.
     """
 
-    rows: tuple[JoinedRow, ...]
+    speaker_id: np.ndarray
+    part: np.ndarray
+    w2v: np.ndarray
+    mllm: np.ndarray
+    reference: np.ndarray | None = None
+
+    def __post_init__(self):
+        _store_columns(self, speaker_id=object, part=np.int64, w2v=np.float64,
+                       mllm=np.float64, reference=np.float64)
 
     @property
     def blind(self) -> bool:
-        return any(r.reference is None for r in self.rows)
+        return self.reference is None
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def w2v_scores(self) -> list[float]:
-        return [r.w2v for r in self.rows]
-
-    def mllm_scores(self) -> list[float]:
-        return [r.mllm for r in self.rows]
-
-    def references(self) -> list[float]:
-        from .errors import NoReferences
-
-        if self.blind:
-            raise NoReferences("dataset is blind: no reference column")
-        return [r.reference for r in self.rows]
+        return len(self.w2v)
 
 
-def _index(records: list[ScoredRecord], label: str) -> dict:
-    out: dict[tuple[str, int | str], float] = {}
-    for rec in records:
-        if rec.key in out:
-            raise DuplicateKey(f"duplicate {label} key {rec.key}")
-        out[rec.key] = rec.score
-    return out
+def match_keys(rows: Scores, table: Scores, label: str) -> np.ndarray:
+    """Row of ``table`` holding each row's (speaker, part) key, -1 where
+    ``table`` has none; raises DuplicateKey when a key repeats in ``table``.
+    """
+    keys = _keys(table)
+    index = dict(zip(keys, range(len(keys))))
+    if len(index) < len(keys):  # the index holds the last row of a repeated key
+        raise DuplicateKey(f"duplicate {label} key "
+                           f"{next(k for i, k in enumerate(keys) if index[k] != i)}")
+    found = map(index.get, zip(rows.speaker_id.tolist(), rows.part.tolist()), repeat(-1))
+    return np.fromiter(found, dtype=np.intp, count=len(rows))
 
 
-def join(
-    w2v: list[ScoredRecord],
-    mllm: list[ScoredRecord],
-    refs: list[ScoredRecord] | None = None,
-) -> JoinedDataset:
-    """Inner-join the grader streams (and optional references) on key.
+def join(w2v: Scores, mllm: Scores, refs: Scores | None = None) -> JoinedDataset:
+    """Inner-join the grader streams (and optional references) on key,
+    sorted by (speaker, part).
 
     Keys present in only one grader stream are dropped with a warning.
     When references are supplied, every joined key must have one:
     partial reference coverage raises rather than silently shrinking
     the evaluation set.
     """
-    by_w2v = _index(w2v, "w2v")
-    by_mllm = _index(mllm, "mllm")
-    keys = sorted(by_w2v.keys() & by_mllm.keys())
-    if not keys:
+    in_w2v = match_keys(mllm, w2v, "w2v")
+    in_mllm = match_keys(w2v, mllm, "mllm")
+    shared = np.flatnonzero(in_mllm >= 0)
+    if not shared.size:
         raise EmptyJoin("no (speaker, part) keys shared by the two grader streams")
-    for side, index in (("w2v", by_w2v), ("mllm", by_mllm)):
-        only = sorted(set(index) - set(keys))
-        if only:
-            log.warning("%d key(s) only in %s stream: %s", len(only), side, only)
-
-    by_ref = _index(refs, "reference") if refs is not None else None
-    if by_ref is not None:
-        missing = [k for k in keys if k not in by_ref]
-        if missing:
-            raise MissingReference(f"no reference for joined key(s): {missing}")
-
-    rows = tuple(
-        JoinedRow(
-            speaker_id=sid,
-            part=part,
-            w2v=by_w2v[(sid, part)],
-            mllm=by_mllm[(sid, part)],
-            reference=by_ref[(sid, part)] if by_ref is not None else None,
-        )
-        for sid, part in keys
-    )
-    return JoinedDataset(rows=rows)
+    for side, table, only in (("w2v", w2v, in_mllm < 0), ("mllm", mllm, in_w2v < 0)):
+        if only.any():
+            log.warning("%d key(s) only in %s stream: %s", np.count_nonzero(only), side,
+                        sorted(_keys(table, only)))
+    rows = shared[np.lexsort((w2v.part[shared], w2v.speaker_id[shared]))]
+    reference = None
+    if refs is not None:
+        in_refs = match_keys(w2v.take(rows), refs, "reference")
+        if (in_refs < 0).any():
+            raise MissingReference(
+                f"no reference for joined key(s): {_keys(w2v, rows[in_refs < 0])}")
+        reference = refs.score[in_refs]
+    return JoinedDataset(w2v.speaker_id[rows], w2v.part[rows], w2v.score[rows],
+                         mllm.score[in_mllm[rows]], reference)

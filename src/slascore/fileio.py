@@ -1,27 +1,29 @@
 """File formats: prediction CSVs, calibration JSON, frame-feature text
 containers, and trained head parameters.
 
-All writers emit canonical bytes (LF newlines, shortest-repr floats,
-sorted JSON keys) so that write -> read -> write round-trips are
-byte-identical.
+A prediction CSV is read into and written from a ``core.Scores`` table
+whole, one column at a time. All writers emit canonical bytes (LF
+newlines, shortest-repr floats, sorted JSON keys) so that write -> read
+-> write round-trips are byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
-from .core import OVERALL, ScoredRecord, validate_record
-from .errors import CalibrationVersionMismatch, DuplicateKey, NonFiniteScore, ParseError
+from .core import OVERALL, PARTS, Scores, validate_record
+from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidPart, NonFiniteScore
+from .errors import ParseError
 from .fusion import N_BINS, FusionCalibration, IntervalLayout
 from .head import CLASSIFICATION, REGRESSION, HeadParameters
 from .head import FrameSequence
 
 PREDICTION_HEADER = "speaker_id,part,score"
+OVERALL_TEXT = "overall"
 CALIBRATION_VERSION = 1
 FEATURE_MAGIC = "slascore-features v1"
 PARAMS_VERSION = 1
@@ -29,6 +31,14 @@ PARAMS_VERSION = 1
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def read_text(path: str | Path) -> str:
+    """A file's UTF-8 text; a file that cannot be read or decoded is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _is_number(x) -> bool:
@@ -39,57 +49,69 @@ def _is_number(x) -> bool:
 # prediction files
 
 
-def write_predictions(path: str | Path, records: list[ScoredRecord]) -> None:
-    lines = [PREDICTION_HEADER]
-    for rec in records:
-        lines.append(f"{rec.speaker_id},{rec.part},{_fmt(rec.score)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def write_predictions(path: str | Path, scores: Scores) -> None:
+    parts = scores.part.astype(object)
+    parts[scores.part == OVERALL] = OVERALL_TEXT
+    rows = map("{},{},{!r}".format, scores.speaker_id, parts, scores.score.tolist())
+    text = "\n".join([PREDICTION_HEADER, *rows]) + "\n"
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def read_predictions(
     path: str | Path,
     kind: str = "prediction",
     allow_overall: bool = False,
-) -> list[ScoredRecord]:
-    """Parse and validate a prediction/reference CSV."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
+) -> Scores:
+    """Parse and validate a prediction/reference CSV into score columns, in
+    bulk; a fault is traced back to its ``path:line`` once one is found."""
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != PREDICTION_HEADER:
         raise ParseError(f"{path}: expected header {PREDICTION_HEADER!r}")
-    records: list[ScoredRecord] = []
-    seen: set[tuple] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
-        sid, part_str, score_str = fields
-        try:
-            score = float(score_str)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad score {score_str!r}") from exc
-        if part_str == OVERALL:
-            if not allow_overall:
-                raise ParseError(f"{path}:{lineno}: 'overall' rows not allowed here")
-            if not math.isfinite(score):
-                raise NonFiniteScore(f"{path}:{lineno}: non-finite overall score for {sid}")
-            rec = ScoredRecord(sid, OVERALL, score)
-        else:
+    cells = [line.split(",") for line in filter(str.strip, lines[1:])]
+
+    def where(row) -> str:
+        """``path:line`` of data row ``row`` (blank lines hold no row)."""
+        return f"{path}:{[n for n, ln in enumerate(lines, 1) if n > 1 and ln.strip()][row]}"
+
+    widths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    bad = np.flatnonzero(widths != 3)
+    if bad.size:
+        raise ParseError(f"{where(bad[0])}: expected 3 fields, got {widths[bad[0]]}")
+    sids, part_texts, score_texts = zip(*cells) if cells else ((), (), ())
+    if "" in sids:
+        raise ParseError(f"{where(sids.index(''))}: empty speaker id")
+    try:
+        score = np.fromiter(map(float, score_texts), dtype=np.float64, count=len(cells))
+    except ValueError:
+        for row, text in enumerate(score_texts):
             try:
-                part = int(part_str)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad part {part_str!r}") from exc
-            rec = validate_record(ScoredRecord(sid, part, score), kind)
-        if rec.key in seen:
-            raise DuplicateKey(f"{path}:{lineno}: duplicate key {rec.key}")
-        seen.add(rec.key)
-        records.append(rec)
-    return records
+                float(text)
+            except ValueError:
+                raise ParseError(f"{where(row)}: bad score {text!r}") from None
+    codes = dict.fromkeys(part_texts)  # each distinct part text is parsed once
+    for text in codes:
+        try:
+            codes[text] = OVERALL if text == OVERALL_TEXT and allow_overall else int(text)
+        except ValueError:
+            fault = "part {!r} not allowed here" if text == OVERALL_TEXT else "bad part {!r}"
+            raise ParseError(f"{where(part_texts.index(text))}: {fault.format(text)}") from None
+        if text != OVERALL_TEXT and codes[text] not in PARTS:
+            raise InvalidPart(f"{where(part_texts.index(text))}: part {text!r} not in {PARTS}")
+    part = np.fromiter(map(codes.get, part_texts), dtype=np.int64, count=len(cells))
+    scores = Scores(sids, part, score)
+    overall = part == OVERALL
+    bad = np.flatnonzero(overall & ~np.isfinite(score))
+    if bad.size:
+        raise NonFiniteScore(f"{where(bad[0])}: non-finite overall score for {sids[bad[0]]}")
+    validate_record(scores.take(~overall), kind)
+    order = np.lexsort((part, scores.speaker_id))
+    sid, part = scores.speaker_id[order], part[order]
+    # rows whose key an earlier row holds (lexsort is stable)
+    repeats = order[1:][(sid[1:] == sid[:-1]) & (part[1:] == part[:-1])]
+    if repeats.size:
+        row = repeats.min()
+        raise DuplicateKey(f"{where(row)}: duplicate key ({sids[row]}, {part_texts[row]})")
+    return scores
 
 
 def file_digest(path: str | Path) -> str:
@@ -119,10 +141,9 @@ def write_calibration(
 
 
 def read_calibration(path: str | Path) -> tuple[FusionCalibration, dict]:
-    path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
         raise ParseError(f"cannot read calibration {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: calibration must be a JSON object")
@@ -166,11 +187,7 @@ def write_features(path: str | Path, sequences: list[FrameSequence]) -> None:
 
 
 def read_features(path: str | Path) -> list[FrameSequence]:
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != FEATURE_MAGIC:
         raise ParseError(f"{path}: expected magic line {FEATURE_MAGIC!r}")
     out: list[FrameSequence] = []
@@ -186,6 +203,9 @@ def read_features(path: str | Path) -> list[FrameSequence]:
             raise ParseError(f"{path}:{i + 1}: bad record header") from exc
         if t < 1 or d < 1:
             raise ParseError(f"{path}:{i + 1}: need T >= 1 and d >= 1, got {t} {d}")
+        if out and d != out[0].frames.shape[1]:
+            raise ParseError(f"{path}:{i + 1}: d={d}, but the first record has "
+                             f"d={out[0].frames.shape[1]}")
         if i + t > len(lines) - 1:
             raise ParseError(f"{path}:{i + 1}: truncated record (declared T={t})")
         frames = np.empty((t, d))
@@ -223,10 +243,9 @@ def write_head_params(path: str | Path, params: HeadParameters) -> None:
 
 
 def read_head_params(path: str | Path) -> HeadParameters:
-    path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
         raise ParseError(f"cannot read parameters {path}: {exc}") from exc
     if doc.get("format_version") != PARAMS_VERSION:
         raise ParseError(f"{path}: unsupported format_version {doc.get('format_version')!r}")

@@ -12,12 +12,13 @@ Overall speaker scores are the mean of the four part scores.
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics
-from .core import OVERALL, PARTS, JoinedDataset, ScoredRecord
+from .core import OVERALL, PARTS, JoinedDataset, Scores
 from .errors import (
     DuplicatePart,
     EmptyDataset,
@@ -43,6 +44,10 @@ class IntervalLayout:
     def __post_init__(self):
         if len(self.edges) != N_BINS + 1:
             raise InvalidConfig(f"need {N_BINS + 1} edges, got {len(self.edges)}")
+        # finite floats only: NaN fails every comparison, so it would pass the
+        # order check below, and an int beyond the float range cannot be binned
+        if not all(abs(e) <= sys.float_info.max for e in self.edges):
+            raise InvalidConfig(f"interval edges must be finite, got {self.edges}")
         if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
             raise InvalidConfig("interval edges must be strictly increasing")
 
@@ -137,17 +142,14 @@ def calibrate(
         raise NoReferences("calibration requires reference scores")
     grid = weight_grid(grid_step)
 
-    w2v = np.asarray(dev.w2v_scores())
-    mllm = np.asarray(dev.mllm_scores())
-    ref = np.asarray(dev.references())
-    bins = bin_index(mllm, layout)
+    bins = bin_index(dev.mllm, layout)
     counts = np.bincount(bins, minlength=N_BINS)
     g = np.asarray(grid)[:, None]
 
     def best_weight(rows):
         # sq[i, j]: squared fusion error of row j under grid weight i
-        w2v_r, mllm_r = w2v[rows], mllm[rows]
-        sq = (w2v_r + g * (mllm_r - w2v_r) - ref[rows]) ** 2
+        w2v_r, mllm_r = dev.w2v[rows], dev.mllm[rows]
+        sq = (w2v_r + g * (mllm_r - w2v_r) - dev.reference[rows]) ** 2
         return grid[int(np.argmin(np.sqrt(np.mean(sq, axis=1))))]
 
     global_w = best_weight(slice(None)) if 0 in counts else None
@@ -156,7 +158,7 @@ def calibrate(
         weights=weights,
         grid_step=grid_step,
         layout=layout,
-        dev_rmse=metrics.rmse(_mix(w2v, mllm, np.asarray(weights)[bins]), ref),
+        dev_rmse=metrics.rmse(_mix(dev.w2v, dev.mllm, np.asarray(weights)[bins]), dev.reference),
         per_bin_counts=tuple(counts.tolist()),
     )
 
@@ -165,35 +167,33 @@ def fuse_dataset(
     data: JoinedDataset,
     calib: FusionCalibration,
     clamp: bool = False,
-) -> list[ScoredRecord]:
+) -> Scores:
     """Fuse every row; key- and order-preserving.
 
     ``clamp`` optionally clips fused scores to the reference range
     [2.0, 5.5] (off by default: references never leave it, but graders may).
     """
-    fused = fuse_one(data.w2v_scores(), data.mllm_scores(), calib)
+    fused = fuse_one(data.w2v, data.mllm, calib)
     if clamp:
         fused = np.clip(fused, 2.0, 5.5)
-    return [ScoredRecord(row.speaker_id, row.part, score)
-            for row, score in zip(data.rows, fused.tolist())]
+    return Scores(data.speaker_id, data.part, fused)
 
 
-def aggregate_overall(per_part: list[ScoredRecord]) -> list[ScoredRecord]:
-    """Per-speaker mean of the four part scores (parts 1, 3, 4, 5)."""
-    by_speaker: dict[str, dict[int, float]] = {}
-    for rec in per_part:
-        parts = by_speaker.setdefault(rec.speaker_id, {})
-        if rec.part in parts:
-            raise DuplicatePart(f"duplicate part {rec.part} for speaker {rec.speaker_id}")
-        parts[rec.part] = rec.score
-    out = []
-    for sid in sorted(by_speaker):
-        parts = by_speaker[sid]
-        missing = [p for p in PARTS if p not in parts]
-        if missing:
-            raise MissingPart(f"speaker {sid} missing part(s) {missing}")
-        extra = sorted(set(parts) - set(PARTS))
-        if extra:
-            raise MissingPart(f"speaker {sid} has unexpected part(s) {extra}")
-        out.append(ScoredRecord(sid, OVERALL, sum(parts[p] for p in PARTS) / 4.0))
-    return out
+def aggregate_overall(per_part: Scores) -> Scores:
+    """Per-speaker mean of the four part scores (parts 1, 3, 4, 5),
+    sorted by speaker."""
+    order = np.lexsort((per_part.part, per_part.speaker_id))
+    sid, part, score = per_part.speaker_id[order], per_part.part[order], per_part.score[order]
+    same_speaker = sid[1:] == sid[:-1]
+    dup = np.flatnonzero(same_speaker & (part[1:] == part[:-1]))
+    if dup.size:
+        raise DuplicatePart(f"duplicate part {part[dup[0]]} for speaker {sid[dup[0]]}")
+    starts = np.flatnonzero(np.r_[True, ~same_speaker][:len(sid)])  # empty stays empty
+    if len(part) != len(PARTS) * len(starts) or (part != np.tile(PARTS, len(starts))).any():
+        for speaker, parts in zip(sid[starts], np.split(part, starts[1:])):
+            if parts.tolist() != list(PARTS):
+                raise MissingPart(f"speaker {speaker} has part(s) {parts.tolist()}, "
+                                  f"needs exactly {list(PARTS)}")
+    # sum() adds the parts left to right, starting from 0
+    total = sum(score.reshape(-1, len(PARTS)).T, np.zeros(len(starts)))
+    return Scores(sid[starts], np.full(len(starts), OVERALL), total / 4.0)

@@ -62,14 +62,12 @@ def average_ranks(values) -> np.ndarray:
     """1-based ranks; ties receive the mean of the ranks they span."""
     v = np.asarray(values, dtype=np.float64)
     order = np.argsort(v, kind="stable")
+    sorted_v = v[order]
+    # first (i) and last (j) sorted position of each tie run; NaN never ties
+    i = np.flatnonzero(np.r_[True, sorted_v[1:] != sorted_v[:-1]])
+    j = np.r_[i[1:], v.size] - 1
     ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (i + j) + 1.0, j - i + 1)
     return ranks
 
 
@@ -104,9 +102,9 @@ def macro_f1(pred, ref) -> float:
     empty precision+recall denominator scores F1 = 0.
     """
     p, r = _pair(pred, ref)
-    for v in r:
-        if not is_on_grid(float(v)):
-            raise OffGridReference(f"reference {v} not on the 0.5 level grid")
+    off = ~is_on_grid(r)
+    if off.any():
+        raise OffGridReference(f"reference {r[off][0]} not on the 0.5 level grid")
     # canonicalize references so exact == class comparison is safe
     r = snap_to_grid(r)
     ps = snap_to_grid(p)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PARTS, REFERENCE_LEVELS, JoinedDataset, JoinedRow
+from .core import PARTS, REFERENCE_LEVELS, JoinedDataset
 from .errors import InvalidConfig
 from .fusion import N_BINS, IntervalLayout, bin_index
 from .head import FrameSequence
@@ -57,24 +57,19 @@ def heteroscedastic_config(n_speakers: int = 500, seed: int = 0) -> SynthConfig:
 def generate_scores(cfg: SynthConfig) -> JoinedDataset:
     """Draw reference levels and noisy grader predictions per (speaker, part)."""
     rng = np.random.default_rng(cfg.seed)
-    layout = IntervalLayout()
     weights = np.asarray(cfg.level_weights, dtype=np.float64)
     weights = weights / weights.sum()
     levels = np.asarray(REFERENCE_LEVELS)
+    bins = bin_index(levels, IntervalLayout())  # the interval of each level
     rows = []
     for i in range(cfg.n_speakers):
         sid = f"spk{i:04d}"
         for part in cfg.parts:
-            ref = float(levels[rng.choice(len(levels), p=weights)])
-            k = bin_index(ref, layout)
-            rows.append(JoinedRow(
-                speaker_id=sid,
-                part=part,
-                w2v=ref + rng.normal(0.0, cfg.w2v_noise[k]),
-                mllm=ref + rng.normal(0.0, cfg.mllm_noise[k]),
-                reference=ref,
-            ))
-    return JoinedDataset(rows=tuple(rows))
+            j = rng.choice(len(levels), p=weights)
+            ref, k = float(levels[j]), bins[j]
+            rows.append((sid, part, ref + rng.normal(0.0, cfg.w2v_noise[k]),
+                         ref + rng.normal(0.0, cfg.mllm_noise[k]), ref))
+    return JoinedDataset(*zip(*rows))
 
 
 def generate_frames(

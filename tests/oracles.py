@@ -3,15 +3,15 @@ brute-force helpers, used only as test oracles.
 
 The metric oracles deliberately avoid sharing code with slascore.metrics:
 different formulations (np.corrcoef, explicit confusion counts,
-loop-based ranking) of the same definitions. The calibration and
-separability oracles at the end work on the library's own record types.
+loop-based ranking) of the same definitions. The calibration oracle
+takes plain score sequences; the separability oracle works on the
+library's own frame sequences.
 """
 
 import math
 
 import numpy as np
 
-from slascore.core import JoinedRow
 from slascore.errors import InvalidConfig, NoReferences, ValidationError
 from slascore.head import FrameSequence
 from slascore.metrics import macro_f1
@@ -79,18 +79,22 @@ class EmptyBin(ValidationError):
 
 
 def brute_force_bin_weight(
-    rows: list[JoinedRow],
+    w2v,
+    mllm,
+    ref,
     grid_step: float = 0.01,
 ) -> tuple[float, float]:
-    """Exhaustively scan the weight grid over one bin's rows.
+    """Exhaustively scan the weight grid over one bin's rows, given as
+    three score sequences (``ref`` None when the rows carry no references).
 
     Independent oracle for the calibrated per-bin weight; returns the
     first (smallest-w) minimizer and its RMSE.
     """
-    if not rows:
+    if not len(w2v):
         raise EmptyBin("no rows in bin")
-    if any(r.reference is None for r in rows):
+    if ref is None:
         raise NoReferences("bin rows must carry references")
+    rows = list(zip(map(float, w2v), map(float, mllm), map(float, ref), strict=True))
     n = round(1.0 / grid_step)
     if abs(n * grid_step - 1.0) > 1e-9:
         raise InvalidConfig(f"grid_step {grid_step} does not divide 1 evenly")
@@ -98,8 +102,8 @@ def brute_force_bin_weight(
     for i in range(n + 1):
         w = i * grid_step
         sse = 0.0
-        for r in rows:
-            err = (1.0 - w) * r.w2v + w * r.mllm - r.reference
+        for r_w2v, r_mllm, r_ref in rows:
+            err = (1.0 - w) * r_w2v + w * r_mllm - r_ref
             sse += err * err
         rm = (sse / len(rows)) ** 0.5
         if rm < best_rmse:

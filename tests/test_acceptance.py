@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from slascore import cli, fileio, fusion, head, metrics, synth
-from slascore.core import REFERENCE_LEVELS, ScoredRecord
+from slascore.core import REFERENCE_LEVELS, Scores
 from slascore.fusion import N_BINS, bin_index, calibrate, fuse_one
 from slascore.head import (
     CLASSIFICATION,
@@ -78,13 +78,13 @@ def test_criterion_2_fusion_dominance():
         )
         data = synth.generate_scores(cfg)
         calib = calibrate(data)
-        ref = data.references()
-        assert calib.dev_rmse <= metrics.rmse(data.w2v_scores(), ref)
-        assert calib.dev_rmse <= metrics.rmse(data.mllm_scores(), ref)
+        ref = data.reference
+        assert calib.dev_rmse <= metrics.rmse(data.w2v, ref)
+        assert calib.dev_rmse <= metrics.rmse(data.mllm, ref)
         for k in range(N_BINS):
-            rows = [r for r in data.rows if bin_index(r.mllm) == k]
-            if rows:
-                w, _ = oracles.brute_force_bin_weight(rows)
+            rows = bin_index(data.mllm) == k
+            if rows.any():
+                w, _ = oracles.brute_force_bin_weight(data.w2v[rows], data.mllm[rows], ref[rows])
                 assert w == calib.weights[k]
 
 
@@ -96,20 +96,18 @@ def test_criterion_3_score_conditioned_advantage():
     calib = calibrate(dev)
 
     # best single global weight on the dev set
-    ref = np.asarray(dev.references())
-    w2v = np.asarray(dev.w2v_scores())
-    mllm = np.asarray(dev.mllm_scores())
+    ref, w2v, mllm = dev.reference, dev.w2v, dev.mllm
     best_global = min(
         float(np.sqrt(np.mean((w2v + w * (mllm - w2v) - ref) ** 2)))
         for w in fusion.weight_grid(calib.grid_step)
     )
     assert calib.dev_rmse <= 0.95 * best_global
 
-    eval_ref = evl.references()
+    eval_ref = evl.reference
     fused = fusion.fuse_dataset(evl, calib)
-    fused_rmse = metrics.rmse([r.score for r in fused], eval_ref)
-    assert fused_rmse < metrics.rmse(evl.w2v_scores(), eval_ref)
-    assert fused_rmse < metrics.rmse(evl.mllm_scores(), eval_ref)
+    fused_rmse = metrics.rmse(fused.score, eval_ref)
+    assert fused_rmse < metrics.rmse(evl.w2v, eval_ref)
+    assert fused_rmse < metrics.rmse(evl.mllm, eval_ref)
 
 
 @criterion(4, "analytic gradients within 1e-4 of central finite differences "
@@ -176,9 +174,8 @@ def test_criterion_5_toy_training():
 
 @criterion(6, "overall-mean and fusion-endpoint exactness, interval boundaries")
 def test_criterion_6_exactness():
-    recs = [ScoredRecord("a", p, s)
-            for p, s in [(1, 3.0), (3, 3.0), (4, 4.0), (5, 4.0)]]
-    assert fusion.aggregate_overall(recs)[0].score == 3.5
+    recs = Scores(["a"] * 4, [1, 3, 4, 5], [3.0, 3.0, 4.0, 4.0])
+    assert fusion.aggregate_overall(recs).score[0] == 3.5
 
     w2v, mllm = 3.1415926535, 4.2718281828
     calib0 = fusion.FusionCalibration(weights=(0.0,) * N_BINS)

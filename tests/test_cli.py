@@ -1,11 +1,15 @@
 import json
 import logging
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from slascore import cli, fileio, fusion, metrics
-from slascore.core import ScoredRecord, join
+from slascore.core import OVERALL, Scores, join
 from slascore.synth import SynthConfig, generate_scores, heteroscedastic_config
+from tables import rows, scores
 
 
 def run(capsys, *argv):
@@ -16,11 +20,9 @@ def run(capsys, *argv):
 
 def write_split(tmp_path, data, prefix=""):
     paths = {}
-    for name, getter in (("w2v", lambda r: r.w2v), ("mllm", lambda r: r.mllm),
-                         ("refs", lambda r: r.reference)):
+    for name, column in (("w2v", data.w2v), ("mllm", data.mllm), ("refs", data.reference)):
         p = tmp_path / f"{prefix}{name}.csv"
-        fileio.write_predictions(
-            p, [ScoredRecord(r.speaker_id, r.part, getter(r)) for r in data.rows])
+        fileio.write_predictions(p, Scores(data.speaker_id, data.part, column))
         paths[name] = str(p)
     return paths
 
@@ -33,8 +35,7 @@ def dev_files(tmp_path):
 
 class TestEvaluate:
     def test_perfect_predictions(self, tmp_path, capsys):
-        recs = [ScoredRecord("a", 1, 2.0), ScoredRecord("b", 1, 3.0),
-                ScoredRecord("c", 1, 4.0)]
+        recs = scores(("a", 1, 2.0), ("b", 1, 3.0), ("c", 1, 4.0))
         pred, ref = tmp_path / "pred.csv", tmp_path / "ref.csv"
         fileio.write_predictions(pred, recs)
         fileio.write_predictions(ref, recs)
@@ -49,7 +50,7 @@ class TestEvaluate:
                          "--out", out_json)
         assert code == 0
         doc = json.loads(open(out_json).read())
-        rep = metrics.full_report(data.w2v_scores(), data.references())
+        rep = metrics.full_report(data.w2v, data.reference)
         assert doc["rmse"] == rep.rmse and doc["pcc"] == rep.pcc
 
     def test_csv_format(self, dev_files, capsys):
@@ -61,8 +62,8 @@ class TestEvaluate:
 
     def test_disjoint_keys_exit_code(self, tmp_path, capsys):
         pred, ref = tmp_path / "p.csv", tmp_path / "r.csv"
-        fileio.write_predictions(pred, [ScoredRecord("a", 1, 3.0)])
-        fileio.write_predictions(ref, [ScoredRecord("b", 1, 3.0)])
+        fileio.write_predictions(pred, scores(("a", 1, 3.0)))
+        fileio.write_predictions(ref, scores(("b", 1, 3.0)))
         code, _, err = run(capsys, "evaluate", str(pred), str(ref))
         assert code == cli.EXIT_VALIDATION
         assert "error" in err
@@ -74,8 +75,8 @@ class TestEvaluate:
 
     def test_prediction_without_reference_exit_code(self, tmp_path, capsys):
         pred, ref = tmp_path / "p.csv", tmp_path / "r.csv"
-        fileio.write_predictions(pred, [ScoredRecord("a", 1, 3.0), ScoredRecord("b", 1, 3.0)])
-        fileio.write_predictions(ref, [ScoredRecord("a", 1, 3.0)])
+        fileio.write_predictions(pred, scores(("a", 1, 3.0), ("b", 1, 3.0)))
+        fileio.write_predictions(ref, scores(("a", 1, 3.0)))
         code, out, err = run(capsys, "evaluate", str(pred), str(ref))
         assert code == cli.EXIT_VALIDATION
         assert "1 prediction key(s) without a reference" in err
@@ -84,9 +85,9 @@ class TestEvaluate:
     def test_unpredicted_references_warned_once(self, tmp_path, capsys, caplog):
         pred, ref = tmp_path / "p.csv", tmp_path / "r.csv"
         levels = (2.0, 3.0, 4.0, 5.0, 5.5, 2.5)
-        fileio.write_predictions(pred, [ScoredRecord(f"s{i}", 1, 2.0 + i) for i in range(4)])
-        fileio.write_predictions(ref, [ScoredRecord(f"s{i}", 1, lvl)
-                                       for i, lvl in enumerate(levels)])
+        fileio.write_predictions(pred, scores(*[(f"s{i}", 1, 2.0 + i) for i in range(4)]))
+        fileio.write_predictions(ref, scores(*[(f"s{i}", 1, lvl)
+                                               for i, lvl in enumerate(levels)]))
         with caplog.at_level(logging.WARNING):
             code, out, _ = run(capsys, "evaluate", str(pred), str(ref), "--format", "csv")
         assert code == 0
@@ -136,9 +137,9 @@ class TestCalibrateFuse:
                          "--out", fused_path)
         assert code == 0
         fused = fileio.read_predictions(fused_path)
-        refs = {r.key: r.score
-                for r in fileio.read_predictions(paths["refs"], "reference")}
-        got = metrics.rmse([r.score for r in fused], [refs[r.key] for r in fused])
+        refs = dict(((sid, part), ref) for sid, part, ref
+                    in rows(fileio.read_predictions(paths["refs"], "reference")))
+        got = metrics.rmse(fused.score, [refs[(sid, part)] for sid, part, _ in rows(fused)])
         calib, _ = fileio.read_calibration(calib_path)
         assert got == pytest.approx(calib.dev_rmse, abs=1e-12)
 
@@ -151,26 +152,26 @@ class TestCalibrateFuse:
             fused_path = tmp_path / f"fused{w}.csv"
             run(capsys, "fuse", paths["w2v"], paths["mllm"], str(calib_path),
                 "--out", str(fused_path))
-            fused = {r.key: r.score for r in fileio.read_predictions(str(fused_path))}
-            src = {r.key: r.score for r in fileio.read_predictions(paths[source])}
+            fused = set(rows(fileio.read_predictions(str(fused_path))))
+            src = set(rows(fileio.read_predictions(paths[source])))
             assert fused == src
 
 
 class TestAggregate:
     def test_single_speaker(self, tmp_path, capsys):
         pred = tmp_path / "pred.csv"
-        fileio.write_predictions(pred, [
-            ScoredRecord("a", 1, 3.0), ScoredRecord("a", 3, 3.0),
-            ScoredRecord("a", 4, 4.0), ScoredRecord("a", 5, 4.0)])
+        fileio.write_predictions(pred, scores(
+            ("a", 1, 3.0), ("a", 3, 3.0), ("a", 4, 4.0), ("a", 5, 4.0)))
         out = tmp_path / "overall.csv"
         code, _, _ = run(capsys, "aggregate", str(pred), "--out", str(out))
         assert code == 0
         recs = fileio.read_predictions(out, allow_overall=True)
-        assert recs[0].score == 3.5 and recs[0].part == "overall"
+        assert recs.score[0] == 3.5 and recs.part[0] == OVERALL
+        assert out.read_text().splitlines()[1] == "a,overall,3.5"
 
     def test_incomplete_speaker(self, tmp_path, capsys):
         pred = tmp_path / "pred.csv"
-        fileio.write_predictions(pred, [ScoredRecord("a", 1, 3.0)])
+        fileio.write_predictions(pred, scores(("a", 1, 3.0)))
         code, _, err = run(capsys, "aggregate", str(pred),
                            "--out", str(tmp_path / "o.csv"))
         assert code == cli.EXIT_VALIDATION
@@ -179,12 +180,12 @@ class TestAggregate:
     def test_matches_library(self, tmp_path, capsys):
         data = generate_scores(SynthConfig(n_speakers=25, seed=4))
         pred = tmp_path / "pred.csv"
-        recs = [ScoredRecord(r.speaker_id, r.part, r.w2v) for r in data.rows]
+        recs = Scores(data.speaker_id, data.part, data.w2v)
         fileio.write_predictions(pred, recs)
         out = tmp_path / "overall.csv"
         run(capsys, "aggregate", str(pred), "--out", str(out))
         got = fileio.read_predictions(out, allow_overall=True)
-        assert got == fusion.aggregate_overall(recs)
+        assert rows(got) == rows(fusion.aggregate_overall(recs))
 
 
 class TestSynthCommand:
@@ -194,7 +195,7 @@ class TestSynthCommand:
         assert code == 0
         w2v = fileio.read_predictions(tmp_path / "d" / "w2v.csv")
         refs = fileio.read_predictions(tmp_path / "d" / "refs.csv", "reference")
-        assert [r.score for r in w2v] == [r.score for r in refs]
+        assert w2v.score.tolist() == refs.score.tolist()
 
     def test_seed_reproducible_bytes(self, tmp_path, capsys):
         for d in ("d1", "d2"):
@@ -266,22 +267,47 @@ CALIB_FIELDS = {"format_version": 1, "grid_step": 0.01, "edges": list(fusion.DEF
     ("fuse", json.dumps({**CALIB_FIELDS, "weights": 0.5})),
     ("fuse", json.dumps({**CALIB_FIELDS, "edges": [True] * 9})),
     ("fuse", json.dumps({**CALIB_FIELDS, "per_bin_counts": [None] * 8})),
+    ("fuse", json.dumps(CALIB_FIELDS).encode("utf-16")),
     ("train-head", "slascore-features v1\nrecord -1 2 3.0\n"),
     ("train-head", "slascore-features v1\nrecord 1 0 3.0\n\n"),
+    ("train-head", "slascore-features v1\nrecord 1 2 3.0\n1.0 2.0\n"
+                   "record 1 3 3.0\n1.0 2.0 3.0\n"),
+    ("aggregate", "speaker_id,part,score\n,1,3.0\n,3,3.0\n,4,3.0\n,5,3.0\n"),
 ], ids=["list-document", "string-weights", "scalar-weights", "bool-edges", "null-counts",
-        "negative-T", "zero-d"])
+        "non-utf8-calibration", "negative-T", "zero-d", "mixed-d", "empty-speaker-id"])
 def test_malformed_file_exit_code(tmp_path, capsys, command, content):
     bad = tmp_path / "bad"
-    bad.write_text(content)
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content)
     if command == "fuse":
-        scores = tmp_path / "scores.csv"
-        fileio.write_predictions(scores, [ScoredRecord("a", 1, 3.0)])
-        argv = ["fuse", str(scores), str(scores), str(bad), "--out", str(tmp_path / "o.csv")]
+        csv = tmp_path / "scores.csv"
+        fileio.write_predictions(csv, scores(("a", 1, 3.0)))
+        argv = ["fuse", str(csv), str(csv), str(bad), "--out", str(tmp_path / "o.csv")]
+    elif command == "aggregate":
+        argv = ["aggregate", str(bad), "--out", str(tmp_path / "o.csv")]
     else:
         argv = ["train-head", str(bad), str(bad), "--out", str(tmp_path / "p.json")]
     code, _, err = run(capsys, *argv)
     assert code == cli.EXIT_IO
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    if command != "fuse":
+        assert re.search(rf"{re.escape(str(bad))}:\d+: ", err)  # names the offending line
+
+
+def test_non_finite_edges_exit_code(tmp_path, capsys):
+    calib = tmp_path / "calib.json"
+    edges = list(fusion.DEFAULT_EDGES)
+    edges[2] = float("nan")
+    calib.write_text(json.dumps({**CALIB_FIELDS, "edges": edges}))
+    csv = tmp_path / "scores.csv"
+    fileio.write_predictions(csv, scores(("a", 1, 3.0)))
+    code, out, err = run(capsys, "fuse", str(csv), str(csv), str(calib),
+                         "--out", str(tmp_path / "o.csv"))
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "finite" in err
+    assert out == "" and not (tmp_path / "o.csv").exists()
 
 
 class TestReport:
@@ -299,3 +325,61 @@ class TestReport:
         rows.write_text("model,rmse\nx,1\n")
         code, _, _ = run(capsys, "report", str(rows))
         assert code == cli.EXIT_IO
+
+
+# The valid prediction file every mutation starts from: two speakers,
+# all four parts, scores inside [0, 6] and on the reference grid.
+VALID_ROWS = ["speaker_id,part,score"] + [
+    f"{sid},{part},{score!r}" for sid, scores_ in (("s1", (3.0, 3.5, 4.0, 2.5)),
+                                                   ("s2", (5.0, 4.5, 2.0, 3.0)))
+    for part, score in zip((1, 3, 4, 5), scores_)]
+
+FIELD_VALUES = st.sampled_from(["", "\x00", "s1", "sé", " ", "overall", "0", "2",
+                                "01", "nan", "inf", "-inf", "1e400", "-1e400", "1e308",
+                                "-0.0", "7.5", "3.25", " 3", "a,b"]) | st.text(max_size=4)
+
+
+@st.composite
+def mutated_csv(draw) -> bytes:
+    """VALID_ROWS after 1-3 line or field mutations, as file bytes."""
+    lines = list(VALID_ROWS)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        op = draw(st.sampled_from(["delete", "duplicate", "replace", "field", "empty"]))
+        if op == "empty":
+            lines = []
+        elif not lines:
+            lines.append(draw(st.text(max_size=12)))
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "replace":
+            lines[i] = draw(st.text(max_size=12))
+        else:
+            fields = lines[i].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(FIELD_VALUES)
+            lines[i] = ",".join(fields)
+    data = "\n".join(lines).encode("utf-8")
+    return data + b"\xff" if draw(st.booleans()) and draw(st.booleans()) else data
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=mutated_csv())
+def test_mutated_prediction_file_exit_codes(tmp_path, capsys, content):
+    """Any mutation of a valid prediction CSV ends in exit code 0, 2 or 3
+    in every command that reads one, with no exception escaping."""
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.write_bytes(content)
+    good.write_text("\n".join(VALID_ROWS) + "\n")
+    calib = tmp_path / "calib.json"
+    fileio.write_calibration(calib, fusion.FusionCalibration(weights=(0.25,) * 8))
+    out = str(tmp_path / "out.csv")
+    for argv in (["aggregate", bad, "--out", out],
+                 ["evaluate", bad, good], ["evaluate", good, bad],
+                 ["evaluate", "--overall", bad, bad],
+                 ["fuse", bad, good, calib, "--out", out],
+                 ["fuse", good, bad, calib, "--clamp", "--out", out]):
+        code, _, _ = run(capsys, *map(str, argv))
+        assert code in (0, cli.EXIT_VALIDATION, cli.EXIT_IO), argv

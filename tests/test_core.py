@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -6,7 +7,7 @@ from slascore.core import (
     PARTS,
     REFERENCE_LEVELS,
     JoinedDataset,
-    ScoredRecord,
+    Scores,
     join,
     validate_record,
 )
@@ -19,10 +20,12 @@ from slascore.errors import (
     NoReferences,
     OffGridReference,
 )
+from slascore.fusion import calibrate
+from tables import rows, scores
 
 
 def rec(sid, part, score):
-    return ScoredRecord(sid, part, score)
+    return scores((sid, part, score))
 
 
 class TestValidateRecord:
@@ -46,9 +49,17 @@ class TestValidateRecord:
         with pytest.raises(NonFiniteScore):
             validate_record(rec("a1", 1, math.nan), "prediction")
 
-    def test_prediction_any_finite_real(self):
+    def test_prediction_any_finite_real(self, caplog):
         validate_record(rec("a1", 1, 3.33), "prediction")
         validate_record(rec("a1", 1, -1.0), "prediction")  # warned, not rejected
+        # k = 3 out-of-range predictions in one column: one warning giving k
+        column = scores(("a", 1, -1.0), ("a", 3, 3.0), ("a", 4, 6.5), ("b", 1, 6.0),
+                        ("b", 3, 0.0), ("b", 4, 1e9))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert validate_record(column, "prediction") is column
+        assert len(caplog.records) == 1
+        assert caplog.records[0].getMessage().startswith("3 prediction(s) outside")
 
     @pytest.mark.parametrize("level", REFERENCE_LEVELS)
     def test_all_levels_valid(self, level):
@@ -57,66 +68,66 @@ class TestValidateRecord:
 
 class TestJoin:
     def test_single_match(self):
-        ds = join([rec("a", 1, 3.0)], [rec("a", 1, 4.0)])
+        ds = join(rec("a", 1, 3.0), rec("a", 1, 4.0))
         assert len(ds) == 1
-        assert ds.rows[0].w2v == 3.0 and ds.rows[0].mllm == 4.0
+        assert ds.w2v[0] == 3.0 and ds.mllm[0] == 4.0
         assert ds.blind
 
     def test_unmatched_keys_dropped(self, caplog):
         import logging
 
         with caplog.at_level(logging.WARNING):
-            ds = join([rec("a", 1, 3.0), rec("b", 1, 3.0)], [rec("a", 1, 4.0)])
+            ds = join(scores(("a", 1, 3.0), ("b", 1, 3.0)), rec("a", 1, 4.0))
         assert len(ds) == 1
         assert "b" in caplog.text
 
     def test_disjoint_keys(self):
         with pytest.raises(EmptyJoin):
-            join([rec("a", 1, 3.0)], [rec("b", 1, 4.0)])
+            join(rec("a", 1, 3.0), rec("b", 1, 4.0))
 
     def test_duplicate_key(self):
         with pytest.raises(DuplicateKey):
-            join([rec("a", 1, 3.0), rec("a", 1, 3.5)], [rec("a", 1, 4.0)])
+            join(scores(("a", 1, 3.0), ("a", 1, 3.5)), rec("a", 1, 4.0))
 
     def test_symmetric_row_content(self):
-        w2v = [rec("a", 1, 3.0), rec("b", 3, 4.0)]
-        mllm = [rec("b", 3, 4.5), rec("a", 1, 3.5)]
-        ds1 = join(w2v, mllm)
-        ds2 = join(list(reversed(w2v)), list(reversed(mllm)))
-        assert ds1.rows == ds2.rows
+        w2v = [("a", 1, 3.0), ("b", 3, 4.0)]
+        mllm = [("b", 3, 4.5), ("a", 1, 3.5)]
+        ds1 = join(scores(*w2v), scores(*mllm))
+        ds2 = join(scores(*reversed(w2v)), scores(*reversed(mllm)))
+        assert rows(ds1) == rows(ds2)
 
     def test_with_references(self):
-        ds = join([rec("a", 1, 3.1)], [rec("a", 1, 3.9)], [rec("a", 1, 3.5)])
+        ds = join(rec("a", 1, 3.1), rec("a", 1, 3.9), rec("a", 1, 3.5))
         assert not ds.blind
-        assert ds.references() == [3.5]
+        assert ds.reference.tolist() == [3.5]
 
     def test_partial_references_error(self):
         with pytest.raises(MissingReference):
             join(
-                [rec("a", 1, 3.0), rec("b", 1, 3.0)],
-                [rec("a", 1, 4.0), rec("b", 1, 4.0)],
-                [rec("a", 1, 3.5)],
+                scores(("a", 1, 3.0), ("b", 1, 3.0)),
+                scores(("a", 1, 4.0), ("b", 1, 4.0)),
+                rec("a", 1, 3.5),
             )
 
     def test_blind_references_raise(self):
-        ds = join([rec("a", 1, 3.0)], [rec("a", 1, 4.0)])
+        ds = join(rec("a", 1, 3.0), rec("a", 1, 4.0))
+        assert ds.reference is None
         with pytest.raises(NoReferences):
-            ds.references()
+            calibrate(ds)
 
     def test_rejoin_projections_idempotent(self):
         ds = join(
-            [rec("a", 1, 3.0), rec("b", 3, 4.2)],
-            [rec("a", 1, 3.4), rec("b", 3, 4.4)],
-            [rec("a", 1, 3.0), rec("b", 3, 4.5)],
+            scores(("a", 1, 3.0), ("b", 3, 4.2)),
+            scores(("a", 1, 3.4), ("b", 3, 4.4)),
+            scores(("a", 1, 3.0), ("b", 3, 4.5)),
         )
-        w2v = [ScoredRecord(r.speaker_id, r.part, r.w2v) for r in ds.rows]
-        mllm = [ScoredRecord(r.speaker_id, r.part, r.mllm) for r in ds.rows]
-        refs = [ScoredRecord(r.speaker_id, r.part, r.reference) for r in ds.rows]
-        assert join(w2v, mllm, refs) == ds
+        w2v, mllm, refs = (Scores(ds.speaker_id, ds.part, column)
+                           for column in (ds.w2v, ds.mllm, ds.reference))
+        assert rows(join(w2v, mllm, refs)) == rows(ds)
 
     def test_case_sensitive_keys(self):
         with pytest.raises(EmptyJoin):
-            join([rec("A", 1, 3.0)], [rec("a", 1, 4.0)])
+            join(rec("A", 1, 3.0), rec("a", 1, 4.0))
 
 
 def test_parts_constant():
@@ -124,5 +135,5 @@ def test_parts_constant():
 
 
 def test_dataset_accessors():
-    ds = JoinedDataset(rows=())
+    ds = JoinedDataset([], [], [], [], [])
     assert len(ds) == 0 and not ds.blind

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slascore import fileio
-from slascore.core import OVERALL, ScoredRecord
+from slascore.core import OVERALL, Scores
 from slascore.errors import (
     CalibrationVersionMismatch,
     DuplicateKey,
@@ -12,14 +12,19 @@ from slascore.errors import (
 from slascore.fusion import FusionCalibration
 from slascore.head import CLASSIFICATION, FrameSequence, HeadParameters
 from slascore.synth import SynthConfig, generate_frames, generate_scores
+from tables import rows, scores
 
 
 class TestPredictionFiles:
     def test_round_trip_byte_identical(self, tmp_path):
-        recs = [ScoredRecord("a", 1, 3.123456789012345), ScoredRecord("b", 3, 4.0)]
+        # ids with a trailing NUL, padding and non-ASCII text survive exactly
+        recs = scores(("a", 1, 3.123456789012345), ("b", 3, 4.0), ("a\x00", 1, -0.0),
+                      (" b ", 4, 1e-300), ("\u00e9\u4e2d", 5, 6.5))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         fileio.write_predictions(p1, recs)
-        fileio.write_predictions(p2, fileio.read_predictions(p1))
+        back = fileio.read_predictions(p1)
+        assert rows(back) == rows(recs)
+        fileio.write_predictions(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_enforced(self, tmp_path):
@@ -30,8 +35,8 @@ class TestPredictionFiles:
 
     def test_duplicate_key(self, tmp_path):
         p = tmp_path / "dup.csv"
-        p.write_text("speaker_id,part,score\na,1,3.0\na,1,3.5\n")
-        with pytest.raises(DuplicateKey):
+        p.write_text("speaker_id,part,score\na,1,3.0\n\na,01,3.5\n")
+        with pytest.raises(DuplicateKey, match=r"dup\.csv:4: duplicate key \(a, 01\)"):
             fileio.read_predictions(p)
 
     def test_reference_validation(self, tmp_path):
@@ -42,16 +47,17 @@ class TestPredictionFiles:
 
     def test_overall_rows(self, tmp_path):
         p = tmp_path / "overall.csv"
-        fileio.write_predictions(p, [ScoredRecord("a", OVERALL, 3.5)])
+        fileio.write_predictions(p, scores(("a", OVERALL, 3.5)))
+        assert p.read_text() == "speaker_id,part,score\na,overall,3.5\n"
         with pytest.raises(ParseError):
             fileio.read_predictions(p)
         recs = fileio.read_predictions(p, allow_overall=True)
-        assert recs == [ScoredRecord("a", OVERALL, 3.5)]
+        assert rows(recs) == [("a", OVERALL, 3.5)]
 
     def test_bad_score(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("speaker_id,part,score\na,1,abc\n")
-        with pytest.raises(ParseError):
+        p.write_text("speaker_id,part,score\na,1,3.0\na,3,abc\n")
+        with pytest.raises(ParseError, match=r"bad\.csv:3: bad score 'abc'"):
             fileio.read_predictions(p)
 
     def test_missing_file(self, tmp_path):
@@ -175,7 +181,7 @@ class TestHeadParamFiles:
 
 def test_synth_dataset_round_trip(tmp_path):
     data = generate_scores(SynthConfig(n_speakers=10, seed=0))
-    w2v = [ScoredRecord(r.speaker_id, r.part, r.w2v) for r in data.rows]
+    w2v = Scores(data.speaker_id, data.part, data.w2v)
     p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
     fileio.write_predictions(p1, w2v)
     fileio.write_predictions(p2, fileio.read_predictions(p1))

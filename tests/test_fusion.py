@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slascore import metrics
-from slascore.core import OVERALL, JoinedDataset, JoinedRow, ScoredRecord
+from slascore.core import OVERALL, Scores
 from slascore.errors import (
     DuplicatePart,
     EmptyDataset,
@@ -29,6 +29,8 @@ from slascore.fusion import (
     weight_grid,
 )
 from slascore.synth import SynthConfig, generate_scores, heteroscedastic_config
+import tables
+from tables import rows, scores
 
 
 def make_calib(weights, **kw):
@@ -36,7 +38,7 @@ def make_calib(weights, **kw):
 
 
 def dataset(rows):
-    return JoinedDataset(rows=tuple(JoinedRow(*r) for r in rows))
+    return tables.dataset(*rows)
 
 
 class TestLayout:
@@ -51,6 +53,9 @@ class TestLayout:
     def test_non_increasing(self):
         with pytest.raises(InvalidConfig):
             IntervalLayout(edges=(0.0, 2.25, 2.25, 3.25, 3.75, 4.25, 4.75, 5.25, 6.0))
+        for bad in (math.nan, math.inf, 10**400):
+            with pytest.raises(InvalidConfig):
+                IntervalLayout(edges=(0.0, 2.25, bad, 3.25, 3.75, 4.25, 4.75, 5.25, 6.0))
 
 
 class TestBinIndex:
@@ -190,15 +195,15 @@ class TestCalibrate:
     def test_dominance_over_components(self):
         data = generate_scores(SynthConfig(n_speakers=80, seed=5))
         calib = calibrate(data)
-        ref = data.references()
-        assert calib.dev_rmse <= metrics.rmse(data.w2v_scores(), ref)
-        assert calib.dev_rmse <= metrics.rmse(data.mllm_scores(), ref)
+        ref = data.reference
+        assert calib.dev_rmse <= metrics.rmse(data.w2v, ref)
+        assert calib.dev_rmse <= metrics.rmse(data.mllm, ref)
 
     def test_dev_rmse_recomputable(self):
         data = generate_scores(SynthConfig(n_speakers=50, seed=2))
         calib = calibrate(data)
         fused = fuse_dataset(data, calib)
-        got = metrics.rmse([r.score for r in fused], data.references())
+        got = metrics.rmse(fused.score, data.reference)
         assert got == calib.dev_rmse
 
     def test_weights_on_grid(self):
@@ -236,41 +241,42 @@ class TestFuseDataset:
     def test_single_row(self):
         calib = make_calib([0.5] * N_BINS)
         out = fuse_dataset(dataset([("a", 1, 3.0, 4.0, None)]), calib)
-        assert out == [ScoredRecord("a", 1, 3.5)]
+        assert rows(out) == [("a", 1, 3.5)]
 
     def test_empty(self):
-        assert fuse_dataset(dataset([]), make_calib([0.5] * N_BINS)) == []
+        assert len(fuse_dataset(dataset([]), make_calib([0.5] * N_BINS))) == 0
 
     def test_order_and_keys_preserved(self):
         calib = make_calib([0.0] * N_BINS)
-        rows = [("b", 3, 3.0, 4.0, None), ("a", 1, 2.5, 2.5, None)]
-        out = fuse_dataset(dataset(rows), calib)
-        assert [(r.speaker_id, r.part) for r in out] == [("b", 3), ("a", 1)]
+        out = fuse_dataset(dataset([("b", 3, 3.0, 4.0, None), ("a", 1, 2.5, 2.5, None)]), calib)
+        assert [(sid, part) for sid, part, _ in rows(out)] == [("b", 3), ("a", 1)]
 
     def test_clamp(self):
         calib = make_calib([1.0] * N_BINS)
         out = fuse_dataset(dataset([("a", 1, 3.0, 5.9, None)]), calib, clamp=True)
-        assert out[0].score == 5.5
+        assert out.score[0] == 5.5
 
 
 class TestAggregateOverall:
     def test_mean_of_parts(self):
-        recs = [ScoredRecord("a", p, s)
-                for p, s in [(1, 3.0), (3, 3.0), (4, 4.0), (5, 4.0)]]
+        recs = scores(*[("a", p, s) for p, s in [(1, 3.0), (3, 3.0), (4, 4.0), (5, 4.0)]])
         out = aggregate_overall(recs)
-        assert out == [ScoredRecord("a", OVERALL, 3.5)]
+        assert rows(out) == [("a", OVERALL, 3.5)]
 
     def test_identity(self):
-        recs = [ScoredRecord("a", p, 3.5) for p in (1, 3, 4, 5)]
-        assert aggregate_overall(recs)[0].score == 3.5
+        recs = scores(*[("a", p, 3.5) for p in (1, 3, 4, 5)])
+        assert aggregate_overall(recs).score[0] == 3.5
+        # sum() starts from 0, so four -0.0 parts give +0.0
+        recs = scores(*[("a", p, -0.0) for p in (1, 3, 4, 5)])
+        assert math.copysign(1.0, aggregate_overall(recs).score[0]) == 1.0
 
     def test_missing_part(self):
-        recs = [ScoredRecord("a", p, 3.0) for p in (1, 3, 4)]
+        recs = scores(*[("a", p, 3.0) for p in (1, 3, 4)])
         with pytest.raises(MissingPart):
             aggregate_overall(recs)
 
     def test_duplicate_part(self):
-        recs = [ScoredRecord("a", 1, 3.0), ScoredRecord("a", 1, 3.5)]
+        recs = scores(("a", 1, 3.0), ("a", 1, 3.5))
         with pytest.raises(DuplicatePart):
             aggregate_overall(recs)
 
@@ -278,13 +284,13 @@ class TestAggregateOverall:
                     min_size=4, max_size=4),
            st.floats(min_value=-1, max_value=1, allow_nan=False))
     @settings(max_examples=50)
-    def test_commutes_with_uniform_shift(self, scores, c):
-        recs = [ScoredRecord("a", p, s) for p, s in zip((1, 3, 4, 5), scores)]
-        shifted = [ScoredRecord("a", p, s + c) for p, s in zip((1, 3, 4, 5), scores)]
-        base = aggregate_overall(recs)[0].score
-        assert aggregate_overall(shifted)[0].score == pytest.approx(base + c, abs=1e-12)
+    def test_commutes_with_uniform_shift(self, values, c):
+        recs = Scores(["a"] * 4, [1, 3, 4, 5], values)
+        shifted = Scores(["a"] * 4, [1, 3, 4, 5], [s + c for s in values])
+        base = aggregate_overall(recs).score[0]
+        assert aggregate_overall(shifted).score[0] == pytest.approx(base + c, abs=1e-12)
 
     def test_multiple_speakers_sorted(self):
-        recs = [ScoredRecord(sid, p, 3.0) for sid in ("b", "a") for p in (1, 3, 4, 5)]
+        recs = scores(*[(sid, p, 3.0) for sid in ("b", "a") for p in (1, 3, 4, 5)])
         out = aggregate_overall(recs)
-        assert [r.speaker_id for r in out] == ["a", "b"]
+        assert out.speaker_id.tolist() == ["a", "b"]

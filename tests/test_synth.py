@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import EmptyBin, brute_force_bin_weight, nearest_class_mean_f1
+from tables import rows
 from slascore import metrics
-from slascore.core import REFERENCE_LEVELS, JoinedRow
+from slascore.core import REFERENCE_LEVELS
 from slascore.errors import InvalidConfig, NoReferences
 from slascore.fusion import N_BINS, bin_index, calibrate
 from slascore.synth import (
@@ -36,24 +37,24 @@ class TestGenerateScores:
         cfg = SynthConfig(n_speakers=20, seed=3,
                           w2v_noise=(0.0,) * 8, mllm_noise=(0.0,) * 8)
         data = generate_scores(cfg)
-        assert data.w2v_scores() == data.references()
-        assert data.mllm_scores() == data.references()
-        assert metrics.rmse(data.w2v_scores(), data.references()) == 0.0
+        assert data.w2v.tolist() == data.reference.tolist()
+        assert data.mllm.tolist() == data.reference.tolist()
+        assert metrics.rmse(data.w2v, data.reference) == 0.0
 
     def test_seed_determinism(self):
         cfg = SynthConfig(n_speakers=20, seed=7)
-        assert generate_scores(cfg) == generate_scores(cfg)
+        assert rows(generate_scores(cfg)) == rows(generate_scores(cfg))
 
     def test_references_on_grid(self):
         data = generate_scores(SynthConfig(n_speakers=50, seed=1))
-        for ref in data.references():
+        for ref in data.reference.tolist():
             assert ref in REFERENCE_LEVELS
 
     def test_row_count_and_keys(self):
         cfg = SynthConfig(n_speakers=10, parts=(1, 3), seed=0)
         data = generate_scores(cfg)
         assert len(data) == 20
-        assert len({r.key for r in data.rows}) == 20
+        assert len(set(zip(data.speaker_id, data.part.tolist()))) == 20
 
     def test_heteroscedastic_weights_track_better_grader(self):
         data = generate_scores(heteroscedastic_config(500, seed=2))
@@ -96,37 +97,36 @@ class TestGenerateFrames:
 
 class TestBruteForceBinWeight:
     def test_mllm_exact(self):
-        rows = [JoinedRow("a", 1, 3.4, 3.0, 3.0), JoinedRow("b", 1, 2.8, 3.0, 3.0)]
-        assert brute_force_bin_weight(rows) == (1.0, 0.0)
+        assert brute_force_bin_weight([3.4, 2.8], [3.0, 3.0], [3.0, 3.0]) == (1.0, 0.0)
 
     def test_w2v_exact(self):
-        rows = [JoinedRow("a", 1, 3.0, 3.4, 3.0), JoinedRow("b", 1, 3.0, 2.6, 3.0)]
-        assert brute_force_bin_weight(rows) == (0.0, 0.0)
+        assert brute_force_bin_weight([3.0, 3.0], [3.4, 2.6], [3.0, 3.0]) == (0.0, 0.0)
 
     def test_empty_bin(self):
         with pytest.raises(EmptyBin):
-            brute_force_bin_weight([])
+            brute_force_bin_weight([], [], [])
 
     def test_no_references(self):
         with pytest.raises(NoReferences):
-            brute_force_bin_weight([JoinedRow("a", 1, 3.0, 3.0, None)])
+            brute_force_bin_weight([3.0], [3.0], None)
 
     def test_agrees_with_calibrate(self):
         for seed in range(5):
             data = generate_scores(SynthConfig(n_speakers=40, seed=seed))
             calib = calibrate(data)
             for k in range(N_BINS):
-                rows = [r for r in data.rows if bin_index(r.mllm) == k]
-                if not rows:
+                in_bin = bin_index(data.mllm) == k
+                if not in_bin.any():
                     continue
-                w, _ = brute_force_bin_weight(rows)
+                w, _ = brute_force_bin_weight(data.w2v[in_bin], data.mllm[in_bin],
+                                              data.reference[in_bin])
                 assert w == calib.weights[k], (seed, k)
 
 
 def test_fused_beats_components_on_heteroscedastic():
     data = generate_scores(heteroscedastic_config(400, seed=6))
     calib = calibrate(data)
-    ref = data.references()
-    w2v_rmse = metrics.rmse(data.w2v_scores(), ref)
-    mllm_rmse = metrics.rmse(data.mllm_scores(), ref)
+    ref = data.reference
+    w2v_rmse = metrics.rmse(data.w2v, ref)
+    mllm_rmse = metrics.rmse(data.mllm, ref)
     assert calib.dev_rmse < min(w2v_rmse, mllm_rmse)
