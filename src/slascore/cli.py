@@ -2,6 +2,8 @@
 train-head, synth, report.
 
 Exit codes: 0 success, 2 validation error, 3 I/O or parse error.
+Arithmetic that overflows the float range is a validation error, so no
+infinite or NaN result is written or printed.
 All arithmetic happens in the library modules; the CLI only wires files
 to functions and formats output.
 """
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import fileio, fusion, head, metrics, synth
 from .core import Scores, join, match_keys
-from .errors import EmptyJoin, MissingReference, ParseError, SlaError, ValidationError
+from .errors import EmptyJoin, MissingReference, ParseError, SlaError
 from .metrics import MetricReport, format_metric_row
 
 EXIT_VALIDATION = 2
@@ -275,15 +277,16 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="warning: %(message)s", level=logging.WARNING)
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except SlaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"error: values beyond the float range: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -138,15 +138,27 @@ class JoinedDataset:
         return len(self.w2v)
 
 
+def key_rows(table: Scores) -> tuple[dict[tuple[str, int], int], int | None]:
+    """Index from each (speaker, part) key of ``table`` to its row, and the
+    first row whose key an earlier row holds (None when no key repeats)."""
+    keys = _keys(table)
+    index = dict(zip(keys, range(len(keys))))
+    if len(index) == len(keys):
+        return index, None
+    seen = set()
+    for row, key in enumerate(keys):
+        if key in seen:
+            return index, row
+        seen.add(key)
+
+
 def match_keys(rows: Scores, table: Scores, label: str) -> np.ndarray:
     """Row of ``table`` holding each row's (speaker, part) key, -1 where
     ``table`` has none; raises DuplicateKey when a key repeats in ``table``.
     """
-    keys = _keys(table)
-    index = dict(zip(keys, range(len(keys))))
-    if len(index) < len(keys):  # the index holds the last row of a repeated key
-        raise DuplicateKey(f"duplicate {label} key "
-                           f"{next(k for i, k in enumerate(keys) if index[k] != i)}")
+    index, row = key_rows(table)
+    if row is not None:
+        raise DuplicateKey(f"duplicate {label} key {_keys(table, [row])[0]}")
     found = map(index.get, zip(rows.speaker_id.tolist(), rows.part.tolist()), repeat(-1))
     return np.fromiter(found, dtype=np.intp, count=len(rows))
 

@@ -15,12 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OVERALL, PARTS, Scores, validate_record
+from .core import OVERALL, PARTS, Scores, key_rows, validate_record
 from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidPart, NonFiniteScore
 from .errors import ParseError
 from .fusion import N_BINS, FusionCalibration, IntervalLayout
-from .head import CLASSIFICATION, REGRESSION, HeadParameters
-from .head import FrameSequence
+from .head import CLASSIFICATION, PARAM_FIELDS, REGRESSION, FrameSequence, HeadParameters
 
 PREDICTION_HEADER = "speaker_id,part,score"
 OVERALL_TEXT = "overall"
@@ -104,12 +103,8 @@ def read_predictions(
     if bad.size:
         raise NonFiniteScore(f"{where(bad[0])}: non-finite overall score for {sids[bad[0]]}")
     validate_record(scores.take(~overall), kind)
-    order = np.lexsort((part, scores.speaker_id))
-    sid, part = scores.speaker_id[order], part[order]
-    # rows whose key an earlier row holds (lexsort is stable)
-    repeats = order[1:][(sid[1:] == sid[:-1]) & (part[1:] == part[:-1])]
-    if repeats.size:
-        row = repeats.min()
+    _, row = key_rows(scores)
+    if row is not None:
         raise DuplicateKey(f"{where(row)}: duplicate key ({sids[row]}, {part_texts[row]})")
     return scores
 
@@ -230,13 +225,7 @@ def write_head_params(path: str | Path, params: HeadParameters) -> None:
     doc = {
         "format_version": PARAMS_VERSION,
         "mode": params.mode,
-        "levels": params.levels.tolist(),
-        "attn_W": params.attn_W.tolist(),
-        "attn_b": params.attn_b.tolist(),
-        "attn_u": params.attn_u.tolist(),
-        "prototypes": params.prototypes.tolist(),
-        "mlp_W": params.mlp_W.tolist(),
-        "mlp_b": params.mlp_b.tolist(),
+        **{name: getattr(params, name).tolist() for name in ("levels", *PARAM_FIELDS)},
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     Path(path).write_text(text, encoding="utf-8", newline="\n")
@@ -253,14 +242,9 @@ def read_head_params(path: str | Path) -> HeadParameters:
         raise ParseError(f"{path}: bad mode {doc.get('mode')!r}")
     try:
         params = HeadParameters(
-            attn_W=np.asarray(doc["attn_W"], dtype=np.float64),
-            attn_b=np.asarray(doc["attn_b"], dtype=np.float64),
-            attn_u=np.asarray(doc["attn_u"], dtype=np.float64),
-            prototypes=np.asarray(doc["prototypes"], dtype=np.float64),
-            levels=np.asarray(doc["levels"], dtype=np.float64),
-            mlp_W=np.asarray(doc["mlp_W"], dtype=np.float64),
-            mlp_b=np.asarray(doc["mlp_b"], dtype=np.float64),
             mode=doc["mode"],
+            **{name: np.asarray(doc[name], dtype=np.float64)
+               for name in ("levels", *PARAM_FIELDS)},
         )
         params.check_shapes()
     except KeyError as exc:

@@ -10,7 +10,7 @@ analytic and finite-difference checked in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,11 @@ from .metrics import macro_f1
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
+
+#: The trainable arrays of ``HeadParameters``, in update order. Gradients
+#: and AdamW moments are dicts keyed by these names; the parameter file
+#: holds one key per name.
+PARAM_FIELDS = ("attn_W", "attn_b", "attn_u", "prototypes", "mlp_W", "mlp_b")
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,10 +72,6 @@ class HeadParameters:
     def d(self) -> int:
         return self.attn_W.shape[1]
 
-    @property
-    def n_levels(self) -> int:
-        return self.prototypes.shape[0]
-
     def check_shapes(self) -> None:
         d_a, d = self.attn_W.shape
         n = self.prototypes.shape[0]
@@ -89,41 +90,8 @@ class HeadParameters:
                 raise ShapeMismatch(f"{name}: expected {shape}, got {got}")
 
     def copy(self) -> "HeadParameters":
-        return replace(
-            self,
-            attn_W=self.attn_W.copy(),
-            attn_b=self.attn_b.copy(),
-            attn_u=self.attn_u.copy(),
-            prototypes=self.prototypes.copy(),
-            levels=self.levels.copy(),
-            mlp_W=self.mlp_W.copy(),
-            mlp_b=self.mlp_b.copy(),
-        )
-
-
-@dataclass(slots=True)
-class HeadGradients:
-    attn_W: np.ndarray
-    attn_b: np.ndarray
-    attn_u: np.ndarray
-    prototypes: np.ndarray
-    mlp_W: np.ndarray
-    mlp_b: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: HeadParameters) -> "HeadGradients":
-        return cls(
-            attn_W=np.zeros_like(params.attn_W),
-            attn_b=np.zeros_like(params.attn_b),
-            attn_u=np.zeros_like(params.attn_u),
-            prototypes=np.zeros_like(params.prototypes),
-            mlp_W=np.zeros_like(params.mlp_W),
-            mlp_b=np.zeros_like(params.mlp_b),
-        )
-
-    def add_(self, other: "HeadGradients", scale: float = 1.0) -> None:
-        for name in ("attn_W", "attn_b", "attn_u", "prototypes", "mlp_W", "mlp_b"):
-            getattr(self, name).__iadd__(scale * getattr(other, name))
+        return replace(self, levels=self.levels.copy(),
+                       **{name: getattr(self, name).copy() for name in PARAM_FIELDS})
 
 
 @dataclass(slots=True)
@@ -163,11 +131,16 @@ def _pool(h: np.ndarray, params: HeadParameters):
 
 def prototype_similarity(x: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """Cosine similarity of x against each prototype row."""
-    x_norm = np.linalg.norm(x)
+    return _cosine(x, prototypes)[0]
+
+
+def _cosine(x: np.ndarray, prototypes: np.ndarray):
+    """Cosine similarities, with |x| and the prototype row norms."""
+    x_norm = float(np.linalg.norm(x))
     p_norms = np.linalg.norm(prototypes, axis=1)
     if x_norm == 0.0 or np.any(p_norms == 0.0):
         raise ZeroNormVector("cosine similarity undefined for zero-norm vectors")
-    return (prototypes @ x) / (p_norms * x_norm)
+    return (prototypes @ x) / (p_norms * x_norm), x_norm, p_norms
 
 
 def forward(seq: FrameSequence, params: HeadParameters):
@@ -179,9 +152,7 @@ def forward(seq: FrameSequence, params: HeadParameters):
     params.check_shapes()
     h = seq.frames
     a, alpha, x = _pool(h, params)
-    x_norm = float(np.linalg.norm(x))
-    p_norms = np.linalg.norm(params.prototypes, axis=1)
-    s = prototype_similarity(x, params.prototypes)
+    s, x_norm, p_norms = _cosine(x, params.prototypes)
     v = np.concatenate([x, s])
     output = params.mlp_W @ v + params.mlp_b
     cache = ForwardCache(
@@ -221,8 +192,9 @@ def loss_gradient(prediction, target: float, params: HeadParameters) -> np.ndarr
     return g
 
 
-def backward(cache: ForwardCache, upstream) -> HeadGradients:
-    """Analytic gradients of (upstream . output) w.r.t. every parameter.
+def backward(cache: ForwardCache, upstream) -> dict[str, np.ndarray]:
+    """Analytic gradients of (upstream . output) w.r.t. every parameter,
+    keyed by the names in ``PARAM_FIELDS``.
 
     ``upstream`` is d loss / d output: a scalar (or length-1 array) in
     regression mode, a logits-shaped array in classification mode.
@@ -230,13 +202,10 @@ def backward(cache: ForwardCache, upstream) -> HeadGradients:
     params = cache.params
     if cache.version != params.version:
         raise StaleCache("parameters were updated after this forward pass")
-    d_out = np.atleast_1d(np.asarray(upstream, dtype=np.float64))
+    d_out = np.array(upstream, dtype=np.float64, ndmin=1)
     if d_out.shape != cache.output.shape:
         raise ShapeMismatch(f"upstream shape {d_out.shape} vs output {cache.output.shape}")
 
-    g = HeadGradients.zeros_like(params)
-    g.mlp_W[:] = np.outer(d_out, cache.v)
-    g.mlp_b[:] = d_out
     d_v = params.mlp_W.T @ d_out
 
     d = params.d
@@ -247,19 +216,14 @@ def backward(cache: ForwardCache, upstream) -> HeadGradients:
     x, s = cache.x, cache.s
     xn, pn = cache.x_norm, cache.p_norms
     d_x += (params.prototypes.T @ (d_s / pn)) / xn - (d_s @ s) * x / (xn * xn)
-    g.prototypes[:] = (d_s / pn)[:, None] * (
-        x[None, :] / xn - s[:, None] * params.prototypes / pn[:, None]
-    )
+    d_p = (d_s / pn)[:, None] * (x[None, :] / xn - s[:, None] * params.prototypes / pn[:, None])
 
     # pooling: x = alpha @ h
     d_alpha = cache.h @ d_x
     d_e = cache.alpha * (d_alpha - float(cache.alpha @ d_alpha))
-    d_a = np.outer(d_e, params.attn_u)
-    g.attn_u[:] = cache.a.T @ d_e
-    d_z = d_a * (1.0 - cache.a**2)
-    g.attn_W[:] = d_z.T @ cache.h
-    g.attn_b[:] = d_z.sum(axis=0)
-    return g
+    d_z = np.outer(d_e, params.attn_u) * (1.0 - cache.a**2)
+    return {"attn_W": d_z.T @ cache.h, "attn_b": d_z.sum(axis=0), "attn_u": cache.a.T @ d_e,
+            "prototypes": d_p, "mlp_W": np.outer(d_out, cache.v), "mlp_b": d_out}
 
 
 def predict_score(seq: FrameSequence, params: HeadParameters) -> float:
@@ -280,14 +244,12 @@ class TrainConfig:
     batch_size: int = 16
     seed: int = 0
     mode: str = CLASSIFICATION
-    attn_dim: int | None = None
 
 
 def init_parameters(
     train_data: list[FrameSequence],
     mode: str,
     seed: int = 0,
-    attn_dim: int | None = None,
 ) -> HeadParameters:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights; prototypes start
     at per-level means of the initially pooled embeddings."""
@@ -298,7 +260,6 @@ def init_parameters(
         raise ValidationError("all training sequences must carry labels")
     levels = np.unique(np.asarray(labels, dtype=np.float64))
     d = train_data[0].frames.shape[1]
-    d_a = attn_dim or d
     n = levels.size
     out = 1 if mode == REGRESSION else n
 
@@ -306,9 +267,9 @@ def init_parameters(
     lim_attn = 1.0 / math.sqrt(d)
     lim_mlp = 1.0 / math.sqrt(d + n)
     params = HeadParameters(
-        attn_W=rng.uniform(-lim_attn, lim_attn, size=(d_a, d)),
-        attn_b=rng.uniform(-lim_attn, lim_attn, size=d_a),
-        attn_u=rng.uniform(-lim_attn, lim_attn, size=d_a),
+        attn_W=rng.uniform(-lim_attn, lim_attn, size=(d, d)),
+        attn_b=rng.uniform(-lim_attn, lim_attn, size=d),
+        attn_u=rng.uniform(-lim_attn, lim_attn, size=d),
         prototypes=np.zeros((n, d)),
         levels=levels,
         mlp_W=rng.uniform(-lim_mlp, lim_mlp, size=(out, d + n)),
@@ -327,7 +288,6 @@ def init_parameters(
 
 
 _DECAYED = ("attn_W", "attn_u", "prototypes", "mlp_W")
-_PARAM_FIELDS = ("attn_W", "attn_b", "attn_u", "prototypes", "mlp_W", "mlp_b")
 
 
 def train(
@@ -347,10 +307,10 @@ def train(
         if seq.label is None:
             raise ValidationError("training and dev sequences must carry labels")
 
-    params = init_parameters(train_data, config.mode, config.seed, config.attn_dim)
+    params = init_parameters(train_data, config.mode, config.seed)
     rng = np.random.default_rng(config.seed + 1)
-    m = HeadGradients.zeros_like(params)
-    v = HeadGradients.zeros_like(params)
+    m = dict.fromkeys(PARAM_FIELDS, 0.0)  # AdamW moments
+    v = dict.fromkeys(PARAM_FIELDS, 0.0)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -364,13 +324,14 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = [train_data[i] for i in order[start : start + config.batch_size]]
-            grad = HeadGradients.zeros_like(params)
+            grad = dict.fromkeys(PARAM_FIELDS, 0.0)
             batch_loss = 0.0
             for seq in batch:
                 pred, cache = forward(seq, params)
                 batch_loss += loss(pred, seq.label, params)
-                grad.add_(backward(cache, loss_gradient(pred, seq.label, params)),
-                          scale=1.0 / len(batch))
+                g = backward(cache, loss_gradient(pred, seq.label, params))
+                for name in PARAM_FIELDS:
+                    grad[name] += (1.0 / len(batch)) * g[name]
             batch_loss /= len(batch)
             if not math.isfinite(batch_loss):
                 raise NonFiniteLoss(f"loss diverged at epoch {epoch}")
@@ -380,16 +341,12 @@ def train(
             lr = config.learning_rate
             if config.warmup_steps > 0:
                 lr *= min(1.0, step / config.warmup_steps)
-            for name in _PARAM_FIELDS:
-                p = getattr(params, name)
-                gr = getattr(grad, name)
-                mn, vn = getattr(m, name), getattr(v, name)
-                mn *= beta1
-                mn += (1 - beta1) * gr
-                vn *= beta2
-                vn += (1 - beta2) * gr * gr
-                m_hat = mn / (1 - beta1**step)
-                v_hat = vn / (1 - beta2**step)
+            for name in PARAM_FIELDS:
+                p, gr = getattr(params, name), grad[name]
+                m[name] = beta1 * m[name] + (1 - beta1) * gr
+                v[name] = beta2 * v[name] + (1 - beta2) * gr * gr
+                m_hat = m[name] / (1 - beta1**step)
+                v_hat = v[name] / (1 - beta2**step)
                 p -= lr * (m_hat / (np.sqrt(v_hat) + eps))
                 if name in _DECAYED:
                     p -= lr * config.weight_decay * p

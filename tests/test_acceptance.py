@@ -139,7 +139,7 @@ def test_criterion_4_gradient_correctness():
         pred, cache = forward(seq, params)
         grads = backward(cache, loss_gradient(pred, target, params))
         for name in ("attn_W", "attn_b", "attn_u", "prototypes", "mlp_W", "mlp_b"):
-            analytic = getattr(grads, name)
+            analytic = grads[name]
             arr = getattr(params, name)
             for idx in range(arr.size):
                 orig = arr.flat[idx]

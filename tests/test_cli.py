@@ -1,3 +1,4 @@
+import copy
 import json
 import logging
 import re
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from slascore import cli, fileio, fusion, metrics
 from slascore.core import OVERALL, Scores, join
-from slascore.synth import SynthConfig, generate_scores, heteroscedastic_config
+from slascore.synth import SynthConfig, generate_frames, generate_scores, heteroscedastic_config
 from tables import rows, scores
 
 
@@ -102,6 +103,15 @@ class TestEvaluate:
         code, out, err = run(capsys, "evaluate", "--overall", str(pred), str(ref))
         assert code == cli.EXIT_VALIDATION
         assert "non-finite" in err and "nan" not in out
+
+    def test_overflowing_metric_exit_code(self, tmp_path, capsys):
+        pred, ref = tmp_path / "p.csv", tmp_path / "r.csv"
+        pred.write_text("speaker_id,part,score\na,1,1e200\nb,1,4.0\nc,1,4.0\n")
+        ref.write_text("speaker_id,part,score\na,1,3.0\nb,1,4.0\nc,1,3.0\n")
+        code, out, err = run(capsys, "evaluate", str(pred), str(ref))
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert [line for line in err.splitlines() if not line.startswith("warning: ")] == [
+            "error: values beyond the float range: overflow encountered in square"]
 
 
 class TestCalibrateFuse:
@@ -340,9 +350,9 @@ FIELD_VALUES = st.sampled_from(["", "\x00", "s1", "sé", " ", "overall", "0", 
 
 
 @st.composite
-def mutated_csv(draw) -> bytes:
-    """VALID_ROWS after 1-3 line or field mutations, as file bytes."""
-    lines = list(VALID_ROWS)
+def mutated_file(draw, valid_lines, sep, field_values) -> bytes:
+    """``valid_lines`` after 1-3 line or field mutations, as file bytes."""
+    lines = list(valid_lines)
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1)) if lines else 0
         op = draw(st.sampled_from(["delete", "duplicate", "replace", "field", "empty"]))
@@ -357,16 +367,16 @@ def mutated_csv(draw) -> bytes:
         elif op == "replace":
             lines[i] = draw(st.text(max_size=12))
         else:
-            fields = lines[i].split(",")
-            fields[draw(st.integers(0, len(fields) - 1))] = draw(FIELD_VALUES)
-            lines[i] = ",".join(fields)
+            fields = lines[i].split(sep)
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(field_values)
+            lines[i] = sep.join(fields)
     data = "\n".join(lines).encode("utf-8")
     return data + b"\xff" if draw(st.booleans()) and draw(st.booleans()) else data
 
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(content=mutated_csv())
+@given(content=mutated_file(VALID_ROWS, ",", FIELD_VALUES))
 def test_mutated_prediction_file_exit_codes(tmp_path, capsys, content):
     """Any mutation of a valid prediction CSV ends in exit code 0, 2 or 3
     in every command that reads one, with no exception escaping."""
@@ -381,5 +391,65 @@ def test_mutated_prediction_file_exit_codes(tmp_path, capsys, content):
                  ["evaluate", "--overall", bad, bad],
                  ["fuse", bad, good, calib, "--out", out],
                  ["fuse", good, bad, calib, "--clamp", "--out", out]):
+        code, _, _ = run(capsys, *map(str, argv))
+        assert code in (0, cli.EXIT_VALIDATION, cli.EXIT_IO), argv
+
+
+# The valid feature file every mutation starts from: two levels, three
+# sequences each, 1-3 frames of d = 2.
+VALID_FEATURES = [fileio.FEATURE_MAGIC] + [
+    line for seq in generate_frames(3, [2.5, 3.5], d=2, separation=4.0, seed=0, t_range=(1, 3))
+    for line in [f"record {len(seq.frames)} 2 {seq.label!r}",
+                 *(f"{a!r} {b!r}" for a, b in seq.frames.tolist())]]
+
+FEATURE_VALUES = st.sampled_from(["", "-", "0", "1", "-1", "2", "2.5", "3.5", "7.0", "nan",
+                                  "inf", "1e308", "-1e308", "1e400", "1e-320", "record",
+                                  "x", "1 2"]) | st.text(max_size=4)
+
+JSON_VALUES = st.sampled_from([None, True, 0, -1, 2, 0.5, 1.0, 1e308, -1e308, float("nan"),
+                               float("inf"), 10**400, "", "a", [], {}, [0.5] * 7, [0.5] * 9]
+                              ).map(copy.deepcopy)  # a fresh list for each example to mutate
+
+
+@st.composite
+def mutated_calibration(draw) -> bytes:
+    """A valid calibration document after 1-3 mutations of its fields or
+    list items, as file bytes."""
+    doc = json.loads(json.dumps({**CALIB_FIELDS, "provenance": {}}))
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(doc)))
+        op = draw(st.sampled_from(["delete", "replace", "item", "drop-item"]))
+        if op == "delete":
+            del doc[name]
+        elif op == "replace" or not isinstance(doc[name], list) or not doc[name]:
+            doc[name] = draw(JSON_VALUES)
+        elif op == "item":
+            doc[name][draw(st.integers(0, len(doc[name]) - 1))] = draw(JSON_VALUES)
+        else:
+            del doc[name][draw(st.integers(0, len(doc[name]) - 1))]
+    data = json.dumps(doc).encode("utf-8")
+    return data[:draw(st.integers(0, len(data)))] if draw(st.integers(0, 9)) == 0 else data
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(calibration=mutated_calibration(),
+       features=mutated_file(VALID_FEATURES, " ", FEATURE_VALUES))
+def test_mutated_calibration_and_feature_files_exit_codes(tmp_path, capsys, calibration,
+                                                          features):
+    """Any mutation of a valid calibration JSON or feature file ends in exit
+    code 0, 2 or 3 in ``fuse`` and ``train-head``, with no exception escaping."""
+    calib, bad, good = tmp_path / "calib.json", tmp_path / "bad.txt", tmp_path / "good.txt"
+    calib.write_bytes(calibration)
+    bad.write_bytes(features)
+    good.write_text("\n".join(VALID_FEATURES) + "\n")
+    csv = tmp_path / "scores.csv"
+    csv.write_text("\n".join(VALID_ROWS) + "\n")
+    out = str(tmp_path / "out")
+    for argv in (["fuse", csv, csv, calib, "--out", out],
+                 ["fuse", csv, csv, calib, "--clamp", "--out", out],
+                 ["train-head", bad, good, "--epochs", "1", "--out", out],
+                 ["train-head", bad, good, "--epochs", "1", "--mode", "regression", "--out", out],
+                 ["train-head", good, bad, "--epochs", "1", "--out", out]):
         code, _, _ = run(capsys, *map(str, argv))
         assert code in (0, cli.EXIT_VALIDATION, cli.EXIT_IO), argv

@@ -39,6 +39,12 @@ class TestPredictionFiles:
         with pytest.raises(DuplicateKey, match=r"dup\.csv:4: duplicate key \(a, 01\)"):
             fileio.read_predictions(p)
 
+    def test_duplicate_key_names_earliest_repeat(self, tmp_path):
+        p = tmp_path / "dup.csv"
+        p.write_text("speaker_id,part,score\na,1,3.0\nb,3,3.0\nb,3,3.5\na,1,3.5\n")
+        with pytest.raises(DuplicateKey, match=r"dup\.csv:4: duplicate key \(b, 3\)"):
+            fileio.read_predictions(p)
+
     def test_reference_validation(self, tmp_path):
         p = tmp_path / "refs.csv"
         p.write_text("speaker_id,part,score\na,1,3.3\n")

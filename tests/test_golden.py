@@ -1,4 +1,4 @@
-"""Byte-for-byte pins on the CLI's outputs for two fixed synth inputs.
+"""Byte-for-byte pins on the CLI's outputs for fixed synth inputs.
 
 The digests were recorded with the per-row fusion code and the per-row
 CSV reader, join and aggregation; any change to a synthetic input, a
@@ -6,7 +6,9 @@ calibrated weight, a fused or overall score, a printed metric (the
 ``--out`` JSON holds them at full precision) or a line of the calibrate
 table shows up here. "noisy" puts mllm scores both below 0.0 and above
 6.0; "sparse" is small enough to leave bins empty, so calibration takes
-the global fallback weight.
+the global fallback weight. The ``train-head`` pins, one per ``--mode``,
+cover the printed epoch lines, the ``--history`` log and every trained
+parameter at full precision.
 """
 
 import hashlib
@@ -99,3 +101,32 @@ def test_golden_outputs(case, tmp_path, capsys):
         assert 0 in counts
     got = {name: hashlib.sha256(data).hexdigest() for name, data in out.items()}
     assert got == want
+
+
+HEAD_CASES = {
+    "classification": {
+        "train_head.stdout": "b7f3fa5f5d91a687cdf37fb82fc1203e3a25debcce43aa69d536543dc4adc94f",
+        "history.log": "30090839c5cde3645af533f35bd33a0de7c0dbc7c2a143efc422ab70ace2a877",
+        "params.json": "7313af383a61440da253e5d075ddd67f13022e3d308ed7590dfac874d108e618",
+    },
+    "regression": {
+        "train_head.stdout": "7eb2d5a0880934dc3146e896cc8c5155503a422c121a2591675248418fbbca6c",
+        "history.log": "d4e327d2ed2a49f39b3cdd32821dabf8ecb2205aad1d717cf72f4c5244f963bf",
+        "params.json": "cb227c4b0da32e8d36389930646891131ad5f00079054e4f836ffb53adc04f3a",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(HEAD_CASES))
+def test_golden_train_head(mode, tmp_path, capsys):
+    d = tmp_path / "data"
+    run(capsys, "synth", "--n-speakers", "2", "--features", "--out-dir", d)
+    out = {"train_head.stdout": run(capsys, "train-head", d / "train_features.txt",
+                                    d / "dev_features.txt", "--mode", mode, "--epochs", "3",
+                                    "--learning-rate", "0.01", "--warmup-steps", "20",
+                                    "--out", tmp_path / "params.json",
+                                    "--history", tmp_path / "history.log").encode()}
+    for name in ("params.json", "history.log"):
+        out[name] = (tmp_path / name).read_bytes()
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in out.items()}
+    assert got == HEAD_CASES[mode]

@@ -67,7 +67,7 @@ def check_gradients(seq, params, target, rel_tol=1e-4):
     pred, cache = forward(seq, params)
     grads = backward(cache, loss_gradient(pred, target, params))
     for name in PARAM_NAMES:
-        analytic = getattr(grads, name)
+        analytic = grads[name]
         for idx in range(analytic.size):
             num = numeric_gradient(seq, params, target, name, idx)
             ana = analytic.flat[idx]
@@ -221,7 +221,7 @@ class TestBackward:
         _, cache = forward(FrameSequence(frames=rng.standard_normal((5, 4))), params)
         grads = backward(cache, 0.0)
         for name in PARAM_NAMES:
-            assert np.all(getattr(grads, name) == 0.0)
+            assert np.all(grads[name] == 0.0)
 
     def test_single_frame_attention_gradients_zero(self):
         rng = np.random.default_rng(14)
@@ -229,7 +229,7 @@ class TestBackward:
         pred, cache = forward(FrameSequence(frames=rng.standard_normal((1, 4))), params)
         grads = backward(cache, loss_gradient(pred, 3.0, params))
         for name in ("attn_W", "attn_b", "attn_u"):
-            assert np.all(getattr(grads, name) == 0.0)
+            assert np.all(grads[name] == 0.0)
 
     def test_stale_cache(self):
         rng = np.random.default_rng(15)
