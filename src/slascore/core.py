@@ -1,7 +1,7 @@
 """Domain types: score tables and joined grader datasets, held as numpy
 columns with one entry per (speaker, part) row, plus validation and key
 matching. Speaker ids are ``object`` arrays of ``str``, so every id
-survives exactly.
+survives exactly; keys are matched as dense integer codes (``key_codes``).
 
 Scores live on a CEFR-aligned numeric scale: references take the eight
 levels 2.0, 2.5, ..., 5.5; grader predictions are unconstrained finite
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count
 
 import numpy as np
 
@@ -138,29 +138,46 @@ class JoinedDataset:
         return len(self.w2v)
 
 
-def key_rows(table: Scores) -> tuple[dict[tuple[str, int], int], int | None]:
-    """Index from each (speaker, part) key of ``table`` to its row, and the
-    first row whose key an earlier row holds (None when no key repeats)."""
-    keys = _keys(table)
-    index = dict(zip(keys, range(len(keys))))
-    if len(index) == len(keys):
-        return index, None
-    seen = set()
-    for row, key in enumerate(keys):
-        if key in seen:
-            return index, row
-        seen.add(key)
+def key_codes(*tables: Scores) -> tuple[list[np.ndarray], int]:
+    """Each table's (speaker, part) keys as integer codes shared by the
+    tables, and the number of codes. Codes sort as the keys do: a code is
+    ``speaker rank * n_parts + part slot`` (speakers in ``str`` order), or
+    the key's rank among all keys when ``n_speakers * n_parts`` exceeds the rows."""
+    ids = [table.speaker_id.tolist() for table in tables]
+    rank = dict(zip(sorted(set().union(*ids)), count()))
+    parts, slot = np.unique(np.concatenate([t.part for t in tables]), return_inverse=True)
+    codes = np.concatenate([np.fromiter(map(rank.__getitem__, i), dtype=np.intp, count=len(i))
+                            for i in ids]) * len(parts) + slot
+    n_codes = len(rank) * len(parts)
+    if n_codes > len(codes):  # so arrays indexed by code stay within the rows
+        keys, codes = np.unique(codes, return_inverse=True)
+        n_codes = len(keys)
+    return np.split(codes, np.cumsum([len(t) for t in tables[:-1]])), n_codes
+
+
+def first_repeat(codes: np.ndarray) -> int | None:
+    """The first row whose code an earlier row holds, None when no code repeats."""
+    if (np.bincount(codes) < 2).all():
+        return None
+    order = np.argsort(codes, kind="stable")
+    return int(order[1:][codes[order[1:]] == codes[order[:-1]]].min())
+
+
+def _row_at(table: Scores, codes: np.ndarray, n_codes: int, label: str) -> np.ndarray:
+    """Row of ``table`` holding each code, -1 for none; DuplicateKey on a repeat."""
+    row = first_repeat(codes)
+    if row is not None:
+        raise DuplicateKey(f"duplicate {label} key {_keys(table, [row])[0]}")
+    at = np.full(n_codes, -1, dtype=np.intp)
+    at[codes] = np.arange(len(codes))
+    return at
 
 
 def match_keys(rows: Scores, table: Scores, label: str) -> np.ndarray:
     """Row of ``table`` holding each row's (speaker, part) key, -1 where
-    ``table`` has none; raises DuplicateKey when a key repeats in ``table``.
-    """
-    index, row = key_rows(table)
-    if row is not None:
-        raise DuplicateKey(f"duplicate {label} key {_keys(table, [row])[0]}")
-    found = map(index.get, zip(rows.speaker_id.tolist(), rows.part.tolist()), repeat(-1))
-    return np.fromiter(found, dtype=np.intp, count=len(rows))
+    ``table`` has none; raises DuplicateKey when a key repeats in ``table``."""
+    (row_codes, codes), n_codes = key_codes(rows, table)
+    return _row_at(table, codes, n_codes, label)[row_codes]
 
 
 def join(w2v: Scores, mllm: Scores, refs: Scores | None = None) -> JoinedDataset:
@@ -172,22 +189,24 @@ def join(w2v: Scores, mllm: Scores, refs: Scores | None = None) -> JoinedDataset
     partial reference coverage raises rather than silently shrinking
     the evaluation set.
     """
-    in_w2v = match_keys(mllm, w2v, "w2v")
-    in_mllm = match_keys(w2v, mllm, "mllm")
-    shared = np.flatnonzero(in_mllm >= 0)
-    if not shared.size:
+    tables = (w2v, mllm) if refs is None else (w2v, mllm, refs)
+    codes, n_codes = key_codes(*tables)
+    in_w2v = _row_at(w2v, codes[0], n_codes, "w2v")
+    in_mllm = _row_at(mllm, codes[1], n_codes, "mllm")
+    shared = (in_w2v >= 0) & (in_mllm >= 0)
+    if not shared.any():
         raise EmptyJoin("no (speaker, part) keys shared by the two grader streams")
-    for side, table, only in (("w2v", w2v, in_mllm < 0), ("mllm", mllm, in_w2v < 0)):
-        if only.any():
-            log.warning("%d key(s) only in %s stream: %s", np.count_nonzero(only), side,
-                        sorted(_keys(table, only)))
-    rows = shared[np.lexsort((w2v.part[shared], w2v.speaker_id[shared]))]
+    for side, table, only in (("w2v", w2v, in_w2v[(in_w2v >= 0) & (in_mllm < 0)]),
+                              ("mllm", mllm, in_mllm[(in_mllm >= 0) & (in_w2v < 0)])):
+        if only.size:
+            log.warning("%d key(s) only in %s stream: %s", only.size, side, _keys(table, only))
+    rows = in_w2v[shared]
     reference = None
     if refs is not None:
-        in_refs = match_keys(w2v.take(rows), refs, "reference")
+        in_refs = _row_at(refs, codes[2], n_codes, "reference")[shared]
         if (in_refs < 0).any():
             raise MissingReference(
                 f"no reference for joined key(s): {_keys(w2v, rows[in_refs < 0])}")
         reference = refs.score[in_refs]
     return JoinedDataset(w2v.speaker_id[rows], w2v.part[rows], w2v.score[rows],
-                         mllm.score[in_mllm[rows]], reference)
+                         mllm.score[in_mllm[shared]], reference)

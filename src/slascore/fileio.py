@@ -1,8 +1,8 @@
 """File formats: prediction CSVs, calibration JSON, frame-feature text
 containers, and trained head parameters.
 
-A prediction CSV is read into and written from a ``core.Scores`` table
-whole, one column at a time. All writers emit canonical bytes (LF
+A prediction CSV is split once into the columns of a ``core.Scores``
+table and written from one whole. All writers emit canonical bytes (LF
 newlines, shortest-repr floats, sorted JSON keys) so that write -> read
 -> write round-trips are byte-identical.
 """
@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .core import OVERALL, PARTS, Scores, key_rows, validate_record
+from .core import OVERALL, PARTS, Scores, first_repeat, key_codes, validate_record
 from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidPart, NonFiniteScore
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .fusion import N_BINS, FusionCalibration, IntervalLayout
 from .head import CLASSIFICATION, PARAM_FIELDS, REGRESSION, FrameSequence, HeadParameters
 
@@ -53,6 +54,10 @@ def write_predictions(path: str | Path, scores: Scores) -> None:
     parts[scores.part == OVERALL] = OVERALL_TEXT
     rows = map("{},{},{!r}".format, scores.speaker_id, parts, scores.score.tolist())
     text = "\n".join([PREDICTION_HEADER, *rows]) + "\n"
+    # the text reads back as these rows only when no id is empty or breaks a field or line
+    if (text.count(",") != 2 * (len(scores) + 1) or len(text.splitlines()) != len(scores) + 1
+            or (scores.speaker_id == "").any()):
+        raise ValidationError(f"{path}: a speaker id is empty or holds a comma or line break")
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
@@ -66,21 +71,22 @@ def read_predictions(
     lines = read_text(path).splitlines()
     if not lines or lines[0] != PREDICTION_HEADER:
         raise ParseError(f"{path}: expected header {PREDICTION_HEADER!r}")
-    cells = [line.split(",") for line in filter(str.strip, lines[1:])]
+    rows = list(filter(str.strip, lines[1:]))
 
     def where(row) -> str:
         """``path:line`` of data row ``row`` (blank lines hold no row)."""
         return f"{path}:{[n for n, ln in enumerate(lines, 1) if n > 1 and ln.strip()][row]}"
 
-    widths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-    bad = np.flatnonzero(widths != 3)
+    commas = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.intp, count=len(rows))
+    bad = np.flatnonzero(commas != 2)
     if bad.size:
-        raise ParseError(f"{where(bad[0])}: expected 3 fields, got {widths[bad[0]]}")
-    sids, part_texts, score_texts = zip(*cells) if cells else ((), (), ())
+        raise ParseError(f"{where(bad[0])}: expected 3 fields, got {commas[bad[0]] + 1}")
+    cells = ",".join(rows).split(",") if rows else []
+    sids, part_texts, score_texts = cells[0::3], cells[1::3], cells[2::3]
     if "" in sids:
         raise ParseError(f"{where(sids.index(''))}: empty speaker id")
     try:
-        score = np.fromiter(map(float, score_texts), dtype=np.float64, count=len(cells))
+        score = np.fromiter(map(float, score_texts), dtype=np.float64, count=len(rows))
     except ValueError:
         for row, text in enumerate(score_texts):
             try:
@@ -96,14 +102,14 @@ def read_predictions(
             raise ParseError(f"{where(part_texts.index(text))}: {fault.format(text)}") from None
         if text != OVERALL_TEXT and codes[text] not in PARTS:
             raise InvalidPart(f"{where(part_texts.index(text))}: part {text!r} not in {PARTS}")
-    part = np.fromiter(map(codes.get, part_texts), dtype=np.int64, count=len(cells))
+    part = np.fromiter(map(codes.get, part_texts), dtype=np.int64, count=len(rows))
     scores = Scores(sids, part, score)
     overall = part == OVERALL
     bad = np.flatnonzero(overall & ~np.isfinite(score))
     if bad.size:
         raise NonFiniteScore(f"{where(bad[0])}: non-finite overall score for {sids[bad[0]]}")
     validate_record(scores.take(~overall), kind)
-    _, row = key_rows(scores)
+    row = first_repeat(key_codes(scores)[0][0])
     if row is not None:
         raise DuplicateKey(f"{where(row)}: duplicate key ({sids[row]}, {part_texts[row]})")
     return scores
@@ -236,6 +242,8 @@ def read_head_params(path: str | Path) -> HeadParameters:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"cannot read parameters {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: parameters must be a JSON object")
     if doc.get("format_version") != PARAMS_VERSION:
         raise ParseError(f"{path}: unsupported format_version {doc.get('format_version')!r}")
     if doc.get("mode") not in (REGRESSION, CLASSIFICATION):
@@ -249,4 +257,6 @@ def read_head_params(path: str | Path) -> HeadParameters:
         params.check_shapes()
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise ParseError(f"{path}: parameters must be numeric arrays: {exc}") from exc
     return params

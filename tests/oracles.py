@@ -5,14 +5,29 @@ The metric oracles deliberately avoid sharing code with slascore.metrics:
 different formulations (np.corrcoef, explicit confusion counts,
 loop-based ranking) of the same definitions. The calibration oracle
 takes plain score sequences; the separability oracle works on the
-library's own frame sequences.
+library's own frame sequences. The prediction-CSV reader and the key
+join are per-line and dict-of-tuples versions of the library's bulk
+reader and integer-code join.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
-from slascore.errors import InvalidConfig, NoReferences, ValidationError
+from slascore.core import OVERALL, PARTS, Scores, validate_record
+from slascore.errors import (
+    DuplicateKey,
+    EmptyJoin,
+    InvalidConfig,
+    InvalidPart,
+    MissingReference,
+    NonFiniteScore,
+    NoReferences,
+    ParseError,
+    ValidationError,
+)
+from slascore.fileio import OVERALL_TEXT, PREDICTION_HEADER
 from slascore.head import FrameSequence
 from slascore.metrics import macro_f1
 
@@ -132,3 +147,91 @@ def nearest_class_mean_f1(
         vec = seq.frames.mean(axis=0)
         preds.append(levels[int(np.argmin(np.linalg.norm(means - vec, axis=1)))])
     return macro_f1(preds, [seq.label for seq in dev])
+
+
+def read_predictions_oracle(path, kind="prediction", allow_overall=False) -> Scores:
+    """Per-line reader of a prediction CSV: every line is split on its own
+    and each kind of fault is looked for over all rows, in the order the
+    library looks for them; the first fault raises the library's error."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != PREDICTION_HEADER:
+        raise ParseError(f"{path}: expected header {PREDICTION_HEADER!r}")
+    numbered = [(f"{path}:{n}", line.split(","))
+                for n, line in enumerate(lines[1:], start=2) if line.strip()]
+    for where, cells in numbered:
+        if len(cells) != 3:
+            raise ParseError(f"{where}: expected 3 fields, got {len(cells)}")
+    for where, (sid, _, _) in numbered:
+        if sid == "":
+            raise ParseError(f"{where}: empty speaker id")
+    scores = []
+    for where, (_, _, text) in numbered:
+        try:
+            scores.append(float(text))
+        except ValueError:
+            raise ParseError(f"{where}: bad score {text!r}") from None
+    parts = []
+    for where, (_, text, _) in numbered:
+        if text == OVERALL_TEXT:
+            if not allow_overall:
+                raise ParseError(f"{where}: part {text!r} not allowed here")
+            parts.append(OVERALL)
+            continue
+        try:
+            parts.append(int(text))
+        except ValueError:
+            raise ParseError(f"{where}: bad part {text!r}") from None
+        if parts[-1] not in PARTS:
+            raise InvalidPart(f"{where}: part {text!r} not in {PARTS}")
+    for (where, (sid, _, _)), part, score in zip(numbered, parts, scores):
+        if part == OVERALL and not math.isfinite(score):
+            raise NonFiniteScore(f"{where}: non-finite overall score for {sid}")
+    sids = [cells[0] for _, cells in numbered]
+    table = Scores(sids, parts, scores)
+    validate_record(table.take(table.part != OVERALL), kind)
+    seen = set()
+    for (where, (sid, text, _)), part in zip(numbered, parts):
+        if (sid, part) in seen:
+            raise DuplicateKey(f"{where}: duplicate key ({sid}, {text})")
+        seen.add((sid, part))
+    return table
+
+
+def _key_index(table: Scores, label: str) -> dict:
+    """(speaker, part) -> row; the first repeated key raises DuplicateKey."""
+    index = {}
+    for row, key in enumerate(zip(table.speaker_id.tolist(), table.part.tolist())):
+        if key in index:
+            raise DuplicateKey(f"duplicate {label} key {key}")
+        index[key] = row
+    return index
+
+
+def match_keys_oracle(rows: Scores, table: Scores, label: str) -> list[int]:
+    index = _key_index(table, label)
+    return [index.get(key, -1) for key in zip(rows.speaker_id.tolist(), rows.part.tolist())]
+
+
+def join_oracle(w2v: Scores, mllm: Scores, refs: Scores | None = None):
+    """Dict-of-tuples inner join: the joined rows as (speaker, part, w2v,
+    mllm, reference-or-None) tuples sorted by key, and the warning
+    messages ``join`` logs for keys in only one grader stream."""
+    in_w2v, in_mllm = _key_index(w2v, "w2v"), _key_index(mllm, "mllm")
+    shared = sorted(in_w2v.keys() & in_mllm.keys())
+    if not shared:
+        raise EmptyJoin("no (speaker, part) keys shared by the two grader streams")
+    warnings = []
+    for side, index, other in (("w2v", in_w2v, in_mllm), ("mllm", in_mllm, in_w2v)):
+        only = sorted(index.keys() - other.keys())
+        if only:
+            warnings.append(f"{len(only)} key(s) only in {side} stream: {only}")
+    reference = [None] * len(shared)
+    if refs is not None:
+        in_refs = _key_index(refs, "reference")
+        missing = [key for key in shared if key not in in_refs]
+        if missing:
+            raise MissingReference(f"no reference for joined key(s): {missing}")
+        reference = [refs.score[in_refs[key]] for key in shared]
+    rows = [(*key, w2v.score[in_w2v[key]], mllm.score[in_mllm[key]], ref)
+            for key, ref in zip(shared, reference)]
+    return rows, warnings

@@ -1,14 +1,20 @@
 import logging
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from slascore.core import (
+    OVERALL,
     PARTS,
     REFERENCE_LEVELS,
     JoinedDataset,
     Scores,
     join,
+    key_codes,
+    match_keys,
     validate_record,
 )
 from slascore.errors import (
@@ -21,6 +27,7 @@ from slascore.errors import (
     OffGridReference,
 )
 from slascore.fusion import calibrate
+from oracles import join_oracle, match_keys_oracle
 from tables import rows, scores
 
 
@@ -137,3 +144,76 @@ def test_parts_constant():
 def test_dataset_accessors():
     ds = JoinedDataset([], [], [], [], [])
     assert len(ds) == 0 and not ds.blind
+
+
+def test_key_codes_stay_within_row_count():
+    """Keys spread over many parts are renumbered, so the arrays indexed by
+    code hold one entry per row, not n_speakers * n_parts."""
+    n = 2000
+    table = Scores([f"s{i:04d}" for i in range(n)], np.arange(n)[::-1], np.zeros(n))
+    (codes,), n_codes = key_codes(table)
+    assert n_codes == n and codes.tolist() == list(range(n))
+    assert join(table, table).part.tolist() == list(range(n))[::-1]
+
+
+# Speaker ids that sort, compare or survive differently: "1" against
+# "01", a trailing NUL, padding, non-ASCII and mixed case.
+KEY_IDS = st.sampled_from(["1", "01", "a", "A", "a\x00", " a", "a ", "\u00e9", "\u4e2d", "b"])
+
+
+@st.composite
+def key_tables(draw) -> tuple[Scores, Scores, Scores | None]:
+    """w2v, mllm and (or None) reference tables drawn from one pool of
+    keys: each may be empty, hold keys the others lack or repeat a key."""
+    pool = draw(st.lists(st.tuples(KEY_IDS, st.sampled_from((*PARTS, OVERALL))),
+                         max_size=12, unique=True))
+    tables = []
+    for _ in range(3):
+        keys = [key for key in draw(st.permutations(pool)) if draw(st.integers(0, 3))]
+        if keys and not draw(st.integers(0, 5)):
+            keys.insert(draw(st.integers(0, len(keys))), draw(st.sampled_from(keys)))
+        values = draw(st.lists(st.floats(width=64), min_size=len(keys), max_size=len(keys)))
+        tables.append(Scores([k[0] for k in keys], [k[1] for k in keys], values))
+    return tables[0], tables[1], tables[2] if draw(st.booleans()) else None
+
+
+def outcome(fn, *args):
+    """``fn``'s result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (DuplicateKey, EmptyJoin, MissingReference) as exc:
+        return type(exc), str(exc)
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tables=key_tables())
+def test_join_and_match_keys_agree_with_dict_oracle(caplog, tables):
+    """``join`` and ``match_keys`` give the dict-of-tuples join's rows, in
+    its (speaker, part) order and bit for bit, its row indices (-1 for a
+    missing key), its DuplicateKey message and its one-stream warnings."""
+    w2v, mllm, refs = tables
+    other = refs if refs is not None else mllm
+    got = outcome(match_keys, w2v, other, "reference")
+    want = outcome(match_keys_oracle, w2v, other, "reference")
+    assert (got.tolist() if isinstance(got, np.ndarray) else got) == want
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="slascore.core"):
+        got = outcome(join, w2v, mllm, refs)
+    want = outcome(join_oracle, w2v, mllm, refs)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    want_rows, want_warnings = want
+    assert [r.getMessage() for r in caplog.records] == want_warnings
+    columns = list(zip(*want_rows))  # join raises EmptyJoin rather than return no rows
+    assert got.speaker_id.tolist() == list(columns[0])
+    assert got.part.tolist() == list(columns[1])
+    assert bits(got.w2v) == bits(columns[2]) and bits(got.mllm) == bits(columns[3])
+    assert got.blind == (refs is None)
+    if refs is not None:
+        assert bits(got.reference) == bits(columns[4])

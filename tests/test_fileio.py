@@ -1,17 +1,24 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from slascore import fileio
-from slascore.core import OVERALL, Scores
+from slascore.core import OVERALL, PARTS, Scores
 from slascore.errors import (
     CalibrationVersionMismatch,
     DuplicateKey,
     OffGridReference,
     ParseError,
+    SlaError,
+    ValidationError,
 )
 from slascore.fusion import FusionCalibration
 from slascore.head import CLASSIFICATION, FrameSequence, HeadParameters
 from slascore.synth import SynthConfig, generate_frames, generate_scores
+from oracles import read_predictions_oracle
 from tables import rows, scores
 
 
@@ -69,6 +76,69 @@ class TestPredictionFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             fileio.read_predictions(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("sid", ["", "a,b", "a\nb", "a\r", "a\x1cb", "a\u2028b", "\x85"])
+    def test_unreadable_speaker_id_not_written(self, tmp_path, sid):
+        p = tmp_path / "s.csv"
+        with pytest.raises(ValidationError, match="speaker id"):
+            fileio.write_predictions(p, scores(("ok", 1, 3.0), (sid, 3, 3.0)))
+        assert not p.exists()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sids=st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    def test_written_ids_read_back(self, tmp_path, sids):
+        """A table is written only when the file reads back as its rows."""
+        table = Scores(sids, [PARTS[0]] * len(sids), [3.0] * len(sids))
+        p = tmp_path / "s.csv"
+        try:
+            fileio.write_predictions(p, table)
+        except ValidationError:
+            assert any(sid == "" or "," in sid or len(f"<{sid}>".splitlines()) > 1
+                       for sid in sids)
+            return
+        assert rows(fileio.read_predictions(p)) == rows(table)
+
+
+# Lines of a drawn prediction CSV: mostly valid rows, whose ids include
+# "1" against "01", a trailing NUL, padding, non-ASCII and mixed case;
+# then rows with fields that fail to parse or validate, rows of the wrong
+# width and blank lines.
+CSV_IDS = ["s", "S", "1", "01", "s\x00", " s ", "\u00e9", "\u4e2d"]
+VALID_LINE = st.tuples(st.sampled_from(CSV_IDS), st.sampled_from(["1", "3", "4", "5", "01"]),
+                       st.sampled_from(["3.0", "4.5", "2.5", "5.5"])).map(",".join)
+ODD_LINE = st.tuples(st.sampled_from([*CSV_IDS, ""]),
+                     st.sampled_from(["1", " 3", "overall", "2", "x", ""]),
+                     st.sampled_from(["3.0", "3.3", "6.5", "-0.0", "nan", "1e400", "abc", ""]),
+                     ).map(",".join)
+CSV_LINES = st.sampled_from([
+    *[VALID_LINE] * 12, ODD_LINE,
+    st.lists(st.sampled_from(CSV_IDS), min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", " ", "\t"]),
+]).flatmap(lambda lines: lines)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(CSV_LINES, max_size=10), header=st.sampled_from([True] * 9 + [False]),
+       kind=st.sampled_from(["prediction", "reference"]), allow_overall=st.booleans())
+def test_read_predictions_agrees_with_per_line_oracle(tmp_path, lines, header, kind,
+                                                      allow_overall):
+    """The bulk reader gives the per-line reader's columns, or raises its
+    error with the same message, which names the ``path:line`` of the
+    first fault."""
+    p = tmp_path / "s.csv"
+    p.write_text("\n".join([fileio.PREDICTION_HEADER if header else "speaker,part,score",
+                            *lines]) + "\n", encoding="utf-8")
+    results = []
+    for read in (fileio.read_predictions, read_predictions_oracle):
+        try:
+            table = read(p, kind, allow_overall)
+            results.append((table.speaker_id.tolist(), table.part.tolist(),
+                            table.score.view(np.int64).tolist()))
+        except SlaError as exc:
+            results.append((type(exc), str(exc)))
+    assert results[0] == results[1]
 
 
 class TestCalibrationFiles:
@@ -176,6 +246,22 @@ class TestHeadParamFiles:
         for name in ("attn_W", "attn_b", "attn_u", "prototypes", "levels", "mlp_W", "mlp_b"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(orig, name))
         assert loaded.mode == orig.mode
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [1, 2],
+        lambda doc: {**doc, "levels": [1, [2]]},
+        lambda doc: {**doc, "mlp_b": ["x"]},
+        lambda doc: {**doc, "attn_W": [1.0, 2.0]},
+        lambda doc: {**doc, "prototypes": 5},
+        lambda doc: {**doc, "mlp_b": [10**400]},
+    ], ids=["list-document", "ragged-array", "non-numeric", "vector-attn_W",
+            "scalar-prototypes", "huge-int"])
+    def test_malformed_document(self, tmp_path, edit):
+        p = tmp_path / "p.json"
+        fileio.write_head_params(p, self.make_params())
+        p.write_text(json.dumps(edit(json.loads(p.read_text()))))
+        with pytest.raises(ParseError):
+            fileio.read_head_params(p)
 
     def test_bad_mode(self, tmp_path):
         p = tmp_path / "p.json"
