@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -123,8 +124,6 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_train_head(args) -> int:
-    train_data = fileio.read_features(args.train_features)
-    dev_data = fileio.read_features(args.dev_features)
     config = head.TrainConfig(
         epochs=args.epochs,
         learning_rate=args.learning_rate,
@@ -134,6 +133,8 @@ def cmd_train_head(args) -> int:
         seed=args.seed,
         mode=args.mode,
     )
+    train_data = fileio.read_features(args.train_features)
+    dev_data = fileio.read_features(args.dev_features)
     params, history = head.train(train_data, dev_data, config)
     fileio.write_head_params(args.out, params)
     log_lines = [
@@ -151,8 +152,6 @@ def cmd_train_head(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.preset == "heteroscedastic":
         cfg = synth.heteroscedastic_config(args.n_speakers, args.seed)
     else:
@@ -160,6 +159,8 @@ def cmd_synth(args) -> int:
                                 w2v_noise=(args.noise,) * fusion.N_BINS,
                                 mllm_noise=(args.noise,) * fusion.N_BINS)
     data = synth.generate_scores(cfg)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, column in (("w2v", data.w2v), ("mllm", data.mllm), ("refs", data.reference)):
         fileio.write_predictions(out_dir / f"{name}.csv",
                                  Scores(data.speaker_id, data.part, column))
@@ -185,18 +186,20 @@ def cmd_report(args) -> int:
     expected = "name,rmse,pcc,src,within_half,within_one"
     if not lines or lines[0] != expected:
         raise ParseError(f"{path}: expected header {expected!r}")
-    print(f"{'Model':<20} {TABLE_HEADER}")
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != 6:
             raise ParseError(f"{path}:{lineno}: expected 6 fields")
-        name = fields[0]
         try:
             vals = [float(v) for v in fields[1:]]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad numeric field") from exc
-        report = MetricReport(rmse=vals[0], pcc=vals[1], src=vals[2],
-                              within_half=vals[3], within_one=vals[4], n=0)
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(f"{path}:{lineno}: non-finite numeric field")
+        rows.append((fields[0], MetricReport(*vals, n=0)))
+    print(f"{'Model':<20} {TABLE_HEADER}")
+    for name, report in rows:
         print(f"{name:<20} {format_metric_row(report)}")
     return 0
 

@@ -254,7 +254,6 @@ def read_head_params(path: str | Path) -> HeadParameters:
             **{name: np.asarray(doc[name], dtype=np.float64)
                for name in ("levels", *PARAM_FIELDS)},
         )
-        params.check_shapes()
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError, IndexError, OverflowError) as exc:

@@ -3,7 +3,9 @@
 Pipeline: additive (tanh) attention pooling over T frame vectors, cosine
 similarity against one learnable prototype per CEFR level, concatenation
 [x; s], and a single-layer MLP emitting either a scalar score
-(regression) or per-level logits (classification). All gradients are
+(regression) or per-level logits (classification). ``loss`` gives the
+loss and its gradient at the output in one call; parameter shapes
+are checked once, when ``HeadParameters`` is built. All gradients are
 analytic and finite-difference checked in the test suite.
 """
 
@@ -16,6 +18,7 @@ import numpy as np
 
 from .errors import (
     EmptyDataset,
+    InvalidConfig,
     NonFiniteLoss,
     OffGridTarget,
     ShapeMismatch,
@@ -55,7 +58,8 @@ class HeadParameters:
     """Attention, prototype bank (one row per CEFR level), and MLP.
 
     ``version`` increments on every optimizer step so stale backward
-    caches can be detected.
+    caches can be detected. Shapes are checked when an instance is built
+    (``copy`` builds one too), so a field assigned later must keep its shape.
     """
 
     attn_W: np.ndarray  # d_a x d
@@ -72,7 +76,7 @@ class HeadParameters:
     def d(self) -> int:
         return self.attn_W.shape[1]
 
-    def check_shapes(self) -> None:
+    def __post_init__(self):
         d_a, d = self.attn_W.shape
         n = self.prototypes.shape[0]
         out = 1 if self.mode == REGRESSION else n
@@ -149,7 +153,6 @@ def forward(seq: FrameSequence, params: HeadParameters):
     Regression mode yields a scalar, classification mode an array of
     per-level logits.
     """
-    params.check_shapes()
     h = seq.frames
     a, alpha, x = _pool(h, params)
     s, x_norm, p_norms = _cosine(x, params.prototypes)
@@ -171,25 +174,20 @@ def _target_index(target: float, levels: np.ndarray) -> int:
     return int(hits[0])
 
 
-def loss(prediction, target: float, params: HeadParameters) -> float:
-    """Squared error (regression) or cross-entropy (classification)."""
+def loss(prediction, target: float, params: HeadParameters) -> tuple[float, np.ndarray]:
+    """Squared error (regression) or cross-entropy (classification), and its
+    gradient d loss / d prediction in the shape of the forward output."""
     if params.mode == REGRESSION:
-        return float((prediction - target) ** 2)
+        r = prediction - target
+        return float(r**2), np.array([2.0 * r])
     idx = _target_index(target, params.levels)
     logits = np.asarray(prediction, dtype=np.float64)
-    logz = np.max(logits) + math.log(np.sum(np.exp(logits - np.max(logits))))
-    return float(logz - logits[idx])
-
-
-def loss_gradient(prediction, target: float, params: HeadParameters) -> np.ndarray:
-    """d loss / d prediction, same shape as the forward output."""
-    if params.mode == REGRESSION:
-        return np.array([2.0 * (prediction - target)])
-    idx = _target_index(target, params.levels)
-    probs = _softmax(np.asarray(prediction, dtype=np.float64))
-    g = probs.copy()
-    g[idx] -= 1.0
-    return g
+    shift = np.max(logits)
+    e = np.exp(logits - shift)
+    total = np.sum(e)
+    gradient = e / total
+    gradient[idx] -= 1.0
+    return float(shift + math.log(total) - logits[idx]), gradient
 
 
 def backward(cache: ForwardCache, upstream) -> dict[str, np.ndarray]:
@@ -245,6 +243,17 @@ class TrainConfig:
     seed: int = 0
     mode: str = CLASSIFICATION
 
+    def __post_init__(self):
+        for name, low in (("epochs", 1), ("batch_size", 1), ("warmup_steps", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise InvalidConfig(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("learning_rate", "weight_decay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidConfig(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.mode not in (REGRESSION, CLASSIFICATION):
+            raise InvalidConfig(f"mode must be {REGRESSION!r} or {CLASSIFICATION!r}, "
+                                f"got {self.mode!r}")
+
 
 def init_parameters(
     train_data: list[FrameSequence],
@@ -283,7 +292,6 @@ def init_parameters(
         sums[k] += attn_pool(seq, params)
         counts[k] += 1
     params.prototypes = sums / counts[:, None]
-    params.check_shapes()
     return params
 
 
@@ -301,13 +309,13 @@ def train(
     are all driven by one seeded generator.
     """
     config = config or TrainConfig()
-    if not train_data or not dev_data:
-        raise EmptyDataset("train and dev sets must be nonempty")
-    for seq in train_data + dev_data:
-        if seq.label is None:
-            raise ValidationError("training and dev sequences must carry labels")
-
+    if not dev_data:
+        raise EmptyDataset("the dev set must be nonempty")
+    # init_parameters checks train_data; an empty train set is reported
+    # before unlabelled dev sequences are
     params = init_parameters(train_data, config.mode, config.seed)
+    if any(seq.label is None for seq in dev_data):
+        raise ValidationError("all dev sequences must carry labels")
     rng = np.random.default_rng(config.seed + 1)
     m = dict.fromkeys(PARAM_FIELDS, 0.0)  # AdamW moments
     v = dict.fromkeys(PARAM_FIELDS, 0.0)
@@ -328,8 +336,9 @@ def train(
             batch_loss = 0.0
             for seq in batch:
                 pred, cache = forward(seq, params)
-                batch_loss += loss(pred, seq.label, params)
-                g = backward(cache, loss_gradient(pred, seq.label, params))
+                value, d_pred = loss(pred, seq.label, params)
+                batch_loss += value
+                g = backward(cache, d_pred)
                 for name in PARAM_FIELDS:
                     grad[name] += (1.0 / len(batch)) * g[name]
             batch_loss /= len(batch)

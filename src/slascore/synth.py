@@ -8,7 +8,8 @@ be checked against exhaustive/nearest-mean oracles (``tests/oracles.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +33,18 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_speakers < 1:
             raise InvalidConfig("need at least one speaker")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if not self.parts or any(p not in PARTS for p in self.parts):
             raise InvalidConfig(f"parts must be a nonempty subset of {PARTS}")
         for name in ("w2v_noise", "mllm_noise"):
             sigmas = getattr(self, name)
-            if len(sigmas) != N_BINS or any(s < 0 for s in sigmas):
-                raise InvalidConfig(f"{name} must be {N_BINS} non-negative sigmas")
+            if len(sigmas) != N_BINS or not all(0 <= s < math.inf for s in sigmas):
+                raise InvalidConfig(f"{name} must be {N_BINS} finite non-negative sigmas")
         if len(self.level_weights) != N_BINS:
             raise InvalidConfig(f"level_weights must have length {N_BINS}")
-        if any(w < 0 for w in self.level_weights) or sum(self.level_weights) == 0:
-            raise InvalidConfig("level_weights must be non-negative and not all zero")
+        if not all(0 <= w < math.inf for w in self.level_weights) or sum(self.level_weights) == 0:
+            raise InvalidConfig("level_weights must be finite, non-negative and not all zero")
 
 
 def heteroscedastic_config(n_speakers: int = 500, seed: int = 0) -> SynthConfig:
@@ -89,6 +92,8 @@ def generate_frames(
         raise InvalidConfig("separation must be >= 0")
     if n_per_class < 1 or d < 1 or not levels:
         raise InvalidConfig("need n_per_class >= 1, d >= 1, and at least one level")
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     out = []
     for k, level in enumerate(levels):

@@ -20,7 +20,6 @@ from slascore.head import (
     backward,
     forward,
     loss,
-    loss_gradient,
 )
 
 
@@ -137,16 +136,16 @@ def test_criterion_4_gradient_correctness():
         seq = FrameSequence(frames=rng.standard_normal((t, d)))
         target = float(rng.choice(levels))
         pred, cache = forward(seq, params)
-        grads = backward(cache, loss_gradient(pred, target, params))
+        grads = backward(cache, loss(pred, target, params)[1])
         for name in ("attn_W", "attn_b", "attn_u", "prototypes", "mlp_W", "mlp_b"):
             analytic = grads[name]
             arr = getattr(params, name)
             for idx in range(arr.size):
                 orig = arr.flat[idx]
                 arr.flat[idx] = orig + step
-                lp = loss(forward(seq, params)[0], target, params)
+                lp = loss(forward(seq, params)[0], target, params)[0]
                 arr.flat[idx] = orig - step
-                lm = loss(forward(seq, params)[0], target, params)
+                lm = loss(forward(seq, params)[0], target, params)[0]
                 arr.flat[idx] = orig
                 numeric = (lp - lm) / (2 * step)
                 ana = analytic.flat[idx]

@@ -222,6 +222,14 @@ class TestSynthCommand:
         assert code == 0
 
 
+    @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--noise", "nan"]], ids="=".join)
+    def test_bad_config_exit_code(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, "synth", *argv, "--out-dir", str(tmp_path / "d"))
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "d").exists()
+
+
 class TestTrainHead:
     def test_train_and_reload(self, tmp_path, capsys):
         run(capsys, "synth", "--n-speakers", "2", "--features",
@@ -265,6 +273,23 @@ class TestTrainHead:
         f1s = [line.split("dev_macro_f1=")[1]
                for line in stdout.splitlines() if line.startswith("epoch=")]
         assert len(set(f1s)) == 1
+
+
+    @pytest.mark.parametrize("argv", [
+        ["--batch-size", "0"], ["--batch-size", "-1"], ["--epochs", "0"], ["--epochs", "-1"],
+        ["--seed", "-1"], ["--warmup-steps", "-5"], ["--learning-rate", "nan"],
+        ["--learning-rate=-0.1"], ["--weight-decay", "inf"],
+    ], ids="=".join)
+    def test_invalid_config_exit_code(self, tmp_path, capsys, argv):
+        run(capsys, "synth", "--n-speakers", "2", "--features",
+            "--frames-per-class", "4", "--out-dir", str(tmp_path / "d"))
+        out = tmp_path / "p.json"
+        code, stdout, err = run(capsys, "train-head", str(tmp_path / "d" / "train_features.txt"),
+                                str(tmp_path / "d" / "dev_features.txt"), *argv,
+                                "--out", str(out))
+        assert code == cli.EXIT_VALIDATION and stdout == "" and not out.exists()
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert argv[0].split("=")[0][2:].replace("-", "_") in err  # names the field
 
 
 CALIB_FIELDS = {"format_version": 1, "grid_step": 0.01, "edges": list(fusion.DEFAULT_EDGES),
@@ -336,6 +361,15 @@ class TestReport:
         code, _, _ = run(capsys, "report", str(rows))
         assert code == cli.EXIT_IO
 
+    def test_non_finite_field_exit_code(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text("name,rmse,pcc,src,within_half,within_one\n"
+                        "ok,0.375,0.820,0.827,82.7,99.3\n"
+                        "a,nan,0.9,inf,90,1e400\n")
+        code, out, err = run(capsys, "report", str(rows))
+        assert code == cli.EXIT_IO and out == ""
+        assert err == f"error: {rows}:3: non-finite numeric field\n"
+
 
 # The valid prediction file every mutation starts from: two speakers,
 # all four parts, scores inside [0, 6] and on the reference grid.
@@ -374,15 +408,24 @@ def mutated_file(draw, valid_lines, sep, field_values) -> bytes:
     return data + b"\xff" if draw(st.booleans()) and draw(st.booleans()) else data
 
 
+# The valid leaderboard file every mutation starts from.
+VALID_BOARD = ["name,rmse,pcc,src,within_half,within_one",
+               "NTNU SMIL V (2),0.375,0.820,0.827,82.7,99.3", "w2v,0.41,0.79,0.8,78.0,98.5"]
+
+
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(content=mutated_file(VALID_ROWS, ",", FIELD_VALUES))
-def test_mutated_prediction_file_exit_codes(tmp_path, capsys, content):
+@given(content=mutated_file(VALID_ROWS, ",", FIELD_VALUES),
+       board_content=mutated_file(VALID_BOARD, ",", FIELD_VALUES))
+def test_mutated_prediction_file_exit_codes(tmp_path, capsys, content, board_content):
     """Any mutation of a valid prediction CSV ends in exit code 0, 2 or 3
-    in every command that reads one, with no exception escaping."""
+    in every command that reads one, and so does any mutation of a valid
+    leaderboard file in ``report``, with no exception escaping."""
     bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
     bad.write_bytes(content)
     good.write_text("\n".join(VALID_ROWS) + "\n")
+    board = tmp_path / "board.csv"
+    board.write_bytes(board_content)
     calib = tmp_path / "calib.json"
     fileio.write_calibration(calib, fusion.FusionCalibration(weights=(0.25,) * 8))
     out = str(tmp_path / "out.csv")
@@ -390,7 +433,11 @@ def test_mutated_prediction_file_exit_codes(tmp_path, capsys, content):
                  ["evaluate", bad, good], ["evaluate", good, bad],
                  ["evaluate", "--overall", bad, bad],
                  ["fuse", bad, good, calib, "--out", out],
-                 ["fuse", good, bad, calib, "--clamp", "--out", out]):
+                 ["fuse", good, bad, calib, "--clamp", "--out", out],
+                 ["calibrate", bad, good, good, "--out", out],
+                 ["calibrate", good, bad, good, "--out", out],
+                 ["calibrate", good, good, bad, "--out", out],
+                 ["report", board]):
         code, _, _ = run(capsys, *map(str, argv))
         assert code in (0, cli.EXIT_VALIDATION, cli.EXIT_IO), argv
 

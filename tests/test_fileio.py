@@ -12,6 +12,7 @@ from slascore.errors import (
     DuplicateKey,
     OffGridReference,
     ParseError,
+    ShapeMismatch,
     SlaError,
     ValidationError,
 )
@@ -261,6 +262,13 @@ class TestHeadParamFiles:
         fileio.write_head_params(p, self.make_params())
         p.write_text(json.dumps(edit(json.loads(p.read_text()))))
         with pytest.raises(ParseError):
+            fileio.read_head_params(p)
+
+    def test_wrong_shape(self, tmp_path):
+        p = tmp_path / "p.json"
+        fileio.write_head_params(p, self.make_params())
+        p.write_text(json.dumps({**json.loads(p.read_text()), "mlp_b": [0.0, 0.0, 0.0]}))
+        with pytest.raises(ShapeMismatch, match="mlp_b"):
             fileio.read_head_params(p)
 
     def test_bad_mode(self, tmp_path):

@@ -7,6 +7,7 @@ from oracles import nearest_class_mean_f1
 from slascore import head
 from slascore.errors import (
     EmptyDataset,
+    InvalidConfig,
     OffGridTarget,
     ShapeMismatch,
     StaleCache,
@@ -24,7 +25,6 @@ from slascore.head import (
     forward,
     init_parameters,
     loss,
-    loss_gradient,
     predict_score,
     prototype_similarity,
     train,
@@ -55,17 +55,17 @@ def numeric_gradient(seq, params, target, name, idx, step=1e-5):
     orig = arr.flat[idx]
     arr.flat[idx] = orig + step
     pred, _ = forward(seq, params)
-    lp = loss(pred, target, params)
+    lp = loss(pred, target, params)[0]
     arr.flat[idx] = orig - step
     pred, _ = forward(seq, params)
-    lm = loss(pred, target, params)
+    lm = loss(pred, target, params)[0]
     arr.flat[idx] = orig
     return (lp - lm) / (2 * step)
 
 
 def check_gradients(seq, params, target, rel_tol=1e-4):
     pred, cache = forward(seq, params)
-    grads = backward(cache, loss_gradient(pred, target, params))
+    grads = backward(cache, loss(pred, target, params)[1])
     for name in PARAM_NAMES:
         analytic = grads[name]
         for idx in range(analytic.size):
@@ -86,6 +86,25 @@ class TestFrameSequence:
     def test_non_finite(self):
         with pytest.raises(ValidationError):
             FrameSequence(frames=np.array([[1.0, math.nan]]))
+
+
+class TestHeadParameters:
+    @pytest.mark.parametrize("name", ["attn_W", "attn_b", "attn_u", "prototypes", "levels",
+                                      "mlp_W", "mlp_b"])
+    @pytest.mark.parametrize("mode", [REGRESSION, CLASSIFICATION])
+    def test_wrong_shape_rejected_at_construction(self, name, mode):
+        params = random_params(np.random.default_rng(20), d=4, n=3, d_a=5, mode=mode)
+        fields = {f: getattr(params, f) for f in ("levels", *head.PARAM_FIELDS)}
+        shape = fields[name].shape
+        fields[name] = np.zeros(shape[:-1] + (shape[-1] + 1,))
+        with pytest.raises(ShapeMismatch, match=r"expected \("):
+            HeadParameters(mode=mode, **fields)
+
+    def test_copy_checks_shapes(self):
+        params = random_params(np.random.default_rng(21), d=4, n=3)
+        params.mlp_b = np.zeros(2)  # assignment is not checked; building a copy is
+        with pytest.raises(ShapeMismatch):
+            params.copy()
 
 
 class TestAttnPool:
@@ -179,7 +198,7 @@ class TestForwardLoss:
         seq = FrameSequence(frames=rng.standard_normal((5, 4)))
         logits, _ = forward(seq, params)
         target = float(params.levels[0])
-        assert loss(logits, target, params) == pytest.approx(math.log(3))
+        assert loss(logits, target, params)[0] == pytest.approx(math.log(3))
         assert predict_score(seq, params) == pytest.approx(float(params.levels.mean()))
 
     def test_deterministic(self):
@@ -193,7 +212,7 @@ class TestForwardLoss:
     def test_regression_loss_zero_at_target(self):
         rng = np.random.default_rng(10)
         params = random_params(rng, d=4, n=3, mode=REGRESSION)
-        assert loss(3.5, 3.5, params) == 0.0
+        assert loss(3.5, 3.5, params)[0] == 0.0
 
     def test_classification_off_grid_target(self):
         rng = np.random.default_rng(11)
@@ -227,7 +246,7 @@ class TestBackward:
         rng = np.random.default_rng(14)
         params = random_params(rng, d=4, n=3, mode=REGRESSION)
         pred, cache = forward(FrameSequence(frames=rng.standard_normal((1, 4))), params)
-        grads = backward(cache, loss_gradient(pred, 3.0, params))
+        grads = backward(cache, loss(pred, 3.0, params)[1])
         for name in ("attn_W", "attn_b", "attn_u"):
             assert np.all(grads[name] == 0.0)
 
@@ -319,6 +338,31 @@ class TestTrain:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             train([], [], TrainConfig())
+
+    @pytest.mark.parametrize("n_train,train_labelled,n_dev,dev_labelled,error", [
+        (0, True, 2, True, EmptyDataset),
+        (2, True, 0, True, EmptyDataset),
+        (2, False, 0, True, EmptyDataset),
+        (0, True, 2, False, EmptyDataset),
+        (2, False, 2, True, ValidationError),
+        (2, True, 2, False, ValidationError),
+    ])
+    def test_input_check_order(self, n_train, train_labelled, n_dev, dev_labelled, error):
+        def seqs(n, labelled):
+            return [FrameSequence(frames=np.eye(2) + i, label=3.0 if labelled else None)
+                    for i in range(n)]
+        with pytest.raises(error) as info:
+            train(seqs(n_train, train_labelled), seqs(n_dev, dev_labelled), TrainConfig())
+        assert type(info.value) is error  # EmptyDataset is a ValidationError too
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 0), ("batch_size", 0), ("batch_size", -1), ("warmup_steps", -1),
+        ("seed", -1), ("learning_rate", -0.1), ("learning_rate", math.nan),
+        ("weight_decay", math.inf), ("mode", "ordinal"),
+    ])
+    def test_config_rejects_bad_field(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            TrainConfig(**{field: value})
 
     def test_regression_mode_trains(self, toy_data):
         train_d, dev_d = toy_data

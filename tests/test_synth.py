@@ -31,6 +31,16 @@ class TestSynthConfig:
         with pytest.raises(InvalidConfig):
             SynthConfig(level_weights=(0.0,) * 8)
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidConfig, match="seed"):
+            SynthConfig(seed=-1)
+
+    @pytest.mark.parametrize("field", ["w2v_noise", "mllm_noise", "level_weights"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            SynthConfig(**{field: (1.0,) * 7 + (value,)})
+
 
 class TestGenerateScores:
     def test_zero_noise_exact(self):
@@ -93,6 +103,10 @@ class TestGenerateFrames:
     def test_negative_separation(self):
         with pytest.raises(InvalidConfig):
             generate_frames(5, [3.0], d=4, separation=-1.0)
+
+    def test_negative_seed(self):
+        with pytest.raises(InvalidConfig, match="seed"):
+            generate_frames(5, [3.0], d=4, separation=1.0, seed=-1)
 
 
 class TestBruteForceBinWeight:
