@@ -2,7 +2,8 @@
 containers, and trained head parameters.
 
 A prediction CSV is split once into the columns of a ``core.Scores``
-table and written from one whole. All writers emit canonical bytes (LF
+table and written from one whole. A feature file is read one record at
+a time from the open file. All writers emit canonical bytes (LF
 newlines, shortest-repr floats, sorted JSON keys) so that write -> read
 -> write round-trips are byte-identical.
 """
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import repeat
+import sys
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,9 @@ PREDICTION_HEADER = "speaker_id,part,score"
 OVERALL_TEXT = "overall"
 CALIBRATION_VERSION = 1
 FEATURE_MAGIC = "slascore-features v1"
+# Characters str.splitlines() also ends a line at; in a feature file only
+# LF, CR and CRLF do, and a line holding one of these is an error.
+_FOREIGN_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 PARAMS_VERSION = 1
 
 
@@ -188,39 +193,77 @@ def write_features(path: str | Path, sequences: list[FrameSequence]) -> None:
 
 
 def read_features(path: str | Path) -> list[FrameSequence]:
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != FEATURE_MAGIC:
+    """The file's records, read one at a time; LF, CR and CRLF end a line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _parse_features(path, iter(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_features(path, lines) -> list[FrameSequence]:
+    magic = next(lines, "")
+    _check_line_ends(path, 1, [magic])
+    if magic.rstrip("\n") != FEATURE_MAGIC:
         raise ParseError(f"{path}: expected magic line {FEATURE_MAGIC!r}")
     out: list[FrameSequence] = []
-    i = 1
-    while i < len(lines):
-        header = lines[i].split()
+    n = 2  # the number of the next record's header line
+    for line in lines:
+        _check_line_ends(path, n, [line])
+        header = line.split()
         if len(header) != 4 or header[0] != "record":
-            raise ParseError(f"{path}:{i + 1}: bad record header {lines[i]!r}")
+            shown = line.rstrip("\n")
+            raise ParseError(f"{path}:{n}: bad record header {shown!r}")
         try:
             t, d = int(header[1]), int(header[2])
             label = None if header[3] == "-" else float(header[3])
         except ValueError as exc:
-            raise ParseError(f"{path}:{i + 1}: bad record header") from exc
+            raise ParseError(f"{path}:{n}: bad record header") from exc
         if t < 1 or d < 1:
-            raise ParseError(f"{path}:{i + 1}: need T >= 1 and d >= 1, got {t} {d}")
+            raise ParseError(f"{path}:{n}: need T >= 1 and d >= 1, got {t} {d}")
         if out and d != out[0].frames.shape[1]:
-            raise ParseError(f"{path}:{i + 1}: d={d}, but the first record has "
+            raise ParseError(f"{path}:{n}: d={d}, but the first record has "
                              f"d={out[0].frames.shape[1]}")
-        if i + t > len(lines) - 1:
-            raise ParseError(f"{path}:{i + 1}: truncated record (declared T={t})")
-        frames = np.empty((t, d))
-        for j in range(t):
-            vals = lines[i + 1 + j].split()
-            if len(vals) != d:
-                raise ParseError(f"{path}:{i + 2 + j}: expected {d} values, got {len(vals)}")
-            try:
-                frames[j] = [float(v) for v in vals]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{i + 2 + j}: bad value") from exc
-        out.append(FrameSequence(frames=frames, label=label))
-        i += 1 + t
+        block = list(islice(lines, min(t, sys.maxsize)))
+        if len(block) < t:
+            raise ParseError(f"{path}:{n}: truncated record (declared T={t})")
+        _check_line_ends(path, n + 1, block)
+        rows = list(map(str.split, block))
+        try:
+            if list(map(len, rows)) != [d] * t:
+                raise ValueError("a frame line has the wrong number of values")
+            frames = np.fromiter(map(float, chain.from_iterable(rows)), np.float64, t * d)
+        except ValueError:
+            raise _frame_line_error(path, n + 1, rows, d) from None
+        out.append(FrameSequence(frames=frames.reshape(t, d), label=label))
+        n += 1 + t
     return out
+
+
+def _frame_line_error(path, first: int, rows: list[list[str]], d: int) -> ParseError:
+    """The error of the first frame line (numbered from ``first``) that has
+    other than ``d`` values or a value ``float`` rejects."""
+    for n, row in enumerate(rows, first):
+        if len(row) != d:
+            return ParseError(f"{path}:{n}: expected {d} values, got {len(row)}")
+        try:
+            list(map(float, row))
+        except ValueError:
+            return ParseError(f"{path}:{n}: bad value")
+    raise AssertionError("no faulty frame line")
+
+
+def _check_line_ends(path, first: int, lines: list[str]) -> None:
+    """ParseError naming the first of ``lines`` (numbered from ``first``)
+    that holds a character ``str.splitlines`` would also end a line at."""
+    text = "".join(lines)  # one search of the whole text on the common path
+    if not any(ch in text for ch in _FOREIGN_BREAKS):
+        return
+    for n, line in enumerate(lines, first):
+        for ch in _FOREIGN_BREAKS:
+            if ch in line:
+                raise ParseError(f"{path}:{n}: line break {ch!r}; only LF, CR and CRLF "
+                                 f"end a line")
 
 
 # ---------------------------------------------------------------------------

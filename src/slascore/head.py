@@ -5,8 +5,11 @@ similarity against one learnable prototype per CEFR level, concatenation
 [x; s], and a single-layer MLP emitting either a scalar score
 (regression) or per-level logits (classification). ``loss`` gives the
 loss and its gradient at the output in one call; parameter shapes
-are checked once, when ``HeadParameters`` is built. All gradients are
-analytic and finite-difference checked in the test suite.
+are checked once, when ``HeadParameters`` is built. ``train`` finds each
+train label's level index once per run, and ``predict_score`` runs the
+head without building the ``ForwardCache`` that only ``backward`` needs.
+All gradients are analytic and finite-difference checked in the test
+suite.
 """
 
 from __future__ import annotations
@@ -114,8 +117,8 @@ class ForwardCache:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - np.max(z))
-    return e / np.sum(e)
+    e = np.exp(z - z.max())
+    return e / e.sum()
 
 
 def attn_pool(seq: FrameSequence, params: HeadParameters) -> np.ndarray:
@@ -139,12 +142,24 @@ def prototype_similarity(x: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
 
 
 def _cosine(x: np.ndarray, prototypes: np.ndarray):
-    """Cosine similarities, with |x| and the prototype row norms."""
-    x_norm = float(np.linalg.norm(x))
-    p_norms = np.linalg.norm(prototypes, axis=1)
-    if x_norm == 0.0 or np.any(p_norms == 0.0):
+    """Cosine similarities, with |x| and the prototype row norms.
+
+    The norms are the sums ``np.linalg.norm`` computes, without its
+    per-call dispatch."""
+    x_norm = math.sqrt(x.dot(x))
+    p_norms = np.sqrt(np.add.reduce(prototypes * prototypes, axis=1))
+    if x_norm == 0.0 or not p_norms.all():
         raise ZeroNormVector("cosine similarity undefined for zero-norm vectors")
     return (prototypes @ x) / (p_norms * x_norm), x_norm, p_norms
+
+
+def _layers(h: np.ndarray, params: HeadParameters):
+    """Every intermediate of the head on frames ``h``, in ``ForwardCache``
+    field order from ``a`` on; the last one is the output."""
+    a, alpha, x = _pool(h, params)
+    s, x_norm, p_norms = _cosine(x, params.prototypes)
+    v = np.concatenate([x, s])
+    return a, alpha, x, s, x_norm, p_norms, v, params.mlp_W @ v + params.mlp_b
 
 
 def forward(seq: FrameSequence, params: HeadParameters):
@@ -153,16 +168,8 @@ def forward(seq: FrameSequence, params: HeadParameters):
     Regression mode yields a scalar, classification mode an array of
     per-level logits.
     """
-    h = seq.frames
-    a, alpha, x = _pool(h, params)
-    s, x_norm, p_norms = _cosine(x, params.prototypes)
-    v = np.concatenate([x, s])
-    output = params.mlp_W @ v + params.mlp_b
-    cache = ForwardCache(
-        params=params, version=params.version,
-        h=h, a=a, alpha=alpha, x=x, s=s,
-        x_norm=x_norm, p_norms=p_norms, v=v, output=output,
-    )
+    cache = ForwardCache(params, params.version, seq.frames, *_layers(seq.frames, params))
+    output = cache.output
     prediction = float(output[0]) if params.mode == REGRESSION else output
     return prediction, cache
 
@@ -178,13 +185,21 @@ def loss(prediction, target: float, params: HeadParameters) -> tuple[float, np.n
     """Squared error (regression) or cross-entropy (classification), and its
     gradient d loss / d prediction in the shape of the forward output."""
     if params.mode == REGRESSION:
-        r = prediction - target
-        return float(r**2), np.array([2.0 * r])
-    idx = _target_index(target, params.levels)
-    logits = np.asarray(prediction, dtype=np.float64)
-    shift = np.max(logits)
+        return _squared_error(prediction, target)
+    return _cross_entropy(prediction, _target_index(target, params.levels))
+
+
+def _squared_error(prediction: float, target: float) -> tuple[float, np.ndarray]:
+    r = prediction - target
+    return float(r**2), np.array([2.0 * r])
+
+
+def _cross_entropy(logits, idx: int) -> tuple[float, np.ndarray]:
+    """Cross-entropy of ``logits`` against the level at index ``idx``."""
+    logits = np.asarray(logits, dtype=np.float64)
+    shift = logits.max()
     e = np.exp(logits - shift)
-    total = np.sum(e)
+    total = e.sum()
     gradient = e / total
     gradient[idx] -= 1.0
     return float(shift + math.log(total) - logits[idx]), gradient
@@ -219,18 +234,19 @@ def backward(cache: ForwardCache, upstream) -> dict[str, np.ndarray]:
     # pooling: x = alpha @ h
     d_alpha = cache.h @ d_x
     d_e = cache.alpha * (d_alpha - float(cache.alpha @ d_alpha))
-    d_z = np.outer(d_e, params.attn_u) * (1.0 - cache.a**2)
+    d_z = d_e[:, None] * params.attn_u * (1.0 - cache.a**2)
     return {"attn_W": d_z.T @ cache.h, "attn_b": d_z.sum(axis=0), "attn_u": cache.a.T @ d_e,
-            "prototypes": d_p, "mlp_W": np.outer(d_out, cache.v), "mlp_b": d_out}
+            "prototypes": d_p, "mlp_W": d_out[:, None] * cache.v, "mlp_b": d_out}
 
 
 def predict_score(seq: FrameSequence, params: HeadParameters) -> float:
     """Continuous score: the regression scalar, or the probability-
-    weighted mean of level values in classification mode."""
-    prediction, _ = forward(seq, params)
+    weighted mean of level values in classification mode. Builds no
+    ``ForwardCache``."""
+    output = _layers(seq.frames, params)[-1]
     if params.mode == REGRESSION:
-        return float(prediction)
-    return float(_softmax(prediction) @ params.levels)
+        return float(output[0])
+    return float(_softmax(output) @ params.levels)
 
 
 @dataclass(slots=True)
@@ -316,6 +332,12 @@ def train(
     params = init_parameters(train_data, config.mode, config.seed)
     if any(seq.label is None for seq in dev_data):
         raise ValidationError("all dev sequences must carry labels")
+    # each label's loss target, found once per run
+    if config.mode == REGRESSION:
+        step_loss, targets = _squared_error, [seq.label for seq in train_data]
+    else:
+        step_loss = _cross_entropy
+        targets = [_target_index(seq.label, params.levels) for seq in train_data]
     rng = np.random.default_rng(config.seed + 1)
     m = dict.fromkeys(PARAM_FIELDS, 0.0)  # AdamW moments
     v = dict.fromkeys(PARAM_FIELDS, 0.0)
@@ -331,12 +353,12 @@ def train(
         order = rng.permutation(len(train_data))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = [train_data[i] for i in order[start : start + config.batch_size]]
+            batch = order[start : start + config.batch_size]
             grad = dict.fromkeys(PARAM_FIELDS, 0.0)
             batch_loss = 0.0
-            for seq in batch:
-                pred, cache = forward(seq, params)
-                value, d_pred = loss(pred, seq.label, params)
+            for i in batch:
+                pred, cache = forward(train_data[i], params)
+                value, d_pred = step_loss(pred, targets[i])
                 batch_loss += value
                 g = backward(cache, d_pred)
                 for name in PARAM_FIELDS:

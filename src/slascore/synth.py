@@ -58,7 +58,8 @@ def heteroscedastic_config(n_speakers: int = 500, seed: int = 0) -> SynthConfig:
 
 
 def generate_scores(cfg: SynthConfig) -> JoinedDataset:
-    """Draw reference levels and noisy grader predictions per (speaker, part)."""
+    """Draw reference levels and noisy grader predictions per (speaker, part);
+    ``InvalidConfig`` if a drawn prediction is not finite."""
     rng = np.random.default_rng(cfg.seed)
     weights = np.asarray(cfg.level_weights, dtype=np.float64)
     weights = weights / weights.sum()
@@ -72,7 +73,12 @@ def generate_scores(cfg: SynthConfig) -> JoinedDataset:
             ref, k = float(levels[j]), bins[j]
             rows.append((sid, part, ref + rng.normal(0.0, cfg.w2v_noise[k]),
                          ref + rng.normal(0.0, cfg.mllm_noise[k]), ref))
-    return JoinedDataset(*zip(*rows))
+    data = JoinedDataset(*zip(*rows))
+    # a finite but huge sigma can still draw a score past the float range
+    for name in ("w2v", "mllm"):
+        if not np.isfinite(getattr(data, name)).all():
+            raise InvalidConfig(f"a drawn {name} score is not finite; {name}_noise is too large")
+    return data
 
 
 def generate_frames(

@@ -229,6 +229,12 @@ class TestSynthCommand:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "d").exists()
 
+    def test_overflowing_noise_exit_code(self, tmp_path, capsys):
+        code, out, err = run(capsys, "synth", "--noise", "1e308", "--out-dir", str(tmp_path / "d"))
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err.startswith("error: ") and "not finite" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrainHead:
     def test_train_and_reload(self, tmp_path, capsys):
@@ -307,9 +313,13 @@ CALIB_FIELDS = {"format_version": 1, "grid_step": 0.01, "edges": list(fusion.DEF
     ("train-head", "slascore-features v1\nrecord 1 0 3.0\n\n"),
     ("train-head", "slascore-features v1\nrecord 1 2 3.0\n1.0 2.0\n"
                    "record 1 3 3.0\n1.0 2.0 3.0\n"),
+    ("train-head", "slascore-features v1\nrecord 2 2 3.0\n1.0 2.0\n3.0\x0c4.0\n"),
+    ("train-head", "slascore-features v1\nrecord 2 2 3.0\n1.0\u20282.0\n3.0 4.0\n"),
+    ("train-head", "slascore-features v1\nrecord 1 99999999999999999999 3.0\n1.0 2.0\n"),
     ("aggregate", "speaker_id,part,score\n,1,3.0\n,3,3.0\n,4,3.0\n,5,3.0\n"),
 ], ids=["list-document", "string-weights", "scalar-weights", "bool-edges", "null-counts",
-        "non-utf8-calibration", "negative-T", "zero-d", "mixed-d", "empty-speaker-id"])
+        "non-utf8-calibration", "negative-T", "zero-d", "mixed-d", "form-feed-in-record",
+        "u2028-in-record", "huge-d", "empty-speaker-id"])
 def test_malformed_file_exit_code(tmp_path, capsys, command, content):
     bad = tmp_path / "bad"
     if isinstance(content, bytes):
@@ -329,6 +339,19 @@ def test_malformed_file_exit_code(tmp_path, capsys, command, content):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     if command != "fuse":
         assert re.search(rf"{re.escape(str(bad))}:\d+: ", err)  # names the offending line
+
+
+def test_late_decode_error_exit_code(tmp_path, capsys):
+    # an invalid UTF-8 byte past the first 64 KiB of a feature file
+    feats = tmp_path / "feats.txt"
+    fileio.write_features(feats, generate_frames(40, [3.0, 4.0], d=8, separation=1.0, seed=0))
+    data = feats.read_bytes()
+    assert len(data) > 65536
+    feats.write_bytes(data + b"\xff\n")
+    code, out, err = run(capsys, "train-head", str(feats), str(feats),
+                         "--out", str(tmp_path / "p.json"))
+    assert code == cli.EXIT_IO and out == ""
+    assert err.startswith(f"error: cannot read {feats}: ") and len(err.splitlines()) == 1
 
 
 def test_non_finite_edges_exit_code(tmp_path, capsys):

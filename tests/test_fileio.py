@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +219,72 @@ class TestFeatureFiles:
         p.write_text("slascore-features v1\nrecord 1 3 -\n1.0 2.0\n")
         with pytest.raises(ParseError):
             fileio.read_features(p)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_crlf_and_cr_read_like_lf(self, tmp_path, newline):
+        lf, other = tmp_path / "lf.txt", tmp_path / "other.txt"
+        fileio.write_features(lf, generate_frames(3, [2.5, 4.0], d=3, separation=2.0, seed=2))
+        other.write_bytes(lf.read_bytes().replace(b"\n", newline.encode()))
+        for a, b in zip(fileio.read_features(lf), fileio.read_features(other), strict=True):
+            np.testing.assert_array_equal(a.frames, b.frames)
+            assert a.label == b.label
+
+    @pytest.mark.parametrize("ch", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                    "\u2028", "\u2029"])
+    @pytest.mark.parametrize("where", ["magic", "header", "frames"])
+    def test_other_line_breaks_rejected(self, tmp_path, ch, where):
+        # str.splitlines() would end a line at each of these; a feature file does not
+        lines = ["slascore-features v1", "record 2 2 3.0", "1.0 2.0", "3.0 4.0"]
+        line = {"magic": 1, "header": 2, "frames": 4}[where]
+        lines[line - 1] = lines[line - 1].replace(" ", ch, 1)
+        p = tmp_path / "f.txt"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:{line}: line break"):
+            fileio.read_features(p)
+
+    def test_late_decode_error(self, tmp_path):
+        # the reader decodes as it goes; a bad byte past the first chunks is still caught
+        p = tmp_path / "f.txt"
+        fileio.write_features(p, generate_frames(40, [3.0], d=8, separation=1.0, seed=3))
+        assert p.stat().st_size > 65536
+        p.write_bytes(p.read_bytes() + b"\xff\n")
+        with pytest.raises(ParseError, match="^cannot read "):
+            fileio.read_features(p)
+
+    def test_huge_declared_sizes(self, tmp_path):
+        p = tmp_path / "f.txt"
+        for header, message in (("record 99999999999999999999 2 -", "2: truncated record"),
+                                ("record 1 99999999999999999999 -",
+                                 "3: expected 99999999999999999999 values, got 2")):
+            p.write_text(f"slascore-features v1\n{header}\n1.0 2.0\n")
+            with pytest.raises(ParseError, match=message):
+                fileio.read_features(p)
+
+    def test_first_faulty_frame_line_named(self, tmp_path):
+        # a bad value on line 4 comes before a wrong width on line 5
+        p = tmp_path / "f.txt"
+        p.write_text("slascore-features v1\nrecord 3 2 -\n1.0 2.0\n1.0 x\n1.0\n")
+        with pytest.raises(ParseError, match=":4: bad value"):
+            fileio.read_features(p)
+        # widths that add up to T x d still name the first short or long line
+        p.write_text("slascore-features v1\nrecord 2 2 -\n1.0 2.0 3.0\n4.0\n")
+        with pytest.raises(ParseError, match=":3: expected 2 values, got 3"):
+            fileio.read_features(p)
+
+    def test_peak_memory_below_file_size(self, tmp_path):
+        # one record's text is held at a time, not the whole decoded file
+        p = tmp_path / "f.txt"
+        fileio.write_features(p, generate_frames(15, [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5],
+                                                 d=16, separation=1.0, seed=4,
+                                                 t_range=(20, 60)))
+        tracemalloc.start()
+        try:
+            seqs = fileio.read_features(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seqs) == 120
+        assert peak < p.stat().st_size
 
 
 class TestHeadParamFiles:

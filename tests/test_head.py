@@ -176,6 +176,14 @@ class TestPrototypeSimilarity:
         s = prototype_similarity(rng.standard_normal(8), rng.standard_normal((5, 8)))
         assert np.all(np.abs(s) <= 1.0 + 1e-12)
 
+    def test_norms_match_linalg_norm(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            x, protos = rng.standard_normal(7) * 1e3, rng.standard_normal((5, 7))
+            _, x_norm, p_norms = head._cosine(x, protos)
+            assert x_norm == np.linalg.norm(x)
+            np.testing.assert_array_equal(p_norms, np.linalg.norm(protos, axis=1))
+
     def test_zero_norm(self):
         with pytest.raises(ZeroNormVector):
             prototype_similarity(np.zeros(3), np.ones((2, 3)))
@@ -292,6 +300,21 @@ class TestPredictScore:
         pred, _ = forward(seq, params)
         assert predict_score(seq, params) == pred
 
+    @pytest.mark.parametrize("mode", [REGRESSION, CLASSIFICATION])
+    def test_matches_forward_bit_for_bit(self, mode):
+        # predict_score skips the cache but must give the value forward gives
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            params = random_params(rng, d=5, n=4, mode=mode)
+            seq = FrameSequence(frames=rng.standard_normal((int(rng.integers(1, 30)), 5)))
+            pred, _ = forward(seq, params)
+            if mode == REGRESSION:
+                expected = float(pred)
+            else:
+                e = np.exp(pred - np.max(pred))
+                expected = float((e / np.sum(e)) @ params.levels)
+            assert predict_score(seq, params) == expected
+
 
 @pytest.fixture(scope="module")
 def toy_data():
@@ -370,6 +393,23 @@ class TestTrain:
                           seed=0, mode=REGRESSION)
         _, history = train(train_d, dev_d, cfg)
         assert history[-1]["train_loss"] < history[0]["train_loss"]
+
+    @pytest.mark.parametrize("mode", [REGRESSION, CLASSIFICATION])
+    def test_target_levels_found_once_per_run(self, toy_data, monkeypatch, mode):
+        train_d, dev_d = toy_data
+        calls = []
+
+        def counting(target, levels, _find=head._target_index):
+            calls.append(target)
+            return _find(target, levels)
+
+        monkeypatch.setattr(head, "_target_index", counting)
+        counts = []
+        for epochs in (1, 5):
+            calls.clear()
+            train(train_d, dev_d, TrainConfig(epochs=epochs, learning_rate=0.01, mode=mode))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2 * len(train_d)
 
     def test_prototype_init_uses_class_means(self, toy_data):
         train_d, _ = toy_data

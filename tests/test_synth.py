@@ -66,6 +66,16 @@ class TestGenerateScores:
         assert len(data) == 20
         assert len(set(zip(data.speaker_id, data.part.tolist()))) == 20
 
+    @pytest.mark.parametrize("name", ["w2v", "mllm"])
+    def test_non_finite_draw_rejected(self, name):
+        # 1e308 passes the finite-sigma check, but most draws overflow to inf
+        with pytest.raises(InvalidConfig, match=f"{name} score is not finite"):
+            generate_scores(SynthConfig(n_speakers=50, **{f"{name}_noise": (1e308,) * N_BINS}))
+
+    def test_huge_finite_draws_kept(self):
+        data = generate_scores(SynthConfig(n_speakers=3, w2v_noise=(1e300,) * N_BINS))
+        assert np.isfinite(data.w2v).all() and np.abs(data.w2v).max() > 1e290
+
     def test_heteroscedastic_weights_track_better_grader(self):
         data = generate_scores(heteroscedastic_config(500, seed=2))
         calib = calibrate(data)
