@@ -32,12 +32,10 @@ from .head import (
     attn_pool,
     forward,
     predict_score,
-    prototype_similarity,
     train,
 )
 from .metrics import (
     MetricReport,
-    format_metric_row,
     full_report,
     macro_f1,
     pearson,
@@ -71,10 +69,8 @@ __all__ = [
     "attn_pool",
     "forward",
     "predict_score",
-    "prototype_similarity",
     "train",
     "MetricReport",
-    "format_metric_row",
     "full_report",
     "macro_f1",
     "pearson",

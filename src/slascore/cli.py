@@ -87,15 +87,9 @@ def cmd_calibrate(args) -> int:
     }
     fileio.write_calibration(args.out, calib, provenance)
     print(f"{'bin':>3} {'interval':>14} {'count':>6} {'w':>6} {'bin_rmse':>9}")
-    bins = fusion.bin_index(dev.mllm, calib.layout)
-    fused = fusion.fuse_one(dev.w2v, dev.mllm, calib)
     edges = calib.layout.edges
     for k in range(fusion.N_BINS):
-        rows = bins == k
-        if rows.any():
-            bin_rmse = f"{metrics.rmse(fused[rows], dev.reference[rows]):9.4f}"
-        else:
-            bin_rmse = f"{'-':>9}"
+        bin_rmse = f"{'-':>9}" if calib.per_bin_counts[k] == 0 else f"{calib.per_bin_rmse[k]:9.4f}"
         close = "]" if k == fusion.N_BINS - 1 else ")"
         interval = f"[{edges[k]:.2f}-{edges[k + 1]:.2f}{close}"
         print(f"{k:>3} {interval:>14} {calib.per_bin_counts[k]:>6} "

@@ -61,6 +61,9 @@ class FusionCalibration:
     layout: IntervalLayout = field(default_factory=IntervalLayout)
     dev_rmse: float = float("nan")
     per_bin_counts: tuple[int, ...] = (0,) * N_BINS
+    #: Each bin's dev RMSE under its weight, None for an empty bin; known
+    #: only to the calibration ``calibrate`` returns, never written to file.
+    per_bin_rmse: tuple[float | None, ...] = field(default=(None,) * N_BINS, compare=False)
 
     def __post_init__(self):
         if len(self.weights) != N_BINS:
@@ -71,9 +74,10 @@ class FusionCalibration:
 
 
 def weight_grid(grid_step: float) -> list[float]:
-    """The search grid {0, step, 2*step, ..., 1}; step must divide 1."""
-    if not 0.0 < grid_step <= 1.0:
-        raise InvalidConfig(f"grid_step {grid_step} outside (0, 1]")
+    """The search grid {0, step, 2*step, ..., 1}; step must divide 1 and
+    lie in [0.001, 1], so the grid holds at most 1,001 weights."""
+    if not 0.001 <= grid_step <= 1.0:
+        raise InvalidConfig(f"grid_step {grid_step} outside [0.001, 1]")
     n = round(1.0 / grid_step)
     if abs(n * grid_step - 1.0) > 1e-9:
         raise InvalidConfig(f"grid_step {grid_step} does not divide 1 evenly")
@@ -133,7 +137,8 @@ def calibrate(
 
     Each populated bin independently gets the grid weight minimizing the
     bin-restricted RMSE (ties toward the smallest w, favoring the speech
-    grader); empty bins fall back to the single best global weight.
+    grader); empty bins fall back to the single best global weight. The
+    result carries the dev RMSE overall and per bin under those weights.
     """
     layout = layout or IntervalLayout()
     if len(dev) == 0:
@@ -152,14 +157,18 @@ def calibrate(
         sq = (w2v_r + g * (mllm_r - w2v_r) - dev.reference[rows]) ** 2
         return grid[int(np.argmin(np.sqrt(np.mean(sq, axis=1))))]
 
+    in_bin = [bins == k if counts[k] else None for k in range(N_BINS)]
     global_w = best_weight(slice(None)) if 0 in counts else None
-    weights = tuple(best_weight(bins == k) if counts[k] else global_w for k in range(N_BINS))
+    weights = tuple(global_w if rows is None else best_weight(rows) for rows in in_bin)
+    fused = _mix(dev.w2v, dev.mllm, np.asarray(weights)[bins])
     return FusionCalibration(
         weights=weights,
         grid_step=grid_step,
         layout=layout,
-        dev_rmse=metrics.rmse(_mix(dev.w2v, dev.mllm, np.asarray(weights)[bins]), dev.reference),
+        dev_rmse=metrics.rmse(fused, dev.reference),
         per_bin_counts=tuple(counts.tolist()),
+        per_bin_rmse=tuple(None if rows is None else metrics.rmse(fused[rows], dev.reference[rows])
+                           for rows in in_bin),
     )
 
 

@@ -4,12 +4,8 @@ Pipeline: additive (tanh) attention pooling over T frame vectors, cosine
 similarity against one learnable prototype per CEFR level, concatenation
 [x; s], and a single-layer MLP emitting either a scalar score
 (regression) or per-level logits (classification). ``loss`` gives the
-loss and its gradient at the output in one call; parameter shapes
-are checked once, when ``HeadParameters`` is built. ``train`` finds each
-train label's level index once per run, and ``predict_score`` runs the
-head without building the ``ForwardCache`` that only ``backward`` needs.
-All gradients are analytic and finite-difference checked in the test
-suite.
+loss and its gradient at the output. All gradients are analytic and
+finite-difference checked in the test suite.
 """
 
 from __future__ import annotations
@@ -134,11 +130,6 @@ def _pool(h: np.ndarray, params: HeadParameters):
     alpha = _softmax(e)
     x = alpha @ h
     return a, alpha, x
-
-
-def prototype_similarity(x: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    """Cosine similarity of x against each prototype row."""
-    return _cosine(x, prototypes)[0]
 
 
 def _cosine(x: np.ndarray, prototypes: np.ndarray):

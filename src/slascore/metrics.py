@@ -132,11 +132,10 @@ def full_report(pred, ref) -> MetricReport:
     )
 
 
-def format_metric_row(report: MetricReport, name: str | None = None) -> str:
+def format_metric_row(report: MetricReport) -> str:
     """Render one leaderboard-style row: RMSE/PCC/SRC to 3 decimals,
     percentages to 1."""
-    cells = (
+    return (
         f"{report.rmse:.3f} {report.pcc:.3f} {report.src:.3f} "
         f"{report.within_half:.1f} {report.within_one:.1f}"
     )
-    return f"{name} {cells}" if name else cells

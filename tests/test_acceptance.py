@@ -83,8 +83,12 @@ def test_criterion_2_fusion_dominance():
         for k in range(N_BINS):
             rows = bin_index(data.mllm) == k
             if rows.any():
-                w, _ = oracles.brute_force_bin_weight(data.w2v[rows], data.mllm[rows], ref[rows])
+                w, bin_rmse = oracles.brute_force_bin_weight(data.w2v[rows], data.mllm[rows],
+                                                             ref[rows])
                 assert w == calib.weights[k]
+                assert calib.per_bin_rmse[k] == pytest.approx(bin_rmse, rel=1e-12)
+            else:
+                assert calib.per_bin_rmse[k] is None
 
 
 @criterion(3, "score-conditioned fusion beats the best global weight by >= 5% "

@@ -130,6 +130,33 @@ class TestCalibrateFuse:
         assert calib == direct
         assert "w2v_digest" in prov
 
+    def test_calibrate_bins_dev_once(self, dev_files, tmp_path, capsys, caplog, monkeypatch):
+        data, paths = dev_files
+        mllm = data.mllm.copy()
+        mllm[:2] = (-0.5, 6.5)
+        fileio.write_predictions(paths["mllm"], Scores(data.speaker_id, data.part, mllm))
+        calls = {"bin_index": 0, "fuse_one": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(fusion, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(fusion, name, counted)
+        with caplog.at_level(logging.WARNING):
+            code, _, _ = run(capsys, "calibrate", paths["w2v"], paths["mllm"], paths["refs"],
+                             "--out", str(tmp_path / "calib.json"))
+        assert code == 0
+        assert calls == {"bin_index": 1, "fuse_one": 0}
+        assert [r.getMessage() for r in caplog.records if r.name == "slascore.fusion"] == [
+            "2 score(s) outside [0.0, 6.0] clamped to the end bins"]
+
+    def test_grid_step_too_fine_exit_code(self, dev_files, tmp_path, capsys):
+        _, paths = dev_files
+        out = tmp_path / "calib.json"
+        code, stdout, err = run(capsys, "calibrate", paths["w2v"], paths["mllm"], paths["refs"],
+                                "--grid-step", "1e-4", "--out", str(out))
+        assert code == cli.EXIT_VALIDATION and stdout == "" and not out.exists()
+        assert err == "error: grid_step 0.0001 outside [0.001, 1]\n"
+
     def test_calibration_round_trip_identical(self, dev_files, tmp_path, capsys):
         _, paths = dev_files
         o1, o2 = str(tmp_path / "c1.json"), str(tmp_path / "c2.json")
@@ -297,6 +324,17 @@ class TestTrainHead:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert argv[0].split("=")[0][2:].replace("-", "_") in err  # names the field
 
+    def test_diverging_loss_exit_code(self, tmp_path, capsys):
+        run(capsys, "synth", "--n-speakers", "2", "--features",
+            "--frames-per-class", "4", "--out-dir", str(tmp_path / "d"))
+        out = tmp_path / "p.json"
+        code, stdout, err = run(capsys, "train-head", str(tmp_path / "d" / "train_features.txt"),
+                                str(tmp_path / "d" / "dev_features.txt"),
+                                "--learning-rate", "1e308", "--warmup-steps", "0",
+                                "--out", str(out))
+        assert code == cli.EXIT_VALIDATION and stdout == "" and not out.exists()
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 CALIB_FIELDS = {"format_version": 1, "grid_step": 0.01, "edges": list(fusion.DEFAULT_EDGES),
                 "weights": [0.5] * 8, "per_bin_counts": [0] * 8, "dev_rmse": 0.1}
@@ -376,7 +414,7 @@ class TestReport:
             "NTNU SMIL V (2),0.375,0.820,0.827,82.7,99.3\n")
         code, out, _ = run(capsys, "report", str(rows))
         assert code == 0
-        assert "0.375 0.820 0.827 82.7 99.3" in out
+        assert out.splitlines()[1] == "NTNU SMIL V (2)      0.375 0.820 0.827 82.7 99.3"
 
     def test_bad_header(self, tmp_path, capsys):
         rows = tmp_path / "rows.csv"

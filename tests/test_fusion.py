@@ -156,8 +156,9 @@ class TestWeightGrid:
         assert grid[0] == 0.0 and grid[-1] == 1.0
 
     def test_bad_step(self):
-        with pytest.raises(InvalidConfig):
-            weight_grid(0.03)
+        for step in (0.03, 1e-4, 1e-300):  # 1e-300 divides 1 within 1e-9
+            with pytest.raises(InvalidConfig):
+                weight_grid(step)
 
 
 class TestCalibrate:

@@ -8,6 +8,7 @@ from slascore import head
 from slascore.errors import (
     EmptyDataset,
     InvalidConfig,
+    NonFiniteLoss,
     OffGridTarget,
     ShapeMismatch,
     StaleCache,
@@ -26,7 +27,6 @@ from slascore.head import (
     init_parameters,
     loss,
     predict_score,
-    prototype_similarity,
     train,
 )
 from slascore.synth import generate_frames
@@ -151,29 +151,29 @@ class TestAttnPool:
 class TestPrototypeSimilarity:
     def test_identical_vector(self):
         p = np.array([[1.0, 2.0], [0.0, 1.0]])
-        s = prototype_similarity(np.array([1.0, 2.0]), p)
+        s = head._cosine(np.array([1.0, 2.0]), p)[0]
         assert s[0] == pytest.approx(1.0)
 
     def test_orthogonal(self):
         p = np.array([[0.0, 1.0]])
-        s = prototype_similarity(np.array([1.0, 0.0]), p)
+        s = head._cosine(np.array([1.0, 0.0]), p)[0]
         assert s[0] == pytest.approx(0.0)
 
     def test_opposite(self):
         p = np.array([[1.0, 1.0]])
-        s = prototype_similarity(np.array([-1.0, -1.0]), p)
+        s = head._cosine(np.array([-1.0, -1.0]), p)[0]
         assert s[0] == pytest.approx(-1.0)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(6)
         p = rng.standard_normal((4, 6))
-        np.testing.assert_allclose(prototype_similarity(3.7 * x, p),
-                                   prototype_similarity(x, p), atol=1e-12)
+        np.testing.assert_allclose(head._cosine(3.7 * x, p)[0],
+                                   head._cosine(x, p)[0], atol=1e-12)
 
     def test_bounded(self):
         rng = np.random.default_rng(6)
-        s = prototype_similarity(rng.standard_normal(8), rng.standard_normal((5, 8)))
+        s = head._cosine(rng.standard_normal(8), rng.standard_normal((5, 8)))[0]
         assert np.all(np.abs(s) <= 1.0 + 1e-12)
 
     def test_norms_match_linalg_norm(self):
@@ -186,7 +186,7 @@ class TestPrototypeSimilarity:
 
     def test_zero_norm(self):
         with pytest.raises(ZeroNormVector):
-            prototype_similarity(np.zeros(3), np.ones((2, 3)))
+            head._cosine(np.zeros(3), np.ones((2, 3)))
 
 
 class TestForwardLoss:
@@ -410,6 +410,14 @@ class TestTrain:
             train(train_d, dev_d, TrainConfig(epochs=epochs, learning_rate=0.01, mode=mode))
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 2 * len(train_d)
+
+    @pytest.mark.parametrize("mode", [REGRESSION, CLASSIFICATION])
+    def test_diverging_loss_raises(self, mode):
+        train_d = generate_frames(5, [2.5, 3.5], 4, 4.0, seed=0)
+        dev_d = generate_frames(5, [2.5, 3.5], 4, 4.0, seed=1)
+        cfg = TrainConfig(learning_rate=1e308, warmup_steps=0, mode=mode)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss, match="epoch 2"):
+            train(train_d, dev_d, cfg)
 
     def test_prototype_init_uses_class_means(self, toy_data):
         train_d, _ = toy_data

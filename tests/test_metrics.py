@@ -212,9 +212,3 @@ class TestFormatting:
         rep = metrics.MetricReport(rmse=0.394, pcc=0.790, src=0.797,
                                    within_half=81.3, within_one=99.3, n=300)
         assert metrics.format_metric_row(rep) == "0.394 0.790 0.797 81.3 99.3"
-
-    def test_named_row(self):
-        rep = metrics.MetricReport(rmse=0.375, pcc=0.820, src=0.827,
-                                   within_half=82.7, within_one=99.3, n=0)
-        got = metrics.format_metric_row(rep, name="NTNU SMIL V (2)")
-        assert got == "NTNU SMIL V (2) 0.375 0.820 0.827 82.7 99.3"
