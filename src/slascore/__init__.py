@@ -29,7 +29,6 @@ from .head import (
     FrameSequence,
     HeadParameters,
     TrainConfig,
-    attn_pool,
     forward,
     predict_score,
     train,
@@ -66,7 +65,6 @@ __all__ = [
     "FrameSequence",
     "HeadParameters",
     "TrainConfig",
-    "attn_pool",
     "forward",
     "predict_score",
     "train",

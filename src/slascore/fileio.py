@@ -50,6 +50,14 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _ascii(text: str) -> str:
+    """``text`` if it is ASCII without ``_``, as numbers in files are; ``float``
+    and ``int`` would also read digit-group ``_`` and any Unicode digit."""
+    if text.isascii() and "_" not in text:
+        return text
+    raise ValueError(f"{text!r} is not ASCII without '_'")
+
+
 # ---------------------------------------------------------------------------
 # prediction files
 
@@ -91,17 +99,18 @@ def read_predictions(
     if "" in sids:
         raise ParseError(f"{where(sids.index(''))}: empty speaker id")
     try:
+        _ascii(",".join(score_texts))  # the whole column at once
         score = np.fromiter(map(float, score_texts), dtype=np.float64, count=len(rows))
     except ValueError:
         for row, text in enumerate(score_texts):
             try:
-                float(text)
+                float(_ascii(text))
             except ValueError:
                 raise ParseError(f"{where(row)}: bad score {text!r}") from None
     codes = dict.fromkeys(part_texts)  # each distinct part text is parsed once
     for text in codes:
         try:
-            codes[text] = OVERALL if text == OVERALL_TEXT and allow_overall else int(text)
+            codes[text] = OVERALL if text == OVERALL_TEXT and allow_overall else int(_ascii(text))
         except ValueError:
             fault = "part {!r} not allowed here" if text == OVERALL_TEXT else "bad part {!r}"
             raise ParseError(f"{where(part_texts.index(text))}: {fault.format(text)}") from None
@@ -217,6 +226,7 @@ def _parse_features(path, lines) -> list[FrameSequence]:
         try:
             t, d = int(header[1]), int(header[2])
             label = None if header[3] == "-" else float(header[3])
+            _ascii(line)
         except ValueError as exc:
             raise ParseError(f"{path}:{n}: bad record header") from exc
         if t < 1 or d < 1:
@@ -227,38 +237,40 @@ def _parse_features(path, lines) -> list[FrameSequence]:
         block = list(islice(lines, min(t, sys.maxsize)))
         if len(block) < t:
             raise ParseError(f"{path}:{n}: truncated record (declared T={t})")
-        _check_line_ends(path, n + 1, block)
+        text = _check_line_ends(path, n + 1, block)
         rows = list(map(str.split, block))
         try:
             if list(map(len, rows)) != [d] * t:
                 raise ValueError("a frame line has the wrong number of values")
+            _ascii(text)
             frames = np.fromiter(map(float, chain.from_iterable(rows)), np.float64, t * d)
         except ValueError:
-            raise _frame_line_error(path, n + 1, rows, d) from None
+            raise _frame_line_error(path, n + 1, block, d) from None
         out.append(FrameSequence(frames=frames.reshape(t, d), label=label))
         n += 1 + t
     return out
 
 
-def _frame_line_error(path, first: int, rows: list[list[str]], d: int) -> ParseError:
+def _frame_line_error(path, first: int, lines: list[str], d: int) -> ParseError:
     """The error of the first frame line (numbered from ``first``) that has
-    other than ``d`` values or a value ``float`` rejects."""
-    for n, row in enumerate(rows, first):
-        if len(row) != d:
+    other than ``d`` values, is not ``_ascii`` or has a value ``float`` rejects."""
+    for n, line in enumerate(lines, first):
+        if len(row := line.split()) != d:
             return ParseError(f"{path}:{n}: expected {d} values, got {len(row)}")
         try:
             list(map(float, row))
+            _ascii(line)
         except ValueError:
             return ParseError(f"{path}:{n}: bad value")
     raise AssertionError("no faulty frame line")
 
 
-def _check_line_ends(path, first: int, lines: list[str]) -> None:
-    """ParseError naming the first of ``lines`` (numbered from ``first``)
-    that holds a character ``str.splitlines`` would also end a line at."""
+def _check_line_ends(path, first: int, lines: list[str]) -> str:
+    """The joined ``lines``, or ParseError naming the first (numbered from
+    ``first``) that holds a character ``str.splitlines`` also ends a line at."""
     text = "".join(lines)  # one search of the whole text on the common path
     if not any(ch in text for ch in _FOREIGN_BREAKS):
-        return
+        return text
     for n, line in enumerate(lines, first):
         for ch in _FOREIGN_BREAKS:
             if ch in line:

@@ -30,10 +30,10 @@ from .metrics import macro_f1
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
 
-#: The trainable arrays of ``HeadParameters``, in update order. Gradients
-#: and AdamW moments are dicts keyed by these names; the parameter file
-#: holds one key per name.
-PARAM_FIELDS = ("attn_W", "attn_b", "attn_u", "prototypes", "mlp_W", "mlp_b")
+#: The trainable arrays of ``HeadParameters``: ``backward``'s gradient keys, the
+#: parameter file's keys, and ``train``'s layout of one vector, in which the
+#: weight-decayed fields come first and the two biases, not decayed, last.
+PARAM_FIELDS = ("attn_W", "attn_u", "prototypes", "mlp_W", "attn_b", "mlp_b")
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,12 +117,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def attn_pool(seq: FrameSequence, params: HeadParameters) -> np.ndarray:
-    """Attention-pooled utterance vector x = sum_t alpha_t h_t."""
-    return _pool(seq.frames, params)[2]
-
-
 def _pool(h: np.ndarray, params: HeadParameters):
+    """Tanh activations, attention weights and x = sum_t alpha_t h_t."""
     if h.shape[1] != params.d:
         raise ShapeMismatch(f"frames have d={h.shape[1]}, parameters expect d={params.d}")
     a = np.tanh(h @ params.attn_W.T + params.attn_b)  # T x d_a
@@ -296,13 +292,10 @@ def init_parameters(
     counts = np.zeros(n)
     for seq in train_data:
         k = _target_index(seq.label, levels)
-        sums[k] += attn_pool(seq, params)
+        sums[k] += _pool(seq.frames, params)[2]
         counts[k] += 1
     params.prototypes = sums / counts[:, None]
     return params
-
-
-_DECAYED = ("attn_W", "attn_u", "prototypes", "mlp_W")
 
 
 def train(
@@ -323,6 +316,12 @@ def train(
     params = init_parameters(train_data, config.mode, config.seed)
     if any(seq.label is None for seq in dev_data):
         raise ValidationError("all dev sequences must carry labels")
+    # dev data that each epoch's dev predictions would reject fails before epoch 1
+    bad_d = next((s.frames.shape[1] for s in dev_data if s.frames.shape[1] != params.d), None)
+    if bad_d is not None:
+        raise ShapeMismatch(f"frames have d={bad_d}, parameters expect d={params.d}")
+    dev_refs = [seq.label for seq in dev_data]
+    macro_f1(dev_refs, dev_refs)  # raises OffGridReference for an off-grid label
     # each label's loss target, found once per run
     if config.mode == REGRESSION:
         step_loss, targets = _squared_error, [seq.label for seq in train_data]
@@ -330,8 +329,13 @@ def train(
         step_loss = _cross_entropy
         targets = [_target_index(seq.label, params.levels) for seq in train_data]
     rng = np.random.default_rng(config.seed + 1)
-    m = dict.fromkeys(PARAM_FIELDS, 0.0)  # AdamW moments
-    v = dict.fromkeys(PARAM_FIELDS, 0.0)
+    # one vector theta holds every trainable array; the fields become views into it
+    sizes = [getattr(params, name).size for name in PARAM_FIELDS]
+    theta = np.concatenate([getattr(params, name).ravel() for name in PARAM_FIELDS])
+    for name, view in zip(PARAM_FIELDS, np.split(theta, np.cumsum(sizes)[:-1])):
+        setattr(params, name, view.reshape(getattr(params, name).shape))
+    decayed = theta[: theta.size - params.attn_b.size - params.mlp_b.size]
+    m = v = 0.0  # AdamW moments
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -339,42 +343,40 @@ def train(
     best_f1 = -1.0
     history: list[dict] = []
 
-    dev_refs = [seq.label for seq in dev_data]
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(train_data))
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grad = dict.fromkeys(PARAM_FIELDS, 0.0)
-            batch_loss = 0.0
-            for i in batch:
-                pred, cache = forward(train_data[i], params)
-                value, d_pred = step_loss(pred, targets[i])
-                batch_loss += value
-                g = backward(cache, d_pred)
-                for name in PARAM_FIELDS:
-                    grad[name] += (1.0 / len(batch)) * g[name]
-            batch_loss /= len(batch)
-            if not math.isfinite(batch_loss):
-                raise NonFiniteLoss(f"loss diverged at epoch {epoch}")
-            epoch_loss += batch_loss * len(batch)
+        try:
+            order = rng.permutation(len(train_data))
+            epoch_loss = 0.0
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start : start + config.batch_size]
+                grad, scale = np.zeros(theta.size), 1.0 / len(batch)
+                batch_loss = 0.0
+                for i in batch:
+                    pred, cache = forward(train_data[i], params)
+                    value, d_pred = step_loss(pred, targets[i])
+                    batch_loss += value
+                    g = backward(cache, d_pred)
+                    grad += scale * np.concatenate([g[name].ravel() for name in PARAM_FIELDS])
+                batch_loss /= len(batch)
+                if not math.isfinite(batch_loss):
+                    raise NonFiniteLoss(f"loss diverged at epoch {epoch}")
+                epoch_loss += batch_loss * len(batch)
 
-            step += 1
-            lr = config.learning_rate
-            if config.warmup_steps > 0:
-                lr *= min(1.0, step / config.warmup_steps)
-            for name in PARAM_FIELDS:
-                p, gr = getattr(params, name), grad[name]
-                m[name] = beta1 * m[name] + (1 - beta1) * gr
-                v[name] = beta2 * v[name] + (1 - beta2) * gr * gr
-                m_hat = m[name] / (1 - beta1**step)
-                v_hat = v[name] / (1 - beta2**step)
-                p -= lr * (m_hat / (np.sqrt(v_hat) + eps))
-                if name in _DECAYED:
-                    p -= lr * config.weight_decay * p
-            params.version += 1
+                step += 1
+                lr = config.learning_rate
+                if config.warmup_steps > 0:
+                    lr *= min(1.0, step / config.warmup_steps)
+                m = beta1 * m + (1 - beta1) * grad
+                v = beta2 * v + (1 - beta2) * grad * grad
+                m_hat = m / (1 - beta1**step)
+                v_hat = v / (1 - beta2**step)
+                theta -= lr * (m_hat / (np.sqrt(v_hat) + eps))
+                decayed -= lr * config.weight_decay * decayed
+                params.version += 1
 
-        dev_preds = [predict_score(seq, params) for seq in dev_data]
+            dev_preds = [predict_score(seq, params) for seq in dev_data]
+        except FloatingPointError as exc:  # under np.errstate(over="raise"), as in the CLI
+            raise NonFiniteLoss(f"loss diverged at epoch {epoch}") from exc
         dev_f1 = macro_f1(dev_preds, dev_refs)
         history.append({
             "epoch": epoch,

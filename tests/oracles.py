@@ -164,10 +164,17 @@ def read_predictions_oracle(path, kind="prediction", allow_overall=False) -> Sco
     for where, (sid, _, _) in numbered:
         if sid == "":
             raise ParseError(f"{where}: empty speaker id")
+
+    def number(text, parse):
+        # digit-group underscores and non-ASCII digits are not numbers in a file
+        if "_" in text or any(ord(ch) > 127 for ch in text):
+            raise ValueError(text)
+        return parse(text)
+
     scores = []
     for where, (_, _, text) in numbered:
         try:
-            scores.append(float(text))
+            scores.append(number(text, float))
         except ValueError:
             raise ParseError(f"{where}: bad score {text!r}") from None
     parts = []
@@ -178,7 +185,7 @@ def read_predictions_oracle(path, kind="prediction", allow_overall=False) -> Sco
             parts.append(OVERALL)
             continue
         try:
-            parts.append(int(text))
+            parts.append(number(text, int))
         except ValueError:
             raise ParseError(f"{where}: bad part {text!r}") from None
         if parts[-1] not in PARTS:

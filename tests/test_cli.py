@@ -325,15 +325,18 @@ class TestTrainHead:
         assert argv[0].split("=")[0][2:].replace("-", "_") in err  # names the field
 
     def test_diverging_loss_exit_code(self, tmp_path, capsys):
+        # the CLI raises on overflow, which train reports as a diverged epoch
         run(capsys, "synth", "--n-speakers", "2", "--features",
             "--frames-per-class", "4", "--out-dir", str(tmp_path / "d"))
-        out = tmp_path / "p.json"
-        code, stdout, err = run(capsys, "train-head", str(tmp_path / "d" / "train_features.txt"),
-                                str(tmp_path / "d" / "dev_features.txt"),
-                                "--learning-rate", "1e308", "--warmup-steps", "0",
-                                "--out", str(out))
-        assert code == cli.EXIT_VALIDATION and stdout == "" and not out.exists()
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        out, hist = tmp_path / "p.json", tmp_path / "h.log"
+        for mode in ("regression", "classification"):
+            code, stdout, err = run(capsys, "train-head",
+                                    str(tmp_path / "d" / "train_features.txt"),
+                                    str(tmp_path / "d" / "dev_features.txt"), "--mode", mode,
+                                    "--learning-rate", "1e308", "--warmup-steps", "0",
+                                    "--out", str(out), "--history", str(hist))
+            assert code == cli.EXIT_VALIDATION and stdout == "" and not out.exists()
+            assert err == "error: loss diverged at epoch 1\n" and not hist.exists()
 
 
 CALIB_FIELDS = {"format_version": 1, "grid_step": 0.01, "edges": list(fusion.DEFAULT_EDGES),

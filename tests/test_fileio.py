@@ -75,6 +75,20 @@ class TestPredictionFiles:
         p.write_text("speaker_id,part,score\na,1,3.0\na,3,abc\n")
         with pytest.raises(ParseError, match=r"bad\.csv:3: bad score 'abc'"):
             fileio.read_predictions(p)
+        # float() reads each of these as a number; a score is ASCII without '_'
+        for text in ("1_0", "\u0663", "3.\u0660", "\u00a03.0"):
+            p.write_text(f"speaker_id,part,score\na,1,3.0\na,3,{text}\n", encoding="utf-8")
+            message = rf"bad\.csv:3: bad score {re.escape(repr(text))}"
+            with pytest.raises(ParseError, match=message):
+                fileio.read_predictions(p)
+
+    def test_bad_part(self, tmp_path):
+        # int() reads these as parts 3 and 1; a part is ASCII without '_'
+        p = tmp_path / "bad.csv"
+        for text in ("\u0663", "0_1", "x"):
+            p.write_text(f"speaker_id,part,score\na,1,3.0\nb,{text},3.0\n", encoding="utf-8")
+            with pytest.raises(ParseError, match=rf"bad\.csv:3: bad part {re.escape(repr(text))}"):
+                fileio.read_predictions(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -111,8 +125,9 @@ CSV_IDS = ["s", "S", "1", "01", "s\x00", " s ", "\u00e9", "\u4e2d"]
 VALID_LINE = st.tuples(st.sampled_from(CSV_IDS), st.sampled_from(["1", "3", "4", "5", "01"]),
                        st.sampled_from(["3.0", "4.5", "2.5", "5.5"])).map(",".join)
 ODD_LINE = st.tuples(st.sampled_from([*CSV_IDS, ""]),
-                     st.sampled_from(["1", " 3", "overall", "2", "x", ""]),
-                     st.sampled_from(["3.0", "3.3", "6.5", "-0.0", "nan", "1e400", "abc", ""]),
+                     st.sampled_from(["1", " 3", "overall", "2", "x", "", "\u0663", "0_1"]),
+                     st.sampled_from(["3.0", "3.3", "6.5", "-0.0", "nan", "1e400", "abc", "",
+                                      "1_0", "\u0663"]),
                      ).map(",".join)
 CSV_LINES = st.sampled_from([
     *[VALID_LINE] * 12, ODD_LINE,
@@ -269,6 +284,21 @@ class TestFeatureFiles:
         # widths that add up to T x d still name the first short or long line
         p.write_text("slascore-features v1\nrecord 2 2 -\n1.0 2.0 3.0\n4.0\n")
         with pytest.raises(ParseError, match=":3: expected 2 values, got 3"):
+            fileio.read_features(p)
+        # float() reads 1_0 and \u0663 as 10.0 and 3.0; a frame line is ASCII without '_',
+        # so a non-ASCII space between two values is a bad value too
+        for line in ("1_0 2.0", "\u0663 2.0", "1.0\u00a02.0"):
+            p.write_text(f"slascore-features v1\nrecord 2 2 -\n1.0 2.0\n{line}\n",
+                         encoding="utf-8")
+            with pytest.raises(ParseError, match=":4: bad value"):
+                fileio.read_features(p)
+
+    @pytest.mark.parametrize("header", ["record 1 2 4_0", "record 1 2 \u0664.0",
+                                        "record 1_0 2 -", "record 1 \u0662 -"])
+    def test_header_number_not_plain_ascii(self, tmp_path, header):
+        p = tmp_path / "f.txt"
+        p.write_text(f"slascore-features v1\n{header}\n1.0 2.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":2: bad record header$"):
             fileio.read_features(p)
 
     def test_peak_memory_below_file_size(self, tmp_path):

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from slascore.errors import (
     EmptyDataset,
     InvalidConfig,
     NonFiniteLoss,
+    OffGridReference,
     OffGridTarget,
     ShapeMismatch,
     StaleCache,
@@ -21,7 +24,6 @@ from slascore.head import (
     FrameSequence,
     HeadParameters,
     TrainConfig,
-    attn_pool,
     backward,
     forward,
     init_parameters,
@@ -112,14 +114,14 @@ class TestAttnPool:
         rng = np.random.default_rng(0)
         params = random_params(rng, d=4, n=3)
         h = rng.standard_normal((1, 4))
-        x = attn_pool(FrameSequence(frames=h), params)
+        x = forward(FrameSequence(frames=h), params)[1].x
         np.testing.assert_allclose(x, h[0])
 
     def test_identical_frames(self):
         rng = np.random.default_rng(1)
         params = random_params(rng, d=4, n=3)
         frame = rng.standard_normal(4)
-        x = attn_pool(FrameSequence(frames=np.tile(frame, (6, 1))), params)
+        x = forward(FrameSequence(frames=np.tile(frame, (6, 1))), params)[1].x
         np.testing.assert_allclose(x, frame)
 
     def test_zero_context_vector_gives_mean(self):
@@ -127,7 +129,7 @@ class TestAttnPool:
         params = random_params(rng, d=4, n=3)
         params.attn_u = np.zeros_like(params.attn_u)
         h = rng.standard_normal((5, 4))
-        x = attn_pool(FrameSequence(frames=h), params)
+        x = forward(FrameSequence(frames=h), params)[1].x
         np.testing.assert_allclose(x, h.mean(axis=0))
 
     def test_weights_form_simplex_and_hull(self):
@@ -135,7 +137,8 @@ class TestAttnPool:
         for _ in range(25):
             params = random_params(rng, d=5, n=3)
             h = 3 * rng.standard_normal((int(rng.integers(1, 12)), 5))
-            a, alpha, x = head._pool(h, params)
+            cache = forward(FrameSequence(frames=h), params)[1]
+            alpha, x = cache.alpha, cache.x
             assert np.all(alpha >= 0)
             assert abs(alpha.sum() - 1.0) < 1e-12
             assert np.all(x >= h.min(axis=0) - 1e-12)
@@ -145,7 +148,7 @@ class TestAttnPool:
         rng = np.random.default_rng(4)
         params = random_params(rng, d=4, n=3)
         with pytest.raises(ShapeMismatch):
-            attn_pool(FrameSequence(frames=np.ones((3, 5))), params)
+            forward(FrameSequence(frames=np.ones((3, 5))), params)
 
 
 class TestPrototypeSimilarity:
@@ -418,6 +421,51 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e308, warmup_steps=0, mode=mode)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss, match="epoch 2"):
             train(train_d, dev_d, cfg)
+
+    @pytest.mark.parametrize("mode,learning_rate,epochs", [(CLASSIFICATION, 0.05, 4),
+                                                           (REGRESSION, 0.01, 5)])
+    def test_returned_parameters_own_their_arrays(self, toy_data, mode, learning_rate,
+                                                  epochs):
+        # train updates its parameters in one vector; the best epoch's copy shares
+        # nothing with it, so the epochs after the best one leave that copy as it was
+        train_d, dev_d = toy_data
+        cfg = TrainConfig(epochs=epochs, learning_rate=learning_rate, warmup_steps=5,
+                          mode=mode)
+        params, history = train(train_d, dev_d, cfg)
+        best = max(history, key=lambda h: h["dev_macro_f1"])["epoch"]
+        assert best < epochs
+        fields = ("levels", *head.PARAM_FIELDS)
+        for i, a in enumerate(fields):
+            for b in fields[i + 1:]:
+                assert not np.shares_memory(getattr(params, a), getattr(params, b)), (a, b)
+        # the same seed stopped at the best epoch returns the same parameters
+        snapshot = params.copy()
+        stopped, _ = train(train_d, dev_d, replace(cfg, epochs=best))
+        for name in fields:
+            np.testing.assert_array_equal(getattr(params, name), getattr(stopped, name))
+            np.testing.assert_array_equal(getattr(params, name), getattr(snapshot, name))
+
+    @pytest.mark.parametrize("bad,error,message", [
+        (FrameSequence(frames=np.ones((2, 3)), label=3.5), ShapeMismatch,
+         "frames have d=3, parameters expect d=8"),
+        (FrameSequence(frames=np.ones((2, 8)), label=2.7), OffGridReference,
+         "reference 2.7 not on the 0.5 level grid"),
+    ], ids=["dev-width", "dev-label-off-grid"])
+    def test_unusable_dev_data_rejected_before_training(self, toy_data, monkeypatch, bad,
+                                                        error, message):
+        train_d, dev_d = toy_data
+        calls = []
+
+        def counting(seq, params, _forward=head.forward):
+            calls.append(seq)
+            return _forward(seq, params)
+
+        monkeypatch.setattr(head, "forward", counting)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            train(train_d, [*dev_d, bad], TrainConfig(epochs=1))
+        assert calls == []
+        train(train_d, dev_d, TrainConfig(epochs=1))  # the counter does see training
+        assert len(calls) == len(train_d)
 
     def test_prototype_init_uses_class_means(self, toy_data):
         train_d, _ = toy_data
