@@ -4,8 +4,8 @@ train-head, synth, report.
 Exit codes: 0 success, 2 validation error, 3 I/O or parse error.
 Arithmetic that overflows the float range is a validation error, so no
 infinite or NaN result is written or printed.
-All arithmetic happens in the library modules; the CLI only wires files
-to functions and formats output.
+All parsing and arithmetic happen in the library (``fileio`` reads every
+input file); the CLI only wires files to functions and prints results.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -23,7 +22,7 @@ import numpy as np
 from . import fileio, fusion, head, metrics, synth
 from .core import Scores, join, match_keys
 from .errors import EmptyJoin, MissingReference, ParseError, SlaError
-from .metrics import MetricReport, format_metric_row
+from .metrics import format_metric_row
 
 EXIT_VALIDATION = 2
 EXIT_IO = 3
@@ -175,23 +174,7 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     """Render precomputed leaderboard rows (name,rmse,pcc,src,within_half,within_one)."""
-    path = Path(args.rows)
-    lines = [ln for ln in fileio.read_text(path).splitlines() if ln.strip()]
-    expected = "name,rmse,pcc,src,within_half,within_one"
-    if not lines or lines[0] != expected:
-        raise ParseError(f"{path}: expected header {expected!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 6:
-            raise ParseError(f"{path}:{lineno}: expected 6 fields")
-        try:
-            vals = [float(v) for v in fields[1:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad numeric field") from exc
-        if not all(map(math.isfinite, vals)):
-            raise ParseError(f"{path}:{lineno}: non-finite numeric field")
-        rows.append((fields[0], MetricReport(*vals, n=0)))
+    rows = fileio.read_leaderboard(args.rows)
     print(f"{'Model':<20} {TABLE_HEADER}")
     for name, report in rows:
         print(f"{name:<20} {format_metric_row(report)}")
@@ -264,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("report", help="render precomputed leaderboard rows")
-    p.add_argument("rows", help="CSV: name,rmse,pcc,src,within_half,within_one")
+    p.add_argument("rows", help=f"CSV: {fileio.LEADERBOARD_HEADER}")
     p.set_defaults(func=cmd_report)
 
     return parser

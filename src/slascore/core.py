@@ -199,14 +199,16 @@ def join(w2v: Scores, mllm: Scores, refs: Scores | None = None) -> JoinedDataset
     for side, table, only in (("w2v", w2v, in_w2v[(in_w2v >= 0) & (in_mllm < 0)]),
                               ("mllm", mllm, in_mllm[(in_mllm >= 0) & (in_w2v < 0)])):
         if only.size:
-            log.warning("%d key(s) only in %s stream: %s", only.size, side, _keys(table, only))
+            log.warning("%d key(s) only in %s stream, first %s", only.size, side,
+                        _keys(table, only[:3]))
     rows = in_w2v[shared]
     reference = None
     if refs is not None:
         in_refs = _row_at(refs, codes[2], n_codes, "reference")[shared]
-        if (in_refs < 0).any():
-            raise MissingReference(
-                f"no reference for joined key(s): {_keys(w2v, rows[in_refs < 0])}")
+        missing = rows[in_refs < 0]
+        if missing.size:
+            raise MissingReference(f"{missing.size} joined key(s) without a reference, "
+                                   f"first {_keys(w2v, missing[:3])}")
         reference = refs.score[in_refs]
     return JoinedDataset(w2v.speaker_id[rows], w2v.part[rows], w2v.score[rows],
                          mllm.score[in_mllm[shared]], reference)

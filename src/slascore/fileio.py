@@ -1,11 +1,10 @@
-"""File formats: prediction CSVs, calibration JSON, frame-feature text
-containers, and trained head parameters.
+"""File formats, and the reader of every input file: prediction and
+leaderboard CSVs, calibration and head-parameter JSON, frame features.
 
-A prediction CSV is split once into the columns of a ``core.Scores``
-table and written from one whole. A feature file is read one record at
-a time from the open file. All writers emit canonical bytes (LF
-newlines, shortest-repr floats, sorted JSON keys) so that write -> read
--> write round-trips are byte-identical.
+The CSVs share one table reader (split once; ASCII numbers; ``path:line``
+errors), the JSON files one object reader; feature files are read a record
+at a time. In a CSV or feature file only LF, CR and CRLF end a line. Writers
+emit canonical bytes, so write -> read -> write round-trips are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,13 +22,15 @@ from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidPart, NonFi
 from .errors import ParseError, ValidationError
 from .fusion import N_BINS, FusionCalibration, IntervalLayout
 from .head import CLASSIFICATION, PARAM_FIELDS, REGRESSION, FrameSequence, HeadParameters
+from .metrics import MetricReport
 
 PREDICTION_HEADER = "speaker_id,part,score"
+LEADERBOARD_HEADER = "name,rmse,pcc,src,within_half,within_one"
 OVERALL_TEXT = "overall"
 CALIBRATION_VERSION = 1
 FEATURE_MAGIC = "slascore-features v1"
-# Characters str.splitlines() also ends a line at; in a feature file only
-# LF, CR and CRLF do, and a line holding one of these is an error.
+# Characters str.splitlines() also ends a line at; in a CSV or feature file
+# only LF, CR and CRLF do, and a line holding one of these is an error.
 _FOREIGN_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 PARAMS_VERSION = 1
 
@@ -46,6 +47,18 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in ``path``; any other text is a ParseError, as is a
+    document ``json.loads`` rejects for its nesting depth or an integer's size."""
+    try:
+        doc = json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -59,7 +72,7 @@ def _ascii(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# prediction files
+# CSV tables: prediction files and leaderboards
 
 
 def write_predictions(path: str | Path, scores: Scores) -> None:
@@ -74,39 +87,15 @@ def write_predictions(path: str | Path, scores: Scores) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def read_predictions(
-    path: str | Path,
-    kind: str = "prediction",
-    allow_overall: bool = False,
-) -> Scores:
+def read_predictions(path: str | Path, kind: str = "prediction",
+                     allow_overall: bool = False) -> Scores:
     """Parse and validate a prediction/reference CSV into score columns, in
     bulk; a fault is traced back to its ``path:line`` once one is found."""
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != PREDICTION_HEADER:
-        raise ParseError(f"{path}: expected header {PREDICTION_HEADER!r}")
-    rows = list(filter(str.strip, lines[1:]))
-
-    def where(row) -> str:
-        """``path:line`` of data row ``row`` (blank lines hold no row)."""
-        return f"{path}:{[n for n, ln in enumerate(lines, 1) if n > 1 and ln.strip()][row]}"
-
-    commas = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.intp, count=len(rows))
-    bad = np.flatnonzero(commas != 2)
-    if bad.size:
-        raise ParseError(f"{where(bad[0])}: expected 3 fields, got {commas[bad[0]] + 1}")
-    cells = ",".join(rows).split(",") if rows else []
+    cells, where = _read_table(path, PREDICTION_HEADER)
     sids, part_texts, score_texts = cells[0::3], cells[1::3], cells[2::3]
     if "" in sids:
         raise ParseError(f"{where(sids.index(''))}: empty speaker id")
-    try:
-        _ascii(",".join(score_texts))  # the whole column at once
-        score = np.fromiter(map(float, score_texts), dtype=np.float64, count=len(rows))
-    except ValueError:
-        for row, text in enumerate(score_texts):
-            try:
-                float(_ascii(text))
-            except ValueError:
-                raise ParseError(f"{where(row)}: bad score {text!r}") from None
+    score = _numbers(score_texts, where, "bad score {!r}")
     codes = dict.fromkeys(part_texts)  # each distinct part text is parsed once
     for text in codes:
         try:
@@ -116,7 +105,7 @@ def read_predictions(
             raise ParseError(f"{where(part_texts.index(text))}: {fault.format(text)}") from None
         if text != OVERALL_TEXT and codes[text] not in PARTS:
             raise InvalidPart(f"{where(part_texts.index(text))}: part {text!r} not in {PARTS}")
-    part = np.fromiter(map(codes.get, part_texts), dtype=np.int64, count=len(rows))
+    part = np.fromiter(map(codes.get, part_texts), dtype=np.int64, count=len(sids))
     scores = Scores(sids, part, score)
     overall = part == OVERALL
     bad = np.flatnonzero(overall & ~np.isfinite(score))
@@ -127,6 +116,53 @@ def read_predictions(
     if row is not None:
         raise DuplicateKey(f"{where(row)}: duplicate key ({sids[row]}, {part_texts[row]})")
     return scores
+
+
+def read_leaderboard(path: str | Path) -> list[tuple[str, MetricReport]]:
+    """Named rows of precomputed metrics, read under the prediction files'
+    rules; a NaN or infinite value is a ParseError too."""
+    cells, where = _read_table(path, LEADERBOARD_HEADER)
+    names = cells[0::6]
+    del cells[0::6]  # leaves the five metrics of each row, row after row
+    values = _numbers(cells, lambda i: where(i // 5), "bad numeric field {!r}").reshape(-1, 5)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ParseError(f"{where(bad[0])}: non-finite numeric field")
+    return [(name, MetricReport(*row, n=0)) for name, row in zip(names, values.tolist())]
+
+
+def _read_table(path: str | Path, header: str):
+    """The cells of a CSV file whose first line is ``header``, row after
+    row, and ``where(row)``, the ``path:line`` of data row ``row``. LF, CR
+    and CRLF end a line; blank lines hold no row but are counted."""
+    lines = read_text(path).split("\n")  # read_text gives CR and CRLF as LF
+    _check_line_ends(path, 1, lines)
+    if lines[0] != header:
+        raise ParseError(f"{path}: expected header {header!r}")
+    rows = list(filter(str.strip, lines[1:]))
+
+    def where(row) -> str:
+        return f"{path}:{[n for n, ln in enumerate(lines, 1) if n > 1 and ln.strip()][row]}"
+
+    width = header.count(",") + 1
+    commas = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.intp, count=len(rows))
+    bad = np.flatnonzero(commas != width - 1)
+    if bad.size:
+        raise ParseError(f"{where(bad[0])}: expected {width} fields, got {commas[bad[0]] + 1}")
+    return (",".join(rows).split(",") if rows else []), where
+
+
+def _numbers(texts: list[str], where, fault: str) -> np.ndarray:
+    """``texts`` as floats; ParseError ``where(i): fault`` for the first non-number."""
+    try:
+        _ascii(",".join(texts))  # all texts at once
+        return np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+    except ValueError:
+        for i, text in enumerate(texts):
+            try:
+                float(_ascii(text))
+            except ValueError:
+                raise ParseError(f"{where(i)}: {fault.format(text)}") from None
 
 
 def file_digest(path: str | Path) -> str:
@@ -156,12 +192,7 @@ def write_calibration(
 
 
 def read_calibration(path: str | Path) -> tuple[FusionCalibration, dict]:
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"cannot read calibration {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: calibration must be a JSON object")
+    doc = _json_object(path, "calibration")
     version = doc.get("format_version")
     if version != CALIBRATION_VERSION:
         raise CalibrationVersionMismatch(
@@ -244,9 +275,11 @@ def _parse_features(path, lines) -> list[FrameSequence]:
                 raise ValueError("a frame line has the wrong number of values")
             _ascii(text)
             frames = np.fromiter(map(float, chain.from_iterable(rows)), np.float64, t * d)
+            out.append(FrameSequence(frames=frames.reshape(t, d), label=label))
         except ValueError:
             raise _frame_line_error(path, n + 1, block, d) from None
-        out.append(FrameSequence(frames=frames.reshape(t, d), label=label))
+        except ValidationError as exc:  # a non-finite value or label: name the record
+            raise type(exc)(f"{path}:{n}: {exc}") from exc
         n += 1 + t
     return out
 
@@ -293,12 +326,7 @@ def write_head_params(path: str | Path, params: HeadParameters) -> None:
 
 
 def read_head_params(path: str | Path) -> HeadParameters:
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"cannot read parameters {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: parameters must be a JSON object")
+    doc = _json_object(path, "parameters")
     if doc.get("format_version") != PARAMS_VERSION:
         raise ParseError(f"{path}: unsupported format_version {doc.get('format_version')!r}")
     if doc.get("mode") not in (REGRESSION, CLASSIFICATION):

@@ -49,6 +49,8 @@ class FrameSequence:
             raise ValidationError(f"frames must be a T x d matrix with T >= 1, got {f.shape}")
         if not np.all(np.isfinite(f)):
             raise ValidationError("frames contain non-finite entries")
+        if self.label is not None and not math.isfinite(self.label):
+            raise ValidationError(f"label {self.label!r} is not finite")
         object.__setattr__(self, "frames", f)
 
 

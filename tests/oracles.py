@@ -11,7 +11,7 @@ reader and integer-code join.
 """
 
 import math
-from pathlib import Path
+import re
 
 import numpy as np
 
@@ -153,7 +153,14 @@ def read_predictions_oracle(path, kind="prediction", allow_overall=False) -> Sco
     """Per-line reader of a prediction CSV: every line is split on its own
     and each kind of fault is looked for over all rows, in the order the
     library looks for them; the first fault raises the library's error."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with open(path, encoding="utf-8", newline="") as fh:  # no newline translation
+        lines = re.split(r"\r\n|\r|\n", fh.read())
+    for n, line in enumerate(lines, start=1):
+        # str.splitlines() would also end a line at these; a score file does not
+        for ch in line:
+            if ch in "\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+                raise ParseError(f"{path}:{n}: line break {ch!r}; only LF, CR and CRLF "
+                                 f"end a line")
     if not lines or lines[0] != PREDICTION_HEADER:
         raise ParseError(f"{path}: expected header {PREDICTION_HEADER!r}")
     numbered = [(f"{path}:{n}", line.split(","))
@@ -231,13 +238,14 @@ def join_oracle(w2v: Scores, mllm: Scores, refs: Scores | None = None):
     for side, index, other in (("w2v", in_w2v, in_mllm), ("mllm", in_mllm, in_w2v)):
         only = sorted(index.keys() - other.keys())
         if only:
-            warnings.append(f"{len(only)} key(s) only in {side} stream: {only}")
+            warnings.append(f"{len(only)} key(s) only in {side} stream, first {only[:3]}")
     reference = [None] * len(shared)
     if refs is not None:
         in_refs = _key_index(refs, "reference")
         missing = [key for key in shared if key not in in_refs]
         if missing:
-            raise MissingReference(f"no reference for joined key(s): {missing}")
+            raise MissingReference(f"{len(missing)} joined key(s) without a reference, "
+                                   f"first {missing[:3]}")
         reference = [refs.score[in_refs[key]] for key in shared]
     rows = [(*key, w2v.score[in_w2v[key]], mllm.score[in_mllm[key]], ref)
             for key, ref in zip(shared, reference)]

@@ -324,6 +324,14 @@ class TestTrainHead:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert argv[0].split("=")[0][2:].replace("-", "_") in err  # names the field
 
+    def test_non_finite_label_exit_code(self, tmp_path, capsys):
+        feats = tmp_path / "f.txt"
+        feats.write_text("slascore-features v1\nrecord 1 2 nan\n1.0 2.0\n")
+        code, out, err = run(capsys, "train-head", str(feats), str(feats),
+                             "--out", str(tmp_path / "p.json"))
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err == f"error: {feats}:2: label nan is not finite\n"
+
     def test_diverging_loss_exit_code(self, tmp_path, capsys):
         # the CLI raises on overflow, which train reports as a diverged epoch
         run(capsys, "synth", "--n-speakers", "2", "--features",
@@ -350,6 +358,8 @@ CALIB_FIELDS = {"format_version": 1, "grid_step": 0.01, "edges": list(fusion.DEF
     ("fuse", json.dumps({**CALIB_FIELDS, "edges": [True] * 9})),
     ("fuse", json.dumps({**CALIB_FIELDS, "per_bin_counts": [None] * 8})),
     ("fuse", json.dumps(CALIB_FIELDS).encode("utf-16")),
+    ("fuse", "[" * 100_000),
+    ("fuse", json.dumps(CALIB_FIELDS).replace("0.1", "9" * 5000)),
     ("train-head", "slascore-features v1\nrecord -1 2 3.0\n"),
     ("train-head", "slascore-features v1\nrecord 1 0 3.0\n\n"),
     ("train-head", "slascore-features v1\nrecord 1 2 3.0\n1.0 2.0\n"
@@ -358,9 +368,11 @@ CALIB_FIELDS = {"format_version": 1, "grid_step": 0.01, "edges": list(fusion.DEF
     ("train-head", "slascore-features v1\nrecord 2 2 3.0\n1.0\u20282.0\n3.0 4.0\n"),
     ("train-head", "slascore-features v1\nrecord 1 99999999999999999999 3.0\n1.0 2.0\n"),
     ("aggregate", "speaker_id,part,score\n,1,3.0\n,3,3.0\n,4,3.0\n,5,3.0\n"),
+    ("aggregate", "speaker_id,part,score\na,1,2.0\u2028b,3,4.0\n"),
 ], ids=["list-document", "string-weights", "scalar-weights", "bool-edges", "null-counts",
-        "non-utf8-calibration", "negative-T", "zero-d", "mixed-d", "form-feed-in-record",
-        "u2028-in-record", "huge-d", "empty-speaker-id"])
+        "non-utf8-calibration", "deeply-nested-calibration", "5000-digit-dev-rmse",
+        "negative-T", "zero-d", "mixed-d", "form-feed-in-record", "u2028-in-record", "huge-d",
+        "empty-speaker-id", "u2028-in-row"])
 def test_malformed_file_exit_code(tmp_path, capsys, command, content):
     bad = tmp_path / "bad"
     if isinstance(content, bytes):
@@ -433,6 +445,17 @@ class TestReport:
         code, out, err = run(capsys, "report", str(rows))
         assert code == cli.EXIT_IO and out == ""
         assert err == f"error: {rows}:3: non-finite numeric field\n"
+
+    @pytest.mark.parametrize("body, message", [
+        ("m,1_0,\u0663,0.5,50,60\n", ":2: bad numeric field '1_0'"),
+        ("\n\nm,1,2,3\n", ":4: expected 6 fields, got 4"),
+    ], ids=["non-ascii-numbers", "short-row-after-blank-lines"])
+    def test_fault_names_its_line(self, tmp_path, capsys, body, message):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(f"name,rmse,pcc,src,within_half,within_one\n{body}", encoding="utf-8")
+        code, out, err = run(capsys, "report", str(rows))
+        assert code == cli.EXIT_IO and out == ""
+        assert err == f"error: {rows}{message}\n"
 
 
 # The valid prediction file every mutation starts from: two speakers,

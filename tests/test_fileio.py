@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -101,6 +102,18 @@ class TestPredictionFiles:
             fileio.write_predictions(p, scores(("ok", 1, 3.0), (sid, 3, 3.0)))
         assert not p.exists()
 
+    @pytest.mark.parametrize("ch", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                    "\u2028", "\u2029"])
+    def test_other_line_breaks_rejected(self, tmp_path, ch):
+        # str.splitlines() would read two rows here; LF, CR and CRLF alone end a line
+        p = tmp_path / "s.csv"
+        p.write_text(f"speaker_id,part,score\r\na,1,2.0{ch}b,3,4.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:2: line break"):
+            fileio.read_predictions(p)
+        p.write_text(f"{fileio.LEADERBOARD_HEADER}\n\rm,1,2,3,4,5{ch}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:3: line break"):
+            fileio.read_leaderboard(p)
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(sids=st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
@@ -129,8 +142,12 @@ ODD_LINE = st.tuples(st.sampled_from([*CSV_IDS, ""]),
                      st.sampled_from(["3.0", "3.3", "6.5", "-0.0", "nan", "1e400", "abc", "",
                                       "1_0", "\u0663"]),
                      ).map(",".join)
+# two rows run together by a character str.splitlines() breaks at, which
+# only LF, CR and CRLF may do
+BROKEN_LINE = st.builds("{}{}{}".format, VALID_LINE,
+                        st.sampled_from("\v\f\x1c\x1d\x1e\x85\u2028\u2029"), VALID_LINE)
 CSV_LINES = st.sampled_from([
-    *[VALID_LINE] * 12, ODD_LINE,
+    *[VALID_LINE] * 12, ODD_LINE, BROKEN_LINE,
     st.lists(st.sampled_from(CSV_IDS), min_size=1, max_size=4).map(",".join),
     st.sampled_from(["", " ", "\t"]),
 ]).flatmap(lambda lines: lines)
@@ -157,6 +174,29 @@ def test_read_predictions_agrees_with_per_line_oracle(tmp_path, lines, header, k
         except SlaError as exc:
             results.append((type(exc), str(exc)))
     assert results[0] == results[1]
+
+
+class TestLeaderboardFiles:
+    def test_rows(self, tmp_path):
+        p = tmp_path / "rows.csv"
+        p.write_text(f"{fileio.LEADERBOARD_HEADER}\r\nSMIL (2),0.375,0.82,0.827,82.7,99.3\r\n"
+                     "\n,1e-3,-0.5,0,100,1\n")
+        assert [(name, astuple(report)) for name, report in fileio.read_leaderboard(p)] == [
+            ("SMIL (2)", (0.375, 0.82, 0.827, 82.7, 99.3, 0)),
+            ("", (1e-3, -0.5, 0.0, 100.0, 1.0, 0))]
+
+    @pytest.mark.parametrize("row, message", [
+        ("m,1_0,\u0663,0.5,50,60", ":2: bad numeric field '1_0'"),
+        ("m,1,2,3,4,\u0663", ":2: bad numeric field '\u0663'"),
+        ("\n\nm,1,2,3", ":4: expected 6 fields, got 4"),
+        ("m,1,2,3,4,5\n\nm,1,2,3,4,x", ":4: bad numeric field 'x'"),
+        ("m,1,2,3,4,5\nm,1,2,3,4,-inf", ":3: non-finite numeric field"),
+    ], ids=["underscore", "arabic-indic", "short-after-blanks", "after-blank", "inf"])
+    def test_faults_name_their_line(self, tmp_path, row, message):
+        p = tmp_path / "rows.csv"
+        p.write_text(f"{fileio.LEADERBOARD_HEADER}\n{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p) + message)}$"):
+            fileio.read_leaderboard(p)
 
 
 class TestCalibrationFiles:
@@ -196,6 +236,17 @@ class TestCalibrationFiles:
         p.write_text("{not json")
         with pytest.raises(ParseError):
             fileio.read_calibration(p)
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"dev_rmse": ' + "9" * 5000 + "}"],
+                         ids=["deep-nesting", "5000-digit-int"])
+@pytest.mark.parametrize("read", [fileio.read_calibration, fileio.read_head_params])
+def test_json_beyond_parser_limits(tmp_path, read, text):
+    # json.loads raises RecursionError and ValueError here, not JSONDecodeError
+    p = tmp_path / "doc.json"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=f"^cannot read [a-z]+ {re.escape(str(p))}: "):
+        read(p)
 
 
 class TestFeatureFiles:
@@ -300,6 +351,20 @@ class TestFeatureFiles:
         p.write_text(f"slascore-features v1\n{header}\n1.0 2.0\n", encoding="utf-8")
         with pytest.raises(ParseError, match=":2: bad record header$"):
             fileio.read_features(p)
+
+    @pytest.mark.parametrize("record, message", [
+        ("record 1 2 nan\n1.0 2.0", ":4: label nan is not finite"),
+        ("record 1 2 -inf\n1.0 2.0", ":4: label -inf is not finite"),
+        ("record 2 2 3.0\n1.0 2.0\nnan 2.0", ":4: frames contain non-finite entries"),
+        ("record 1 2 3.0\n1e400 2.0", ":4: frames contain non-finite entries"),
+    ], ids=["nan-label", "inf-label", "nan-frame", "overflowing-frame"])
+    def test_non_finite_names_its_record(self, tmp_path, record, message):
+        # the record's header line, after a good record on lines 2-3
+        p = tmp_path / "f.txt"
+        p.write_text(f"slascore-features v1\nrecord 1 2 3.0\n1.0 2.0\n{record}\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(p) + message)}$") as info:
+            fileio.read_features(p)
+        assert type(info.value) is ValidationError
 
     def test_peak_memory_below_file_size(self, tmp_path):
         # one record's text is held at a time, not the whole decoded file

@@ -1,6 +1,7 @@
-"""The README's library example runs as written."""
+"""The README's library example and CLI walkthrough run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
 from slascore import cli
@@ -19,3 +20,23 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(blocks[0], names)
     assert len(names["overall"]) == 40
     assert names["report"].n == len(names["eval_split"]) == 160
+
+
+def test_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    """Each ``slascore`` command of the README's CLI block exits 0, and the
+    block shows every subcommand."""
+    block, = [b for b in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+              if "slascore " in b]
+    commands = [argv for line in block.replace("\\\n", " ").splitlines()
+                if (argv := shlex.split(line, comments=True))]
+    assert {argv[0] for argv in commands} == {"slascore"}
+    subcommands = re.search(r"\{(.*?)\}", cli.build_parser().format_usage()).group(1)
+    assert {argv[1] for argv in commands} == set(subcommands.split(","))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rows.csv").write_text("name,rmse,pcc,src,within_half,within_one\n"
+                                       "NTNU SMIL V (2),0.375,0.820,0.827,82.7,99.3\n")
+    for argv in commands:
+        capsys.readouterr()
+        assert cli.main(argv[1:]) == 0, argv
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "NTNU SMIL V (2)      0.375 0.820 0.827 82.7 99.3")
