@@ -18,7 +18,6 @@ from .core import (
 from .fusion import (
     DEFAULT_EDGES,
     FusionCalibration,
-    IntervalLayout,
     aggregate_overall,
     bin_index,
     calibrate,
@@ -56,7 +55,6 @@ __all__ = [
     "join",
     "validate_record",
     "FusionCalibration",
-    "IntervalLayout",
     "aggregate_overall",
     "bin_index",
     "calibrate",

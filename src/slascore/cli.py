@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, fusion, head, metrics, synth
-from .core import Scores, join, match_keys
-from .errors import EmptyJoin, MissingReference, ParseError, SlaError
+from .core import Scores, join, pair_on_keys
+from .errors import ParseError, SlaError
 from .metrics import format_metric_row
 
 EXIT_VALIDATION = 2
@@ -29,35 +29,13 @@ EXIT_IO = 3
 
 TABLE_HEADER = "RMSE PCC SRC %<=0.5 %<=1.0"
 
-log = logging.getLogger(__name__)
-
-
-def _pair_on_keys(pred, ref):
-    """Match prediction and reference scores on (speaker, part), in
-    prediction-file order.
-
-    Every prediction needs a reference; references without a prediction
-    are dropped with one warning giving their count.
-    """
-    at = match_keys(pred, ref, "reference")
-    missing = np.flatnonzero(at < 0)
-    if len(missing) == len(pred):
-        raise EmptyJoin("no shared (speaker, part) keys between predictions and references")
-    if len(missing):
-        first = pred.take(missing[:3])
-        raise MissingReference(f"{len(missing)} prediction key(s) without a reference, "
-                               f"first {list(zip(first.speaker_id, first.part.tolist()))}")
-    if len(ref) > len(pred):  # each file holds every key once
-        log.warning("%d reference key(s) without a prediction dropped", len(ref) - len(pred))
-    return pred.score, ref.score[at]
-
 
 def cmd_evaluate(args) -> int:
     allow_overall = args.overall
     pred = fileio.read_predictions(args.predictions, "prediction", allow_overall)
     ref = fileio.read_predictions(args.references,
                                   "prediction" if allow_overall else "reference", allow_overall)
-    p, r = _pair_on_keys(pred, ref)
+    p, r = pair_on_keys(pred, ref)
     report = metrics.full_report(p, r)
     if args.format == "csv":
         print("rmse,pcc,src,within_half,within_one,n")
@@ -86,7 +64,7 @@ def cmd_calibrate(args) -> int:
     }
     fileio.write_calibration(args.out, calib, provenance)
     print(f"{'bin':>3} {'interval':>14} {'count':>6} {'w':>6} {'bin_rmse':>9}")
-    edges = calib.layout.edges
+    edges = fusion.DEFAULT_EDGES
     for k in range(fusion.N_BINS):
         bin_rmse = f"{'-':>9}" if calib.per_bin_counts[k] == 0 else f"{calib.per_bin_rmse[k]:9.4f}"
         close = "]" if k == fusion.N_BINS - 1 else ")"

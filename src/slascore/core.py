@@ -212,3 +212,22 @@ def join(w2v: Scores, mllm: Scores, refs: Scores | None = None) -> JoinedDataset
         reference = refs.score[in_refs]
     return JoinedDataset(w2v.speaker_id[rows], w2v.part[rows], w2v.score[rows],
                          mllm.score[in_mllm[shared]], reference)
+
+
+def pair_on_keys(pred: Scores, ref: Scores) -> tuple[np.ndarray, np.ndarray]:
+    """Prediction and reference scores matched on (speaker, part), in
+    prediction order.
+
+    Every prediction needs a reference; references without a prediction
+    are dropped with one warning giving their count.
+    """
+    at = match_keys(pred, ref, "reference")
+    missing = np.flatnonzero(at < 0)
+    if len(missing) == len(pred):
+        raise EmptyJoin("no shared (speaker, part) keys between predictions and references")
+    if len(missing):
+        raise MissingReference(f"{len(missing)} prediction key(s) without a reference, "
+                               f"first {_keys(pred, missing[:3])}")
+    if len(ref) > len(pred):  # each file holds every key once
+        log.warning("%d reference key(s) without a prediction dropped", len(ref) - len(pred))
+    return pred.score, ref.score[at]

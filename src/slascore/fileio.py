@@ -13,14 +13,15 @@ import hashlib
 import json
 import sys
 from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .core import OVERALL, PARTS, Scores, first_repeat, key_codes, validate_record
 from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidPart, NonFiniteScore
-from .errors import ParseError, ValidationError
-from .fusion import N_BINS, FusionCalibration, IntervalLayout
+from .errors import InvalidConfig, ParseError, ValidationError
+from .fusion import DEFAULT_EDGES, N_BINS, FusionCalibration, weight_grid
 from .head import CLASSIFICATION, PARAM_FIELDS, REGRESSION, FrameSequence, HeadParameters
 from .metrics import MetricReport
 
@@ -135,8 +136,9 @@ def _read_table(path: str | Path, header: str):
     """The cells of a CSV file whose first line is ``header``, row after
     row, and ``where(row)``, the ``path:line`` of data row ``row``. LF, CR
     and CRLF end a line; blank lines hold no row but are counted."""
-    lines = read_text(path).split("\n")  # read_text gives CR and CRLF as LF
-    _check_line_ends(path, 1, lines)
+    text = read_text(path)  # read_text gives CR and CRLF as LF
+    _check_line_ends(path, 1, text)
+    lines = text.split("\n")
     if lines[0] != header:
         raise ParseError(f"{path}: expected header {header!r}")
     rows = list(filter(str.strip, lines[1:]))
@@ -181,7 +183,7 @@ def write_calibration(
     doc = {
         "format_version": CALIBRATION_VERSION,
         "grid_step": calib.grid_step,
-        "edges": list(calib.layout.edges),
+        "edges": list(DEFAULT_EDGES),
         "weights": list(calib.weights),
         "per_bin_counts": list(calib.per_bin_counts),
         "dev_rmse": calib.dev_rmse,
@@ -192,28 +194,41 @@ def write_calibration(
 
 
 def read_calibration(path: str | Path) -> tuple[FusionCalibration, dict]:
+    """The calibration in ``path`` and its provenance. A missing field or
+    one of the wrong type is a ParseError; a value out of range, or edges
+    other than ``DEFAULT_EDGES``, is an InvalidConfig."""
     doc = _json_object(path, "calibration")
     version = doc.get("format_version")
     if version != CALIBRATION_VERSION:
         raise CalibrationVersionMismatch(
             f"{path}: format_version {version!r}, expected {CALIBRATION_VERSION}"
         )
-    for name in ("weights", "edges", "per_bin_counts"):
-        values = doc.get(name, [])
-        if not isinstance(values, list) or not all(_is_number(v) for v in values):
-            raise ParseError(f"{path}: {name} must be a list of numbers")
     try:
-        calib = FusionCalibration(
-            weights=tuple(doc["weights"]),
-            grid_step=doc["grid_step"],
-            layout=IntervalLayout(edges=tuple(doc["edges"])),
-            dev_rmse=doc["dev_rmse"],
-            per_bin_counts=tuple(doc["per_bin_counts"]),
-        )
+        weights, grid_step, edges, dev_rmse, counts = itemgetter(
+            "weights", "grid_step", "edges", "dev_rmse", "per_bin_counts")(doc)
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
-    if len(calib.per_bin_counts) != N_BINS:
-        raise ParseError(f"{path}: expected {N_BINS} per_bin_counts")
+    for name, values in (("weights", weights), ("edges", edges), ("per_bin_counts", counts)):
+        if not isinstance(values, list) or not all(_is_number(v) for v in values):
+            raise ParseError(f"{path}: {name} must be a list of numbers")
+    for name, value in (("grid_step", grid_step), ("dev_rmse", dev_rmse)):
+        if not _is_number(value):
+            raise ParseError(f"{path}: {name} must be a number")
+    if len(counts) != N_BINS or not all(isinstance(c, int) for c in counts):
+        raise ParseError(f"{path}: expected {N_BINS} integer per_bin_counts")
+    try:
+        if edges != list(DEFAULT_EDGES):
+            raise InvalidConfig(f"edges must be the fixed, finite interval edges "
+                                f"{list(DEFAULT_EDGES)}")
+        weight_grid(grid_step)  # InvalidConfig unless the step is one calibrate accepts
+        if not 0 <= dev_rmse <= sys.float_info.max:
+            raise InvalidConfig(f"dev_rmse {dev_rmse!r} is not finite and >= 0")
+        if min(counts) < 0:
+            raise InvalidConfig(f"per_bin_counts {counts} hold a negative count")
+        calib = FusionCalibration(weights=tuple(weights), grid_step=grid_step,
+                                  dev_rmse=dev_rmse, per_bin_counts=tuple(counts))
+    except InvalidConfig as exc:  # FusionCalibration's weight checks too
+        raise InvalidConfig(f"{path}: {exc}") from exc
     return calib, doc.get("provenance", {})
 
 
@@ -243,13 +258,13 @@ def read_features(path: str | Path) -> list[FrameSequence]:
 
 def _parse_features(path, lines) -> list[FrameSequence]:
     magic = next(lines, "")
-    _check_line_ends(path, 1, [magic])
+    _check_line_ends(path, 1, magic)
     if magic.rstrip("\n") != FEATURE_MAGIC:
         raise ParseError(f"{path}: expected magic line {FEATURE_MAGIC!r}")
     out: list[FrameSequence] = []
     n = 2  # the number of the next record's header line
     for line in lines:
-        _check_line_ends(path, n, [line])
+        _check_line_ends(path, n, line)
         header = line.split()
         if len(header) != 4 or header[0] != "record":
             shown = line.rstrip("\n")
@@ -268,7 +283,8 @@ def _parse_features(path, lines) -> list[FrameSequence]:
         block = list(islice(lines, min(t, sys.maxsize)))
         if len(block) < t:
             raise ParseError(f"{path}:{n}: truncated record (declared T={t})")
-        text = _check_line_ends(path, n + 1, block)
+        text = "".join(block)
+        _check_line_ends(path, n + 1, text)
         rows = list(map(str.split, block))
         try:
             if list(map(len, rows)) != [d] * t:
@@ -298,17 +314,15 @@ def _frame_line_error(path, first: int, lines: list[str], d: int) -> ParseError:
     raise AssertionError("no faulty frame line")
 
 
-def _check_line_ends(path, first: int, lines: list[str]) -> str:
-    """The joined ``lines``, or ParseError naming the first (numbered from
-    ``first``) that holds a character ``str.splitlines`` also ends a line at."""
-    text = "".join(lines)  # one search of the whole text on the common path
-    if not any(ch in text for ch in _FOREIGN_BREAKS):
-        return text
-    for n, line in enumerate(lines, first):
-        for ch in _FOREIGN_BREAKS:
-            if ch in line:
-                raise ParseError(f"{path}:{n}: line break {ch!r}; only LF, CR and CRLF "
-                                 f"end a line")
+def _check_line_ends(path, first: int, text: str) -> None:
+    """ParseError naming the line (numbered from ``first``) of the earliest
+    character in ``text`` that ``str.splitlines`` also ends a line at."""
+    found = [pos for ch in _FOREIGN_BREAKS if (pos := text.find(ch)) >= 0]
+    if found:
+        pos = min(found)
+        line = first + text.count("\n", 0, pos)
+        raise ParseError(f"{path}:{line}: line break {text[pos]!r}; only LF, CR and CRLF "
+                         f"end a line")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Score-conditioned fusion of the two grader streams.
 
-The multimodal score selects one of eight CEFR-aligned intervals; each
-interval carries an interpolation weight w_k calibrated by exhaustive
-grid search on a dev set (RMSE objective), then fixed for evaluation:
+The multimodal score selects one of eight fixed CEFR-aligned intervals
+(``DEFAULT_EDGES``); each interval carries an interpolation weight w_k
+calibrated by exhaustive grid search on a dev set (RMSE objective), then
+fixed for evaluation:
 
     fused = (1 - w_k) * w2v + w_k * mllm
 
@@ -12,7 +13,6 @@ Overall speaker scores are the mean of the four part scores.
 from __future__ import annotations
 
 import logging
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,26 +30,11 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
-#: The eight CEFR-aligned interval edges: [0.0-2.25), [2.25-2.75), ...,
-#: [4.75-5.25), [5.25-6.0]; last interval closed on both ends.
+#: The edges of the eight fixed CEFR-aligned intervals: [0.0-2.25),
+#: [2.25-2.75), ..., [4.75-5.25), [5.25-6.0]; last interval closed on both ends.
 DEFAULT_EDGES = (0.0, 2.25, 2.75, 3.25, 3.75, 4.25, 4.75, 5.25, 6.0)
 
 N_BINS = 8
-
-
-@dataclass(frozen=True, slots=True)
-class IntervalLayout:
-    edges: tuple[float, ...] = DEFAULT_EDGES
-
-    def __post_init__(self):
-        if len(self.edges) != N_BINS + 1:
-            raise InvalidConfig(f"need {N_BINS + 1} edges, got {len(self.edges)}")
-        # finite floats only: NaN fails every comparison, so it would pass the
-        # order check below, and an int beyond the float range cannot be binned
-        if not all(abs(e) <= sys.float_info.max for e in self.edges):
-            raise InvalidConfig(f"interval edges must be finite, got {self.edges}")
-        if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
-            raise InvalidConfig("interval edges must be strictly increasing")
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,8 +43,9 @@ class FusionCalibration:
 
     weights: tuple[float, ...]
     grid_step: float = 0.01
-    layout: IntervalLayout = field(default_factory=IntervalLayout)
-    dev_rmse: float = float("nan")
+    #: The dev RMSE under these weights; 0.0, like the zero counts, for a
+    #: calibration built without a dev set, so that its file reads back.
+    dev_rmse: float = 0.0
     per_bin_counts: tuple[int, ...] = (0,) * N_BINS
     #: Each bin's dev RMSE under its weight, None for an empty bin; known
     #: only to the calibration ``calibrate`` returns, never written to file.
@@ -84,11 +70,8 @@ def weight_grid(grid_step: float) -> list[float]:
     return [i * grid_step for i in range(n + 1)]
 
 
-def bin_index(
-    mllm_score: float | np.ndarray,
-    layout: IntervalLayout | None = None,
-) -> int | np.ndarray:
-    """Index of the interval containing each multimodal score.
+def bin_index(mllm_score: float | np.ndarray) -> int | np.ndarray:
+    """Index of the ``DEFAULT_EDGES`` interval containing each multimodal score.
 
     Elementwise: a scalar gives an int, an array an array of ints. The
     last interval is closed at its right edge; scores outside the edges
@@ -98,12 +81,11 @@ def bin_index(
     finite = np.isfinite(s)
     if not finite.all():
         raise NonFiniteScore(f"cannot bin {np.count_nonzero(~finite)} non-finite score(s)")
-    edges = (layout or IntervalLayout()).edges
-    outside = np.count_nonzero((s < edges[0]) | (s > edges[-1]))
+    lo, hi = DEFAULT_EDGES[0], DEFAULT_EDGES[-1]
+    outside = np.count_nonzero((s < lo) | (s > hi))
     if outside:
-        log.warning("%d score(s) outside [%s, %s] clamped to the end bins",
-                    outside, edges[0], edges[-1])
-    k = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, N_BINS - 1)
+        log.warning("%d score(s) outside [%s, %s] clamped to the end bins", outside, lo, hi)
+    k = np.clip(np.searchsorted(DEFAULT_EDGES, s, side="right") - 1, 0, N_BINS - 1)
     return int(k) if k.ndim == 0 else k
 
 
@@ -124,15 +106,11 @@ def fuse_one(
     w2v, mllm = np.asarray(w2v, dtype=np.float64), np.asarray(mllm, dtype=np.float64)
     if not np.isfinite(w2v).all():
         raise NonFiniteScore("cannot fuse non-finite w2v score(s)")
-    fused = _mix(w2v, mllm, np.asarray(calib.weights)[bin_index(mllm, calib.layout)])
+    fused = _mix(w2v, mllm, np.asarray(calib.weights)[bin_index(mllm)])
     return float(fused) if fused.ndim == 0 else fused
 
 
-def calibrate(
-    dev: JoinedDataset,
-    layout: IntervalLayout | None = None,
-    grid_step: float = 0.01,
-) -> FusionCalibration:
+def calibrate(dev: JoinedDataset, grid_step: float = 0.01) -> FusionCalibration:
     """Grid-search each interval's weight on a dev set with references.
 
     Each populated bin independently gets the grid weight minimizing the
@@ -140,14 +118,13 @@ def calibrate(
     grader); empty bins fall back to the single best global weight. The
     result carries the dev RMSE overall and per bin under those weights.
     """
-    layout = layout or IntervalLayout()
     if len(dev) == 0:
         raise EmptyDataset("cannot calibrate on an empty dev set")
     if dev.blind:
         raise NoReferences("calibration requires reference scores")
     grid = weight_grid(grid_step)
 
-    bins = bin_index(dev.mllm, layout)
+    bins = bin_index(dev.mllm)
     counts = np.bincount(bins, minlength=N_BINS)
     g = np.asarray(grid)[:, None]
 
@@ -164,7 +141,6 @@ def calibrate(
     return FusionCalibration(
         weights=weights,
         grid_step=grid_step,
-        layout=layout,
         dev_rmse=metrics.rmse(fused, dev.reference),
         per_bin_counts=tuple(counts.tolist()),
         per_bin_rmse=tuple(None if rows is None else metrics.rmse(fused[rows], dev.reference[rows])

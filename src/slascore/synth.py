@@ -1,9 +1,10 @@
 """Synthetic datasets for desk-scale verification.
 
-Stands in for the real corpus: grader predictions are simulated as the
-reference level plus per-interval Gaussian noise, and frame features as
-class-conditional Gaussians, so calibration and training behaviour can
-be checked against exhaustive/nearest-mean oracles (``tests/oracles.py``).
+Stands in for the real corpus: each speaker's four part scores are
+simulated as the reference level plus Gaussian noise set per fixed fusion
+interval, and frame features as class-conditional Gaussians, so
+calibration and training behaviour can be checked against
+exhaustive/nearest-mean oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .core import PARTS, REFERENCE_LEVELS, JoinedDataset
 from .errors import InvalidConfig
-from .fusion import N_BINS, IntervalLayout, bin_index
+from .fusion import N_BINS, bin_index
 from .head import FrameSequence
 
 
@@ -24,7 +25,6 @@ class SynthConfig:
     """Per-interval noise model for the two simulated grader streams."""
 
     n_speakers: int = 100
-    parts: tuple[int, ...] = PARTS
     w2v_noise: tuple[float, ...] = (0.3,) * N_BINS
     mllm_noise: tuple[float, ...] = (0.3,) * N_BINS
     seed: int = 0
@@ -35,8 +35,6 @@ class SynthConfig:
             raise InvalidConfig("need at least one speaker")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        if not self.parts or any(p not in PARTS for p in self.parts):
-            raise InvalidConfig(f"parts must be a nonempty subset of {PARTS}")
         for name in ("w2v_noise", "mllm_noise"):
             sigmas = getattr(self, name)
             if len(sigmas) != N_BINS or not all(0 <= s < math.inf for s in sigmas):
@@ -64,11 +62,11 @@ def generate_scores(cfg: SynthConfig) -> JoinedDataset:
     weights = np.asarray(cfg.level_weights, dtype=np.float64)
     weights = weights / weights.sum()
     levels = np.asarray(REFERENCE_LEVELS)
-    bins = bin_index(levels, IntervalLayout())  # the interval of each level
+    bins = bin_index(levels)  # the interval of each level
     rows = []
     for i in range(cfg.n_speakers):
         sid = f"spk{i:04d}"
-        for part in cfg.parts:
+        for part in PARTS:
             j = rng.choice(len(levels), p=weights)
             ref, k = float(levels[j]), bins[j]
             rows.append((sid, part, ref + rng.normal(0.0, cfg.w2v_noise[k]),

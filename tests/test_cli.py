@@ -351,6 +351,11 @@ CALIB_FIELDS = {"format_version": 1, "grid_step": 0.01, "edges": list(fusion.DEF
                 "weights": [0.5] * 8, "per_bin_counts": [0] * 8, "dev_rmse": 0.1}
 
 
+def calib_text(**fields) -> str:
+    """A calibration document: CALIB_FIELDS with ``fields`` replaced."""
+    return json.dumps({**CALIB_FIELDS, **fields})
+
+
 @pytest.mark.parametrize("command,content", [
     ("fuse", "[1, 2, 3]"),
     ("fuse", json.dumps({**CALIB_FIELDS, "weights": ["a"] * 8})),
@@ -369,10 +374,17 @@ CALIB_FIELDS = {"format_version": 1, "grid_step": 0.01, "edges": list(fusion.DEF
     ("train-head", "slascore-features v1\nrecord 1 99999999999999999999 3.0\n1.0 2.0\n"),
     ("aggregate", "speaker_id,part,score\n,1,3.0\n,3,3.0\n,4,3.0\n,5,3.0\n"),
     ("aggregate", "speaker_id,part,score\na,1,2.0\u2028b,3,4.0\n"),
+    ("fuse", json.dumps({k: v for k, v in CALIB_FIELDS.items() if k != "edges"})),
+    ("fuse", calib_text(dev_rmse="x")),
+    ("fuse", calib_text(grid_step=[1])),
+    ("fuse", calib_text(grid_step=True)),
+    ("fuse", calib_text(per_bin_counts=[0.5] * 8)),
+    ("fuse", calib_text(per_bin_counts=[True] * 8)),
 ], ids=["list-document", "string-weights", "scalar-weights", "bool-edges", "null-counts",
         "non-utf8-calibration", "deeply-nested-calibration", "5000-digit-dev-rmse",
         "negative-T", "zero-d", "mixed-d", "form-feed-in-record", "u2028-in-record", "huge-d",
-        "empty-speaker-id", "u2028-in-row"])
+        "empty-speaker-id", "u2028-in-row", "no-edges", "string-dev-rmse", "list-grid-step",
+        "bool-grid-step", "fractional-counts", "bool-counts"])
 def test_malformed_file_exit_code(tmp_path, capsys, command, content):
     bad = tmp_path / "bad"
     if isinstance(content, bytes):
@@ -418,6 +430,44 @@ def test_non_finite_edges_exit_code(tmp_path, capsys):
                          "--out", str(tmp_path / "o.csv"))
     assert code == cli.EXIT_VALIDATION
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and "finite" in err
+    assert out == "" and not (tmp_path / "o.csv").exists()
+
+
+def edges_with(i, value):
+    edges = list(fusion.DEFAULT_EDGES)
+    edges[i] = value
+    return edges
+
+
+@pytest.mark.parametrize("content", [
+    calib_text(edges=[0.0, 1.0]),
+    calib_text(edges=edges_with(2, 2.25)),
+    calib_text(edges=edges_with(2, float("nan"))),
+    calib_text(edges=edges_with(2, float("inf"))),
+    calib_text(edges=edges_with(2, 10**400)),
+    calib_text(edges=edges_with(8, 6.5)),
+    calib_text(dev_rmse="X").replace('"X"', "1e400"),
+    calib_text(dev_rmse=float("nan")),
+    calib_text(dev_rmse=-0.5),
+    calib_text(grid_step=float("nan")),
+    calib_text(grid_step=0.3),
+    calib_text(per_bin_counts=[1] * 7 + [-1]),
+    calib_text(weights=[0.5] * 7 + [1.5]),
+], ids=["two-edges", "repeated-edge", "nan-edge", "inf-edge", "huge-int-edge", "moved-edge",
+        "1e400-dev-rmse", "nan-dev-rmse", "negative-dev-rmse", "nan-grid-step",
+        "uneven-grid-step", "negative-count", "weight-above-one"])
+def test_out_of_range_calibration_exit_code(tmp_path, capsys, content):
+    """A calibration field of the right type but a value ``calibrate``
+    never writes exits 2; fuse never bins with edges the weights were not
+    fitted on."""
+    calib = tmp_path / "calib.json"
+    calib.write_text(content)
+    csv = tmp_path / "scores.csv"
+    fileio.write_predictions(csv, scores(("a", 1, 3.0)))
+    code, out, err = run(capsys, "fuse", str(csv), str(csv), str(calib),
+                         "--out", str(tmp_path / "o.csv"))
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith(f"error: {calib}: ") and len(err.splitlines()) == 1
     assert out == "" and not (tmp_path / "o.csv").exists()
 
 

@@ -114,6 +114,18 @@ class TestPredictionFiles:
         with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:3: line break"):
             fileio.read_leaderboard(p)
 
+    def test_earliest_line_break_named(self, tmp_path):
+        # U+2028 comes before \v on the line, so it is the break reported
+        p = tmp_path / "s.csv"
+        shown = repr("\u2028")
+        p.write_text("speaker_id,part,score\na,1,2.0\u2028b,3,4.0\vc,4,3.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{p}:2: line break {shown};')}"):
+            fileio.read_predictions(p)
+        p.write_text("slascore-features v1\nrecord 2 2 3.0\n1.0 2.0\n3.0\u20284.0\v\n",
+                     encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{p}:4: line break {shown};')}"):
+            fileio.read_features(p)
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(sids=st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))

@@ -20,7 +20,6 @@ from slascore.fusion import (
     DEFAULT_EDGES,
     N_BINS,
     FusionCalibration,
-    IntervalLayout,
     aggregate_overall,
     bin_index,
     calibrate,
@@ -44,18 +43,6 @@ def dataset(rows):
 class TestLayout:
     def test_default_edges(self):
         assert DEFAULT_EDGES == (0.0, 2.25, 2.75, 3.25, 3.75, 4.25, 4.75, 5.25, 6.0)
-        IntervalLayout()
-
-    def test_bad_edge_count(self):
-        with pytest.raises(InvalidConfig):
-            IntervalLayout(edges=(0.0, 1.0))
-
-    def test_non_increasing(self):
-        with pytest.raises(InvalidConfig):
-            IntervalLayout(edges=(0.0, 2.25, 2.25, 3.25, 3.75, 4.25, 4.75, 5.25, 6.0))
-        for bad in (math.nan, math.inf, 10**400):
-            with pytest.raises(InvalidConfig):
-                IntervalLayout(edges=(0.0, 2.25, bad, 3.25, 3.75, 4.25, 4.75, 5.25, 6.0))
 
 
 class TestBinIndex:

@@ -19,10 +19,6 @@ class TestSynthConfig:
     def test_defaults_valid(self):
         SynthConfig()
 
-    def test_bad_parts(self):
-        with pytest.raises(InvalidConfig):
-            SynthConfig(parts=(2,))
-
     def test_bad_noise_length(self):
         with pytest.raises(InvalidConfig):
             SynthConfig(w2v_noise=(0.1, 0.2))
@@ -61,10 +57,9 @@ class TestGenerateScores:
             assert ref in REFERENCE_LEVELS
 
     def test_row_count_and_keys(self):
-        cfg = SynthConfig(n_speakers=10, parts=(1, 3), seed=0)
-        data = generate_scores(cfg)
-        assert len(data) == 20
-        assert len(set(zip(data.speaker_id, data.part.tolist()))) == 20
+        data = generate_scores(SynthConfig(n_speakers=10, seed=0))
+        assert len(data) == 40
+        assert len(set(zip(data.speaker_id, data.part.tolist()))) == 40
 
     @pytest.mark.parametrize("name", ["w2v", "mllm"])
     def test_non_finite_draw_rejected(self, name):
