@@ -31,10 +31,8 @@ TABLE_HEADER = "RMSE PCC SRC %<=0.5 %<=1.0"
 
 
 def cmd_evaluate(args) -> int:
-    allow_overall = args.overall
-    pred = fileio.read_predictions(args.predictions, "prediction", allow_overall)
-    ref = fileio.read_predictions(args.references,
-                                  "prediction" if allow_overall else "reference", allow_overall)
+    kinds = ("overall", "overall") if args.overall else ("prediction", "reference")
+    pred, ref = map(fileio.read_predictions, (args.predictions, args.references), kinds)
     p, r = pair_on_keys(pred, ref)
     report = metrics.full_report(p, r)
     if args.format == "csv":
@@ -76,9 +74,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    calib, _ = fileio.read_calibration(args.calibration)
     w2v = fileio.read_predictions(args.w2v, "prediction")
     mllm = fileio.read_predictions(args.mllm, "prediction")
-    calib, _ = fileio.read_calibration(args.calibration)
     data = join(w2v, mllm)
     fused = fusion.fuse_dataset(data, calib, clamp=args.clamp)
     fileio.write_predictions(args.out, fused)
@@ -171,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("references")
     p.add_argument("--out", help="also write metrics as JSON")
     p.add_argument("--format", choices=("table", "csv"), default="table")
-    p.add_argument("--overall", action="store_true",
-                   help="inputs hold per-speaker overall rows")
+    p.add_argument("--overall", action="store_true", help="score two overall files")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("calibrate", help="grid-search per-interval fusion weights")

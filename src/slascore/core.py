@@ -1,7 +1,7 @@
 """Domain types: score tables and joined grader datasets, held as numpy
 columns with one entry per (speaker, part) row, plus validation and key
-matching. Speaker ids are ``object`` arrays of ``str``, so every id
-survives exactly; keys are matched as dense integer codes (``key_codes``).
+matching. Speaker ids are ``object`` arrays of ``str``, so every id survives
+exactly; keys are matched and ordered as integer codes (``key_codes``).
 
 Scores live on a CEFR-aligned numeric scale: references take the eight
 levels 2.0, 2.5, ..., 5.5; grader predictions are unconstrained finite
@@ -36,6 +36,9 @@ PARTS = (1, 3, 4, 5)
 #: ``overall``.
 OVERALL = 0
 
+#: Every part value a table may hold, in key order.
+PART_VALUES = (OVERALL, *PARTS)
+
 #: Valid reference levels: 2.0 through 5.5 in 0.5 steps.
 REFERENCE_LEVELS = tuple(2.0 + 0.5 * i for i in range(8))
 
@@ -49,8 +52,8 @@ def is_on_grid(values: np.ndarray) -> np.ndarray:
 
 
 def _store_columns(table, **dtypes) -> None:
-    """Store each named field of ``table`` (except a ``None`` one) as a
-    1-D array of its dtype; all of them must have one length."""
+    """Store each named field of ``table`` (except a ``None`` one) as a 1-D
+    array of its dtype; all of them must have one length, each part in ``PART_VALUES``."""
     columns = {name: np.asarray(getattr(table, name), dtype=dtype)
                for name, dtype in dtypes.items() if getattr(table, name) is not None}
     shapes = {col.shape for col in columns.values()}
@@ -59,6 +62,12 @@ def _store_columns(table, **dtypes) -> None:
                              f"{[col.shape for col in columns.values()]}")
     for name, col in columns.items():
         object.__setattr__(table, name, col)
+    bad = ~np.isin(table.part, PART_VALUES)
+    if bad.any():
+        exc = InvalidPart(f"part {table.part[bad][0]} not in {PART_VALUES} "
+                          f"(speaker {table.speaker_id[bad][0]})")
+        exc.row = int(np.argmax(bad))  # as validate_record's errors do
+        raise exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,10 +85,6 @@ class Scores:
     def __len__(self) -> int:
         return len(self.score)
 
-    def take(self, rows) -> Scores:
-        """The rows selected by an index array or boolean mask."""
-        return Scores(self.speaker_id[rows], self.part[rows], self.score[rows])
-
 
 def _keys(table, rows=slice(None)) -> list[tuple[str, int]]:
     """(speaker, part) tuples of the selected rows, for messages."""
@@ -87,24 +92,27 @@ def _keys(table, rows=slice(None)) -> list[tuple[str, int]]:
 
 
 def validate_record(scores: Scores, kind: str) -> Scores:
-    """Validate a column of ``"reference"`` or ``"prediction"`` scores.
-
-    References must sit exactly on the 0.5-step level grid; predictions
-    only need to be finite (values outside [0.0, 6.0] are counted in one
-    warning, not rejected, since both graders regress continuously).
-    """
-    if kind not in ("reference", "prediction"):
+    """Validate a ``"prediction"``, ``"reference"`` or ``"overall"`` table: its
+    parts (``PARTS``, or ``OVERALL`` in an overall table), finite scores and
+    references on the 0.5-step level grid. Predictions outside [0.0, 6.0] are
+    counted in one warning, not rejected, since both graders regress
+    continuously. The error raised for the first fault names its row in ``row``."""
+    if kind not in ("prediction", "reference", "overall"):
         raise ValueError(f"unknown record kind {kind!r}")
-    faults = [(~np.isin(scores.part, PARTS), InvalidPart, "part {1} not in {3} (speaker {0})"),
+    parts = (OVERALL,) if kind == "overall" else PARTS
+    faults = [(~np.isin(scores.part, parts), InvalidPart,
+               "part {1} not in {3}, the {4} parts (speaker {0})"),
               (~np.isfinite(scores.score), NonFiniteScore, "non-finite score for ({0}, {1})")]
     if kind == "reference":
         faults.append((~is_on_grid(scores.score), OffGridReference,
                        "reference {2} for ({0}, {1}) is not a 0.5-step level in [2.0, 5.5]"))
     for bad, error, message in faults:
         if bad.any():
-            row = np.argmax(bad)
-            raise error(message.format(scores.speaker_id[row], scores.part[row],
-                                       scores.score[row], PARTS))
+            row = int(np.argmax(bad))
+            exc = error(message.format(scores.speaker_id[row], scores.part[row],
+                                       scores.score[row], parts, kind))
+            exc.row = row
+            raise exc
     if kind == "prediction":
         outside = np.count_nonzero((scores.score < 0.0) | (scores.score > 6.0))
         if outside:
@@ -139,20 +147,15 @@ class JoinedDataset:
 
 
 def key_codes(*tables: Scores) -> tuple[list[np.ndarray], int]:
-    """Each table's (speaker, part) keys as integer codes shared by the
-    tables, and the number of codes. Codes sort as the keys do: a code is
-    ``speaker rank * n_parts + part slot`` (speakers in ``str`` order), or
-    the key's rank among all keys when ``n_speakers * n_parts`` exceeds the rows."""
+    """Each table's (speaker, part) keys as integer codes shared by the tables, and
+    the number of codes. A code is ``speaker rank * 5 + part slot`` (speakers in
+    ``str`` order, parts in ``PART_VALUES`` order), so codes sort as the keys do."""
     ids = [table.speaker_id.tolist() for table in tables]
     rank = dict(zip(sorted(set().union(*ids)), count()))
-    parts, slot = np.unique(np.concatenate([t.part for t in tables]), return_inverse=True)
-    codes = np.concatenate([np.fromiter(map(rank.__getitem__, i), dtype=np.intp, count=len(i))
-                            for i in ids]) * len(parts) + slot
-    n_codes = len(rank) * len(parts)
-    if n_codes > len(codes):  # so arrays indexed by code stay within the rows
-        keys, codes = np.unique(codes, return_inverse=True)
-        n_codes = len(keys)
-    return np.split(codes, np.cumsum([len(t) for t in tables[:-1]])), n_codes
+    codes = [np.fromiter(map(rank.__getitem__, i), dtype=np.intp, count=len(i))
+             * len(PART_VALUES) + np.searchsorted(PART_VALUES, table.part)
+             for i, table in zip(ids, tables)]
+    return codes, len(rank) * len(PART_VALUES)
 
 
 def first_repeat(codes: np.ndarray) -> int | None:

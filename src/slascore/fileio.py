@@ -1,5 +1,6 @@
-"""File formats, and the reader of every input file: prediction and
-leaderboard CSVs, calibration and head-parameter JSON, frame features.
+"""File formats, and the reader of every input file: score CSVs (each of one
+kind: per-part predictions or references, or overall scores), leaderboard
+CSVs, calibration and head-parameter JSON, frame features.
 
 The CSVs share one table reader (split once; ASCII numbers; ``path:line``
 errors), the JSON files one object reader; feature files are read a record
@@ -18,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OVERALL, PARTS, Scores, first_repeat, key_codes, validate_record
-from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidPart, NonFiniteScore
-from .errors import InvalidConfig, ParseError, ValidationError
+from .core import OVERALL, Scores, first_repeat, key_codes, validate_record
+from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidConfig, InvalidPart
+from .errors import NonFiniteScore, OffGridReference, ParseError, ValidationError
 from .fusion import DEFAULT_EDGES, N_BINS, FusionCalibration, weight_grid
 from .head import CLASSIFICATION, PARAM_FIELDS, REGRESSION, FrameSequence, HeadParameters
 from .metrics import MetricReport
@@ -88,10 +89,9 @@ def write_predictions(path: str | Path, scores: Scores) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def read_predictions(path: str | Path, kind: str = "prediction",
-                     allow_overall: bool = False) -> Scores:
-    """Parse and validate a prediction/reference CSV into score columns, in
-    bulk; a fault is traced back to its ``path:line`` once one is found."""
+def read_predictions(path: str | Path, kind: str = "prediction") -> Scores:
+    """Parse and validate a CSV of ``kind`` scores (prediction, reference or overall)
+    into score columns, in bulk; a fault is traced back to its ``path:line``."""
     cells, where = _read_table(path, PREDICTION_HEADER)
     sids, part_texts, score_texts = cells[0::3], cells[1::3], cells[2::3]
     if "" in sids:
@@ -99,20 +99,18 @@ def read_predictions(path: str | Path, kind: str = "prediction",
     score = _numbers(score_texts, where, "bad score {!r}")
     codes = dict.fromkeys(part_texts)  # each distinct part text is parsed once
     for text in codes:
-        try:
-            codes[text] = OVERALL if text == OVERALL_TEXT and allow_overall else int(_ascii(text))
-        except ValueError:
-            fault = "part {!r} not allowed here" if text == OVERALL_TEXT else "bad part {!r}"
-            raise ParseError(f"{where(part_texts.index(text))}: {fault.format(text)}") from None
-        if text != OVERALL_TEXT and codes[text] not in PARTS:
-            raise InvalidPart(f"{where(part_texts.index(text))}: part {text!r} not in {PARTS}")
+        try:  # every part of an overall file is `overall`, none of a per-part file
+            if (text == OVERALL_TEXT) != (kind == "overall"):
+                raise ValueError(text)
+            codes[text] = OVERALL if text == OVERALL_TEXT else np.int64(int(_ascii(text)))
+        except (ValueError, OverflowError):
+            raise ParseError(f"{where(part_texts.index(text))}: bad part {text!r} for {kind} "
+                             f"scores") from None
     part = np.fromiter(map(codes.get, part_texts), dtype=np.int64, count=len(sids))
-    scores = Scores(sids, part, score)
-    overall = part == OVERALL
-    bad = np.flatnonzero(overall & ~np.isfinite(score))
-    if bad.size:
-        raise NonFiniteScore(f"{where(bad[0])}: non-finite overall score for {sids[bad[0]]}")
-    validate_record(scores.take(~overall), kind)
+    try:
+        scores = validate_record(Scores(sids, part, score), kind)
+    except (InvalidPart, NonFiniteScore, OffGridReference) as exc:  # each names its row
+        raise type(exc)(f"{where(exc.row)}: {exc}") from exc
     row = first_repeat(key_codes(scores)[0][0])
     if row is not None:
         raise DuplicateKey(f"{where(row)}: duplicate key ({sids[row]}, {part_texts[row]})")

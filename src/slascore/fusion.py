@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .core import OVERALL, PARTS, JoinedDataset, Scores
+from .core import OVERALL, PART_VALUES, PARTS, JoinedDataset, Scores, key_codes
 from .errors import (
     DuplicatePart,
     EmptyDataset,
@@ -167,13 +167,14 @@ def fuse_dataset(
 def aggregate_overall(per_part: Scores) -> Scores:
     """Per-speaker mean of the four part scores (parts 1, 3, 4, 5),
     sorted by speaker."""
-    order = np.lexsort((per_part.part, per_part.speaker_id))
+    (codes,), _ = key_codes(per_part)
+    order = np.argsort(codes, kind="stable")
     sid, part, score = per_part.speaker_id[order], per_part.part[order], per_part.score[order]
-    same_speaker = sid[1:] == sid[:-1]
-    dup = np.flatnonzero(same_speaker & (part[1:] == part[:-1]))
+    code = codes[order]
+    dup = np.flatnonzero(code[1:] == code[:-1])
     if dup.size:
         raise DuplicatePart(f"duplicate part {part[dup[0]]} for speaker {sid[dup[0]]}")
-    starts = np.flatnonzero(np.r_[True, ~same_speaker][:len(sid)])  # empty stays empty
+    starts = np.flatnonzero(np.diff(code // len(PART_VALUES), prepend=-1))  # new speakers
     if len(part) != len(PARTS) * len(starts) or (part != np.tile(PARTS, len(starts))).any():
         for speaker, parts in zip(sid[starts], np.split(part, starts[1:])):
             if parts.tolist() != list(PARTS):

@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from slascore.core import OVERALL, PARTS, Scores, validate_record
+from slascore.core import OVERALL, PARTS, Scores
 from slascore.errors import (
     DuplicateKey,
     EmptyJoin,
@@ -24,6 +24,7 @@ from slascore.errors import (
     MissingReference,
     NonFiniteScore,
     NoReferences,
+    OffGridReference,
     ParseError,
     ValidationError,
 )
@@ -149,10 +150,11 @@ def nearest_class_mean_f1(
     return macro_f1(preds, [seq.label for seq in dev])
 
 
-def read_predictions_oracle(path, kind="prediction", allow_overall=False) -> Scores:
+def read_predictions_oracle(path, kind="prediction") -> Scores:
     """Per-line reader of a prediction CSV: every line is split on its own
     and each kind of fault is looked for over all rows, in the order the
-    library looks for them; the first fault raises the library's error."""
+    library looks for them; the first fault raises the library's error.
+    The part, finiteness and grid rules are applied here, row by row."""
     with open(path, encoding="utf-8", newline="") as fh:  # no newline translation
         lines = re.split(r"\r\n|\r|\n", fh.read())
     for n, line in enumerate(lines, start=1):
@@ -184,31 +186,41 @@ def read_predictions_oracle(path, kind="prediction", allow_overall=False) -> Sco
             scores.append(number(text, float))
         except ValueError:
             raise ParseError(f"{where}: bad score {text!r}") from None
+    # an overall file spells every part `overall`, a per-part file none
     parts = []
     for where, (_, text, _) in numbered:
-        if text == OVERALL_TEXT:
-            if not allow_overall:
-                raise ParseError(f"{where}: part {text!r} not allowed here")
-            parts.append(OVERALL)
-            continue
         try:
-            parts.append(number(text, int))
+            if (text == OVERALL_TEXT) != (kind == "overall"):
+                raise ValueError(text)
+            part = OVERALL if text == OVERALL_TEXT else number(text, int)
+            if not -2**63 <= part < 2**63:  # a part is held as an int64
+                raise ValueError(text)
         except ValueError:
-            raise ParseError(f"{where}: bad part {text!r}") from None
-        if parts[-1] not in PARTS:
-            raise InvalidPart(f"{where}: part {text!r} not in {PARTS}")
-    for (where, (sid, _, _)), part, score in zip(numbered, parts, scores):
-        if part == OVERALL and not math.isfinite(score):
-            raise NonFiniteScore(f"{where}: non-finite overall score for {sid}")
-    sids = [cells[0] for _, cells in numbered]
-    table = Scores(sids, parts, scores)
-    validate_record(table.take(table.part != OVERALL), kind)
+            raise ParseError(f"{where}: bad part {text!r} for {kind} scores") from None
+        parts.append(part)
+    rows = list(zip(numbered, parts, scores))
+    part_values = (OVERALL, *PARTS)
+    for (where, (sid, _, _)), part, _ in rows:
+        if part not in part_values:
+            raise InvalidPart(f"{where}: part {part} not in {part_values} (speaker {sid})")
+    kind_parts = (OVERALL,) if kind == "overall" else PARTS
+    for (where, (sid, _, _)), part, _ in rows:
+        if part not in kind_parts:
+            raise InvalidPart(f"{where}: part {part} not in {kind_parts}, the {kind} parts "
+                              f"(speaker {sid})")
+    for (where, (sid, _, _)), part, score in rows:
+        if not math.isfinite(score):
+            raise NonFiniteScore(f"{where}: non-finite score for ({sid}, {part})")
+    for (where, (sid, _, _)), part, score in rows:
+        if kind == "reference" and not any(abs(score - lvl) <= 1e-9 for lvl in _LEVELS):
+            raise OffGridReference(f"{where}: reference {score} for ({sid}, {part}) is not a "
+                                   f"0.5-step level in [2.0, 5.5]")
     seen = set()
-    for (where, (sid, text, _)), part in zip(numbered, parts):
+    for (where, (sid, text, _)), part, _ in rows:
         if (sid, part) in seen:
             raise DuplicateKey(f"{where}: duplicate key ({sid}, {text})")
         seen.add((sid, part))
-    return table
+    return Scores([cells[0] for _, cells in numbered], parts, scores)
 
 
 def _key_index(table: Scores, label: str) -> dict:

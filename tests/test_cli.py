@@ -103,6 +103,19 @@ class TestEvaluate:
         code, out, err = run(capsys, "evaluate", "--overall", str(pred), str(ref))
         assert code == cli.EXIT_VALIDATION
         assert "non-finite" in err and "nan" not in out
+        assert err == f"error: {pred}:2: non-finite score for (a, 0)\n"
+
+    @pytest.mark.parametrize("flags, body, message", [
+        (["--overall"], "a,1,3.0\nb,1,3.0\n", ":2: bad part '1' for overall scores"),
+        (["--overall"], "a,overall,3.0\n\nb,1,3.0\n", ":4: bad part '1' for overall scores"),
+        ([], "a,overall,3.0\nb,overall,3.0\n", ":2: bad part 'overall' for prediction scores"),
+    ], ids=["overall-on-per-part", "overall-on-mixed", "per-part-on-overall"])
+    def test_file_kind_follows_overall_flag(self, tmp_path, capsys, flags, body, message):
+        pred = tmp_path / "p.csv"
+        pred.write_text(f"speaker_id,part,score\n{body}")
+        code, out, err = run(capsys, "evaluate", *flags, str(pred), str(pred))
+        assert code == cli.EXIT_IO and out == ""
+        assert err == f"error: {pred}{message}\n"
 
     def test_overflowing_metric_exit_code(self, tmp_path, capsys):
         pred, ref = tmp_path / "p.csv", tmp_path / "r.csv"
@@ -148,6 +161,30 @@ class TestCalibrateFuse:
         assert calls == {"bin_index": 1, "fuse_one": 0}
         assert [r.getMessage() for r in caplog.records if r.name == "slascore.fusion"] == [
             "2 score(s) outside [0.0, 6.0] clamped to the end bins"]
+
+    def test_score_fault_names_its_file_and_line(self, dev_files, tmp_path, capsys):
+        data, paths = dev_files
+        mllm = data.mllm.copy()
+        mllm[5] = float("nan")
+        fileio.write_predictions(paths["mllm"], Scores(data.speaker_id, data.part, mllm))
+        code, out, err = run(capsys, "calibrate", paths["w2v"], paths["mllm"], paths["refs"],
+                             "--out", str(tmp_path / "calib.json"))
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err == (f"error: {paths['mllm']}:7: non-finite score for "
+                       f"({data.speaker_id[5]}, {data.part[5]})\n")
+
+    def test_fuse_reads_calibration_first(self, dev_files, tmp_path, capsys, monkeypatch):
+        _, paths = dev_files
+        calib = tmp_path / "calib.json"
+        calib.write_text("{not json")
+        calls = []
+        read = fileio.read_predictions
+        monkeypatch.setattr(fileio, "read_predictions",
+                            lambda *args: calls.append(args) or read(*args))
+        code, _, err = run(capsys, "fuse", paths["w2v"], paths["mllm"], str(calib),
+                           "--out", str(tmp_path / "fused.csv"))
+        assert code == cli.EXIT_IO and calls == []
+        assert err.startswith(f"error: cannot read calibration {calib}")
 
     def test_grid_step_too_fine_exit_code(self, dev_files, tmp_path, capsys):
         _, paths = dev_files
@@ -202,7 +239,7 @@ class TestAggregate:
         out = tmp_path / "overall.csv"
         code, _, _ = run(capsys, "aggregate", str(pred), "--out", str(out))
         assert code == 0
-        recs = fileio.read_predictions(out, allow_overall=True)
+        recs = fileio.read_predictions(out, kind="overall")
         assert recs.score[0] == 3.5 and recs.part[0] == OVERALL
         assert out.read_text().splitlines()[1] == "a,overall,3.5"
 
@@ -221,7 +258,7 @@ class TestAggregate:
         fileio.write_predictions(pred, recs)
         out = tmp_path / "overall.csv"
         run(capsys, "aggregate", str(pred), "--out", str(out))
-        got = fileio.read_predictions(out, allow_overall=True)
+        got = fileio.read_predictions(out, kind="overall")
         assert rows(got) == rows(fusion.aggregate_overall(recs))
 
 

@@ -146,14 +146,20 @@ def test_dataset_accessors():
     assert len(ds) == 0 and not ds.blind
 
 
-def test_key_codes_stay_within_row_count():
-    """Keys spread over many parts are renumbered, so the arrays indexed by
-    code hold one entry per row, not n_speakers * n_parts."""
-    n = 2000
-    table = Scores([f"s{i:04d}" for i in range(n)], np.arange(n)[::-1], np.zeros(n))
-    (codes,), n_codes = key_codes(table)
-    assert n_codes == n and codes.tolist() == list(range(n))
-    assert join(table, table).part.tolist() == list(range(n))[::-1]
+def test_part_values_checked_when_built():
+    """A table holds only OVERALL and the four parts, so the key codes of
+    any tables number five per distinct speaker."""
+    for bad in (2, 6, -1, 2**40):
+        with pytest.raises(InvalidPart, match=f"part {bad} not in") as raised:
+            Scores(["a", "b"], [1, bad], [3.0, 3.0])
+        assert raised.value.row == 1
+        with pytest.raises(InvalidPart):
+            JoinedDataset(["a"], [bad], [3.0], [3.0])
+    first = Scores(["b", "a", "b", "a"], [OVERALL, 5, 1, 1], np.zeros(4))
+    second = Scores(["c", "a"], [4, 3], np.zeros(2))
+    (codes, other), n_codes = key_codes(first, second)
+    assert n_codes == 5 * 3
+    assert codes.tolist() == [5, 4, 6, 1] and other.tolist() == [13, 2]
 
 
 # Speaker ids that sort, compare or survive differently: "1" against

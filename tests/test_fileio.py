@@ -68,7 +68,7 @@ class TestPredictionFiles:
         assert p.read_text() == "speaker_id,part,score\na,overall,3.5\n"
         with pytest.raises(ParseError):
             fileio.read_predictions(p)
-        recs = fileio.read_predictions(p, allow_overall=True)
+        recs = fileio.read_predictions(p, kind="overall")
         assert rows(recs) == [("a", OVERALL, 3.5)]
 
     def test_bad_score(self, tmp_path):
@@ -142,45 +142,56 @@ class TestPredictionFiles:
         assert rows(fileio.read_predictions(p)) == rows(table)
 
 
-# Lines of a drawn prediction CSV: mostly valid rows, whose ids include
-# "1" against "01", a trailing NUL, padding, non-ASCII and mixed case;
-# then rows with fields that fail to parse or validate, rows of the wrong
-# width and blank lines.
+# Lines of a drawn prediction CSV of one kind: mostly valid rows, whose
+# ids include "1" against "01", a trailing NUL, padding, non-ASCII and
+# mixed case; then well-formed rows whose score is off the reference grid
+# or not finite, or whose part is not one of the kind's; rows with fields
+# that fail to parse or validate, rows of the wrong width and blank lines.
 CSV_IDS = ["s", "S", "1", "01", "s\x00", " s ", "\u00e9", "\u4e2d"]
-VALID_LINE = st.tuples(st.sampled_from(CSV_IDS), st.sampled_from(["1", "3", "4", "5", "01"]),
-                       st.sampled_from(["3.0", "4.5", "2.5", "5.5"])).map(",".join)
 ODD_LINE = st.tuples(st.sampled_from([*CSV_IDS, ""]),
-                     st.sampled_from(["1", " 3", "overall", "2", "x", "", "\u0663", "0_1"]),
+                     st.sampled_from(["1", " 3", "overall", "0", "2", "-1", "9" * 20, "x", "",
+                                      "\u0663", "0_1"]),
                      st.sampled_from(["3.0", "3.3", "6.5", "-0.0", "nan", "1e400", "abc", "",
                                       "1_0", "\u0663"]),
                      ).map(",".join)
-# two rows run together by a character str.splitlines() breaks at, which
-# only LF, CR and CRLF may do
-BROKEN_LINE = st.builds("{}{}{}".format, VALID_LINE,
-                        st.sampled_from("\v\f\x1c\x1d\x1e\x85\u2028\u2029"), VALID_LINE)
-CSV_LINES = st.sampled_from([
-    *[VALID_LINE] * 12, ODD_LINE, BROKEN_LINE,
-    st.lists(st.sampled_from(CSV_IDS), min_size=1, max_size=4).map(",".join),
-    st.sampled_from(["", " ", "\t"]),
-]).flatmap(lambda lines: lines)
+
+
+def csv_lines(kind):
+    parts = ["overall"] if kind == "overall" else ["1", "3", "4", "5", "01"]
+
+    def row(part_texts, score_texts):
+        return st.tuples(st.sampled_from(CSV_IDS), st.sampled_from(part_texts),
+                         st.sampled_from(score_texts)).map(",".join)
+
+    valid = row(parts, ["3.0", "4.5", "2.5", "5.5"])
+    # two rows run together by a character str.splitlines() breaks at,
+    # which only LF, CR and CRLF may do
+    broken = st.builds("{}{}{}".format, valid,
+                       st.sampled_from("\v\f\x1c\x1d\x1e\x85\u2028\u2029"), valid)
+    return st.sampled_from([
+        *[valid] * 12, *[row(parts, ["3.3", "3.25", "2.5000001", "-inf"])] * 2,
+        row(["0", "2", "-1", "overall"], ["3.0"]), ODD_LINE, broken,
+        st.lists(st.sampled_from(CSV_IDS), min_size=1, max_size=4).map(",".join),
+        st.sampled_from(["", " ", "\t"]),
+    ]).flatmap(lambda lines: lines)
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(lines=st.lists(CSV_LINES, max_size=10), header=st.sampled_from([True] * 9 + [False]),
-       kind=st.sampled_from(["prediction", "reference"]), allow_overall=st.booleans())
-def test_read_predictions_agrees_with_per_line_oracle(tmp_path, lines, header, kind,
-                                                      allow_overall):
+@given(data=st.data(), header=st.sampled_from([True] * 9 + [False]),
+       kind=st.sampled_from(["prediction", "reference", "overall"]))
+def test_read_predictions_agrees_with_per_line_oracle(tmp_path, data, header, kind):
     """The bulk reader gives the per-line reader's columns, or raises its
     error with the same message, which names the ``path:line`` of the
     first fault."""
+    lines = data.draw(st.lists(csv_lines(kind), max_size=10))
     p = tmp_path / "s.csv"
     p.write_text("\n".join([fileio.PREDICTION_HEADER if header else "speaker,part,score",
                             *lines]) + "\n", encoding="utf-8")
     results = []
     for read in (fileio.read_predictions, read_predictions_oracle):
         try:
-            table = read(p, kind, allow_overall)
+            table = read(p, kind)
             results.append((table.speaker_id.tolist(), table.part.tolist(),
                             table.score.view(np.int64).tolist()))
         except SlaError as exc:
