@@ -44,7 +44,7 @@ def cmd_evaluate(args) -> int:
         print(format_metric_row(report))
     if args.out:
         Path(args.out).write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n",
-                                  encoding="utf-8")
+                                  encoding="utf-8", newline="\n")
     return 0
 
 

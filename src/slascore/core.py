@@ -64,10 +64,8 @@ def _store_columns(table, **dtypes) -> None:
         object.__setattr__(table, name, col)
     bad = ~np.isin(table.part, PART_VALUES)
     if bad.any():
-        exc = InvalidPart(f"part {table.part[bad][0]} not in {PART_VALUES} "
+        raise InvalidPart(f"part {table.part[bad][0]} not in {PART_VALUES} "
                           f"(speaker {table.speaker_id[bad][0]})")
-        exc.row = int(np.argmax(bad))  # as validate_record's errors do
-        raise exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,17 +90,14 @@ def _keys(table, rows=slice(None)) -> list[tuple[str, int]]:
 
 
 def validate_record(scores: Scores, kind: str) -> Scores:
-    """Validate a ``"prediction"``, ``"reference"`` or ``"overall"`` table: its
-    parts (``PARTS``, or ``OVERALL`` in an overall table), finite scores and
-    references on the 0.5-step level grid. Predictions outside [0.0, 6.0] are
-    counted in one warning, not rejected, since both graders regress
-    continuously. The error raised for the first fault names its row in ``row``."""
+    """Validate the scores of a ``"prediction"``, ``"reference"`` or ``"overall"``
+    table: finite, and references on the 0.5-step level grid. Predictions outside
+    [0.0, 6.0] are counted in one warning, not rejected, since both graders regress
+    continuously. The error raised for the first fault names its row in ``row``.
+    A file's parts are checked against its kind by the reader."""
     if kind not in ("prediction", "reference", "overall"):
         raise ValueError(f"unknown record kind {kind!r}")
-    parts = (OVERALL,) if kind == "overall" else PARTS
-    faults = [(~np.isin(scores.part, parts), InvalidPart,
-               "part {1} not in {3}, the {4} parts (speaker {0})"),
-              (~np.isfinite(scores.score), NonFiniteScore, "non-finite score for ({0}, {1})")]
+    faults = [(~np.isfinite(scores.score), NonFiniteScore, "non-finite score for ({0}, {1})")]
     if kind == "reference":
         faults.append((~is_on_grid(scores.score), OffGridReference,
                        "reference {2} for ({0}, {1}) is not a 0.5-step level in [2.0, 5.5]"))
@@ -110,7 +105,7 @@ def validate_record(scores: Scores, kind: str) -> Scores:
         if bad.any():
             row = int(np.argmax(bad))
             exc = error(message.format(scores.speaker_id[row], scores.part[row],
-                                       scores.score[row], parts, kind))
+                                       scores.score[row]))
             exc.row = row
             raise exc
     if kind == "prediction":
@@ -174,6 +169,14 @@ def _row_at(table: Scores, codes: np.ndarray, n_codes: int, label: str) -> np.nd
     at = np.full(n_codes, -1, dtype=np.intp)
     at[codes] = np.arange(len(codes))
     return at
+
+
+def key_grid(table: Scores, label: str) -> np.ndarray:
+    """Row of ``table`` holding each (speaker, part) key, -1 for none, as an
+    ``(n_speakers, len(PART_VALUES))`` grid: speakers in ``str`` order, parts in
+    ``PART_VALUES`` order. Raises DuplicateKey when a key repeats."""
+    (codes,), n_codes = key_codes(table)
+    return _row_at(table, codes, n_codes, label).reshape(-1, len(PART_VALUES))
 
 
 def match_keys(rows: Scores, table: Scores, label: str) -> np.ndarray:

@@ -57,10 +57,6 @@ class MissingPart(ValidationError):
     pass
 
 
-class DuplicatePart(ValidationError):
-    pass
-
-
 class ShapeMismatch(ValidationError):
     pass
 

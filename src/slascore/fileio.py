@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OVERALL, Scores, first_repeat, key_codes, validate_record
+from .core import OVERALL, PARTS, Scores, first_repeat, key_codes, validate_record
 from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidConfig, InvalidPart
 from .errors import NonFiniteScore, OffGridReference, ParseError, ValidationError
 from .fusion import DEFAULT_EDGES, N_BINS, FusionCalibration, weight_grid
@@ -106,10 +106,16 @@ def read_predictions(path: str | Path, kind: str = "prediction") -> Scores:
         except (ValueError, OverflowError):
             raise ParseError(f"{where(part_texts.index(text))}: bad part {text!r} for {kind} "
                              f"scores") from None
+    parts = (OVERALL,) if kind == "overall" else PARTS
+    for text, code in codes.items():  # the first bad text's first row is the first bad row
+        if code not in parts:
+            row = part_texts.index(text)
+            raise InvalidPart(f"{where(row)}: part {code} not in {parts}, the {kind} parts "
+                              f"(speaker {sids[row]})")
     part = np.fromiter(map(codes.get, part_texts), dtype=np.int64, count=len(sids))
     try:
         scores = validate_record(Scores(sids, part, score), kind)
-    except (InvalidPart, NonFiniteScore, OffGridReference) as exc:  # each names its row
+    except (NonFiniteScore, OffGridReference) as exc:  # each names its row
         raise type(exc)(f"{where(exc.row)}: {exc}") from exc
     row = first_repeat(key_codes(scores)[0][0])
     if row is not None:

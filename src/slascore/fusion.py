@@ -18,15 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .core import OVERALL, PART_VALUES, PARTS, JoinedDataset, Scores, key_codes
-from .errors import (
-    DuplicatePart,
-    EmptyDataset,
-    InvalidConfig,
-    MissingPart,
-    NonFiniteScore,
-    NoReferences,
-)
+from .core import OVERALL, PART_VALUES, PARTS, JoinedDataset, Scores, key_grid
+from .errors import EmptyDataset, InvalidConfig, MissingPart, NonFiniteScore, NoReferences
 
 log = logging.getLogger(__name__)
 
@@ -167,19 +160,14 @@ def fuse_dataset(
 def aggregate_overall(per_part: Scores) -> Scores:
     """Per-speaker mean of the four part scores (parts 1, 3, 4, 5),
     sorted by speaker."""
-    (codes,), _ = key_codes(per_part)
-    order = np.argsort(codes, kind="stable")
-    sid, part, score = per_part.speaker_id[order], per_part.part[order], per_part.score[order]
-    code = codes[order]
-    dup = np.flatnonzero(code[1:] == code[:-1])
-    if dup.size:
-        raise DuplicatePart(f"duplicate part {part[dup[0]]} for speaker {sid[dup[0]]}")
-    starts = np.flatnonzero(np.diff(code // len(PART_VALUES), prepend=-1))  # new speakers
-    if len(part) != len(PARTS) * len(starts) or (part != np.tile(PARTS, len(starts))).any():
-        for speaker, parts in zip(sid[starts], np.split(part, starts[1:])):
-            if parts.tolist() != list(PARTS):
-                raise MissingPart(f"speaker {speaker} has part(s) {parts.tolist()}, "
-                                  f"needs exactly {list(PARTS)}")
+    grid = key_grid(per_part, "per-part")  # columns OVERALL, *PARTS
+    incomplete = np.flatnonzero((grid[:, 0] >= 0) | (grid[:, 1:] < 0).any(axis=1))
+    if incomplete.size:
+        at = grid[incomplete[0]]
+        raise MissingPart(f"speaker {per_part.speaker_id[at.max()]} has part(s) "
+                          f"{[part for part, row in zip(PART_VALUES, at) if row >= 0]}, "
+                          f"needs exactly {list(PARTS)}")
+    rows = grid[:, 1:]
     # sum() adds the parts left to right, starting from 0
-    total = sum(score.reshape(-1, len(PARTS)).T, np.zeros(len(starts)))
-    return Scores(sid[starts], np.full(len(starts), OVERALL), total / 4.0)
+    total = sum(per_part.score[rows].T, np.zeros(len(rows)))
+    return Scores(per_part.speaker_id[rows[:, 0]], np.full(len(rows), OVERALL), total / 4.0)

@@ -98,25 +98,19 @@ def macro_f1(pred, ref) -> float:
     """Unweighted mean of per-class F1 over all classes seen in the
     references or the snapped predictions.
 
-    Predictions are snapped to the level grid first; a class with an
-    empty precision+recall denominator scores F1 = 0.
+    Predictions are snapped to the level grid first. A class's F1 is
+    2 * tp / (its reference count + its prediction count), never 0/0.
     """
     p, r = _pair(pred, ref)
     off = ~is_on_grid(r)
     if off.any():
         raise OffGridReference(f"reference {r[off][0]} not on the 0.5 level grid")
-    # canonicalize references so exact == class comparison is safe
-    r = snap_to_grid(r)
-    ps = snap_to_grid(p)
-    classes = np.unique(np.concatenate([r, ps]))
-    f1s = []
-    for c in classes:
-        tp = np.sum((ps == c) & (r == c))
-        fp = np.sum((ps == c) & (r != c))
-        fn = np.sum((ps != c) & (r == c))
-        denom = 2 * tp + fp + fn
-        f1s.append(0.0 if denom == 0 else 2.0 * tp / denom)
-    return float(np.mean(f1s))
+    # canonicalize references so exact class comparison is safe
+    classes, label = np.unique(np.concatenate([snap_to_grid(r), snap_to_grid(p)]),
+                               return_inverse=True)
+    ref_label, pred_label = label[:r.size], label[r.size:]
+    tp = np.bincount(ref_label[ref_label == pred_label], minlength=classes.size)
+    return float(np.mean(2.0 * tp / np.bincount(label, minlength=classes.size)))
 
 
 def full_report(pred, ref) -> MetricReport:

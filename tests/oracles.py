@@ -5,9 +5,9 @@ The metric oracles deliberately avoid sharing code with slascore.metrics:
 different formulations (np.corrcoef, explicit confusion counts,
 loop-based ranking) of the same definitions. The calibration oracle
 takes plain score sequences; the separability oracle works on the
-library's own frame sequences. The prediction-CSV reader and the key
-join are per-line and dict-of-tuples versions of the library's bulk
-reader and integer-code join.
+library's own frame sequences. The prediction-CSV reader, the key join
+and the per-speaker aggregate are per-line and dict versions of the
+library's bulk reader, integer-code join and key-grid aggregate.
 """
 
 import math
@@ -21,6 +21,7 @@ from slascore.errors import (
     EmptyJoin,
     InvalidConfig,
     InvalidPart,
+    MissingPart,
     MissingReference,
     NonFiniteScore,
     NoReferences,
@@ -154,7 +155,7 @@ def read_predictions_oracle(path, kind="prediction") -> Scores:
     """Per-line reader of a prediction CSV: every line is split on its own
     and each kind of fault is looked for over all rows, in the order the
     library looks for them; the first fault raises the library's error.
-    The part, finiteness and grid rules are applied here, row by row."""
+    The kind-part, finiteness and grid rules are applied here, row by row."""
     with open(path, encoding="utf-8", newline="") as fh:  # no newline translation
         lines = re.split(r"\r\n|\r|\n", fh.read())
     for n, line in enumerate(lines, start=1):
@@ -199,10 +200,6 @@ def read_predictions_oracle(path, kind="prediction") -> Scores:
             raise ParseError(f"{where}: bad part {text!r} for {kind} scores") from None
         parts.append(part)
     rows = list(zip(numbered, parts, scores))
-    part_values = (OVERALL, *PARTS)
-    for (where, (sid, _, _)), part, _ in rows:
-        if part not in part_values:
-            raise InvalidPart(f"{where}: part {part} not in {part_values} (speaker {sid})")
     kind_parts = (OVERALL,) if kind == "overall" else PARTS
     for (where, (sid, _, _)), part, _ in rows:
         if part not in kind_parts:
@@ -221,6 +218,28 @@ def read_predictions_oracle(path, kind="prediction") -> Scores:
             raise DuplicateKey(f"{where}: duplicate key ({sid}, {text})")
         seen.add((sid, part))
     return Scores([cells[0] for _, cells in numbered], parts, scores)
+
+
+def aggregate_oracle(per_part: Scores) -> list[tuple]:
+    """Dict-of-dicts per-speaker overall scores: (speaker, OVERALL, mean) rows
+    in speaker order, each mean ``0.0 + p1 + p3 + p4 + p5`` divided by 4. The
+    first row repeating a key raises DuplicateKey; else the first speaker whose
+    parts are not exactly the four raises MissingPart."""
+    by_speaker: dict[str, dict[int, float]] = {}
+    for sid, part, score in zip(*(c.tolist() for c in (per_part.speaker_id, per_part.part,
+                                                        per_part.score))):
+        if part in by_speaker.setdefault(sid, {}):
+            raise DuplicateKey(f"duplicate per-part key {(sid, part)}")
+        by_speaker[sid][part] = score
+    out = []
+    for sid in sorted(by_speaker):
+        held = by_speaker[sid]
+        if sorted(held) != list(PARTS):
+            raise MissingPart(f"speaker {sid} has part(s) {sorted(held)}, "
+                              f"needs exactly {list(PARTS)}")
+        p1, p3, p4, p5 = (held[part] for part in PARTS)
+        out.append((sid, OVERALL, (0.0 + p1 + p3 + p4 + p5) / 4))
+    return out
 
 
 def _key_index(table: Scores, label: str) -> dict:

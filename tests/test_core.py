@@ -150,9 +150,8 @@ def test_part_values_checked_when_built():
     """A table holds only OVERALL and the four parts, so the key codes of
     any tables number five per distinct speaker."""
     for bad in (2, 6, -1, 2**40):
-        with pytest.raises(InvalidPart, match=f"part {bad} not in") as raised:
+        with pytest.raises(InvalidPart, match=f"part {bad} not in"):
             Scores(["a", "b"], [1, bad], [3.0, 3.0])
-        assert raised.value.row == 1
         with pytest.raises(InvalidPart):
             JoinedDataset(["a"], [bad], [3.0], [3.0])
     first = Scores(["b", "a", "b", "a"], [OVERALL, 5, 1, 1], np.zeros(4))

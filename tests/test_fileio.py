@@ -13,6 +13,7 @@ from slascore.core import OVERALL, PARTS, Scores
 from slascore.errors import (
     CalibrationVersionMismatch,
     DuplicateKey,
+    InvalidPart,
     OffGridReference,
     ParseError,
     ShapeMismatch,
@@ -89,6 +90,13 @@ class TestPredictionFiles:
         for text in ("\u0663", "0_1", "x"):
             p.write_text(f"speaker_id,part,score\na,1,3.0\nb,{text},3.0\n", encoding="utf-8")
             with pytest.raises(ParseError, match=rf"bad\.csv:3: bad part {re.escape(repr(text))}"):
+                fileio.read_predictions(p)
+        # an int64 part outside the file's kind, 0 (OVERALL) too, gets the one kind message
+        for text in ("0", "2", "6", "-1"):
+            p.write_text(f"speaker_id,part,score\na,1,3.0\nb,{text},3.0\n", encoding="utf-8")
+            message = (f"^{re.escape(str(p))}:3: part {text} not in \\(1, 3, 4, 5\\), "
+                       f"the prediction parts \\(speaker b\\)$")
+            with pytest.raises(InvalidPart, match=message):
                 fileio.read_predictions(p)
 
     def test_missing_file(self, tmp_path):

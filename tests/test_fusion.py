@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slascore import metrics
-from slascore.core import OVERALL, Scores
+from slascore.core import OVERALL, PARTS, Scores
 from slascore.errors import (
-    DuplicatePart,
+    DuplicateKey,
     EmptyDataset,
     InvalidConfig,
     MissingPart,
@@ -28,8 +28,30 @@ from slascore.fusion import (
     weight_grid,
 )
 from slascore.synth import SynthConfig, generate_scores, heteroscedastic_config
+from oracles import aggregate_oracle
 import tables
 from tables import rows, scores
+
+
+@st.composite
+def per_part_tables(draw) -> Scores:
+    """Per-part tables of several speakers in shuffled row order: most speakers
+    hold the four parts once; some lack one, add an OVERALL row or repeat a part."""
+    speakers = draw(st.lists(st.sampled_from(["1", "01", "a", "A", "a\x00", " a", "\u00e9", "b"]),
+                             max_size=5, unique=True))
+    keys = []
+    for sid in speakers:
+        held = list(PARTS)
+        fault = draw(st.integers(0, 9))
+        if fault == 0:
+            held.remove(draw(st.sampled_from(PARTS)))
+        elif fault in (1, 2):
+            held.append(OVERALL if fault == 1 else draw(st.sampled_from(PARTS)))
+        keys += [(sid, part) for part in held]
+    keys = draw(st.permutations(keys))
+    # four parts sum without overflow, which the CLI reports as exit 2
+    values = draw(st.lists(st.floats(-1e300, 1e300), min_size=len(keys), max_size=len(keys)))
+    return Scores([sid for sid, _ in keys], [part for _, part in keys], values)
 
 
 def make_calib(weights, **kw):
@@ -265,8 +287,26 @@ class TestAggregateOverall:
 
     def test_duplicate_part(self):
         recs = scores(("a", 1, 3.0), ("a", 1, 3.5))
-        with pytest.raises(DuplicatePart):
+        with pytest.raises(DuplicateKey, match=r"^duplicate per-part key \('a', 1\)$"):
             aggregate_overall(recs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=per_part_tables())
+    def test_agrees_with_dict_oracle(self, table):
+        """Rows bit for bit, or the oracle's error class and message (the
+        speaker or key it names), on shuffled tables of several speakers."""
+        try:
+            want = aggregate_oracle(table)
+        except (DuplicateKey, MissingPart) as exc:
+            with pytest.raises(type(exc)) as raised:
+                aggregate_overall(table)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+            return
+        got = aggregate_overall(table)
+        assert got.speaker_id.tolist() == [sid for sid, _, _ in want]
+        assert got.part.tolist() == [part for _, part, _ in want]
+        assert got.score.view(np.int64).tolist() == np.array(
+            [mean for _, _, mean in want], dtype=np.float64).view(np.int64).tolist()
 
     @given(st.lists(st.floats(min_value=2, max_value=5.5, allow_nan=False),
                     min_size=4, max_size=4),
