@@ -35,6 +35,9 @@ def cmd_evaluate(args) -> int:
     pred, ref = map(fileio.read_predictions, (args.predictions, args.references), kinds)
     p, r = pair_on_keys(pred, ref)
     report = metrics.full_report(p, r)
+    if args.out:  # written before anything is printed, so a failed write prints nothing
+        Path(args.out).write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n",
+                                  encoding="utf-8", newline="\n")
     if args.format == "csv":
         print("rmse,pcc,src,within_half,within_one,n")
         print(f"{report.rmse:.3f},{report.pcc:.3f},{report.src:.3f},"
@@ -42,9 +45,6 @@ def cmd_evaluate(args) -> int:
     else:
         print(TABLE_HEADER)
         print(format_metric_row(report))
-    if args.out:
-        Path(args.out).write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n",
-                                  encoding="utf-8", newline="\n")
     return 0
 
 
@@ -128,6 +128,13 @@ def cmd_synth(args) -> int:
                                 w2v_noise=(args.noise,) * fusion.N_BINS,
                                 mllm_noise=(args.noise,) * fusion.N_BINS)
     data = synth.generate_scores(cfg)
+    if args.features:  # drawn before any file is written, so a bad setting writes none
+        levels = [2.5, 3.5, 4.5]
+        frames = synth.generate_frames(args.frames_per_class, levels, args.feature_dim,
+                                       args.separation, seed=args.seed)
+        dev_frames = synth.generate_frames(max(1, args.frames_per_class // 2), levels,
+                                           args.feature_dim, args.separation,
+                                           seed=args.seed + 1)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, column in (("w2v", data.w2v), ("mllm", data.mllm), ("refs", data.reference)):
@@ -136,12 +143,6 @@ def cmd_synth(args) -> int:
     print(f"wrote {len(data)} rows per file to {out_dir} (w2v.csv, mllm.csv, refs.csv)")
 
     if args.features:
-        levels = [2.5, 3.5, 4.5]
-        frames = synth.generate_frames(args.frames_per_class, levels, args.feature_dim,
-                                       args.separation, seed=args.seed)
-        dev_frames = synth.generate_frames(max(1, args.frames_per_class // 2), levels,
-                                           args.feature_dim, args.separation,
-                                           seed=args.seed + 1)
         fileio.write_features(out_dir / "train_features.txt", frames)
         fileio.write_features(out_dir / "dev_features.txt", dev_frames)
         print(f"wrote {len(frames)} train / {len(dev_frames)} dev feature sequences")
@@ -242,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except (FloatingPointError, OverflowError) as exc:
         print(f"error: values beyond the float range: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

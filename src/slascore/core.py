@@ -1,7 +1,8 @@
 """Domain types: score tables and joined grader datasets, held as numpy
 columns with one entry per (speaker, part) row, plus validation and key
 matching. Speaker ids are ``object`` arrays of ``str``, so every id survives
-exactly; keys are matched and ordered as integer codes (``key_codes``).
+exactly; each score table ranks its ids once (``Scores.speakers``), and
+``key_rows`` aligns tables on those ranks.
 
 Scores live on a CEFR-aligned numeric scale: references take the eight
 levels 2.0, 2.5, ..., 5.5; grader predictions are unconstrained finite
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 
 import numpy as np
@@ -52,15 +54,16 @@ def is_on_grid(values: np.ndarray) -> np.ndarray:
 
 
 def _store_columns(table, **dtypes) -> None:
-    """Store each named field of ``table`` (except a ``None`` one) as a 1-D
+    """Store each named field of ``table`` (except a ``None`` one) as a read-only 1-D
     array of its dtype; all of them must have one length, each part in ``PART_VALUES``."""
-    columns = {name: np.asarray(getattr(table, name), dtype=dtype)
+    columns = {name: np.asarray(getattr(table, name), dtype=dtype).view()
                for name, dtype in dtypes.items() if getattr(table, name) is not None}
     shapes = {col.shape for col in columns.values()}
     if len(shapes) != 1 or len(shapes.pop()) != 1:
         raise LengthMismatch(f"need 1-D columns of one length, got shapes "
                              f"{[col.shape for col in columns.values()]}")
     for name, col in columns.items():
+        col.flags.writeable = False
         object.__setattr__(table, name, col)
     bad = ~np.isin(table.part, PART_VALUES)
     if bad.any():
@@ -82,6 +85,14 @@ class Scores:
 
     def __len__(self) -> int:
         return len(self.score)
+
+    @cached_property
+    def speakers(self) -> tuple[list[str], np.ndarray]:
+        """The table's distinct speaker ids in ``str`` order, and each row's
+        position among them; derived once per table."""
+        ids = self.speaker_id.tolist()
+        rank = dict(zip(sorted(set(ids)), count()))
+        return list(rank), np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
 
 
 def _keys(table, rows=slice(None)) -> list[tuple[str, int]]:
@@ -141,49 +152,30 @@ class JoinedDataset:
         return len(self.w2v)
 
 
-def key_codes(*tables: Scores) -> tuple[list[np.ndarray], int]:
-    """Each table's (speaker, part) keys as integer codes shared by the tables, and
-    the number of codes. A code is ``speaker rank * 5 + part slot`` (speakers in
-    ``str`` order, parts in ``PART_VALUES`` order), so codes sort as the keys do."""
-    ids = [table.speaker_id.tolist() for table in tables]
-    rank = dict(zip(sorted(set().union(*ids)), count()))
-    codes = [np.fromiter(map(rank.__getitem__, i), dtype=np.intp, count=len(i))
-             * len(PART_VALUES) + np.searchsorted(PART_VALUES, table.part)
-             for i, table in zip(ids, tables)]
-    return codes, len(rank) * len(PART_VALUES)
-
-
-def first_repeat(codes: np.ndarray) -> int | None:
-    """The first row whose code an earlier row holds, None when no code repeats."""
-    if (np.bincount(codes) < 2).all():
-        return None
-    order = np.argsort(codes, kind="stable")
-    return int(order[1:][codes[order[1:]] == codes[order[:-1]]].min())
-
-
-def _row_at(table: Scores, codes: np.ndarray, n_codes: int, label: str) -> np.ndarray:
-    """Row of ``table`` holding each code, -1 for none; DuplicateKey on a repeat."""
-    row = first_repeat(codes)
-    if row is not None:
-        raise DuplicateKey(f"duplicate {label} key {_keys(table, [row])[0]}")
-    at = np.full(n_codes, -1, dtype=np.intp)
-    at[codes] = np.arange(len(codes))
-    return at
-
-
-def key_grid(table: Scores, label: str) -> np.ndarray:
-    """Row of ``table`` holding each (speaker, part) key, -1 for none, as an
-    ``(n_speakers, len(PART_VALUES))`` grid: speakers in ``str`` order, parts in
-    ``PART_VALUES`` order. Raises DuplicateKey when a key repeats."""
-    (codes,), n_codes = key_codes(table)
-    return _row_at(table, codes, n_codes, label).reshape(-1, len(PART_VALUES))
-
-
-def match_keys(rows: Scores, table: Scores, label: str) -> np.ndarray:
-    """Row of ``table`` holding each row's (speaker, part) key, -1 where
-    ``table`` has none; raises DuplicateKey when a key repeats in ``table``."""
-    (row_codes, codes), n_codes = key_codes(rows, table)
-    return _row_at(table, codes, n_codes, label)[row_codes]
+def key_rows(tables: tuple[Scores, ...], labels: tuple[str, ...]) -> list[np.ndarray]:
+    """Row of each table holding each (speaker, part) key, -1 for none, as one
+    ``(n_speakers, len(PART_VALUES))`` grid per table, on one speaker axis (the tables'
+    ids in ``str`` order) and parts in ``PART_VALUES`` order. The first table with a
+    repeated key raises DuplicateKey naming it, its first repeated row in ``row``."""
+    ids = [table.speakers[0] for table in tables]
+    shared = ids[0] if all(own == ids[0] for own in ids) else sorted(set().union(*ids))
+    grids = []
+    for table, own, label in zip(tables, ids, labels):
+        index = table.speakers[1]
+        if own != shared:  # map the table's own ranks onto the shared ones
+            rank = dict(zip(shared, count()))
+            index = np.fromiter(map(rank.__getitem__, own), dtype=np.intp, count=len(own))[index]
+        codes = index * len(PART_VALUES) + np.searchsorted(PART_VALUES, table.part)
+        rows = np.arange(len(codes))
+        grid = np.full(len(shared) * len(PART_VALUES), -1, dtype=np.intp)
+        grid[codes] = rows
+        if (grid[codes] != rows).any():  # some key is held by two rows: name the first repeat
+            row = int(np.setdiff1d(rows, np.unique(codes, return_index=True)[1])[0])
+            exc = DuplicateKey(f"duplicate {label} key {_keys(table, [row])[0]}")
+            exc.row = row
+            raise exc
+        grids.append(grid.reshape(-1, len(PART_VALUES)))
+    return grids
 
 
 def join(w2v: Scores, mllm: Scores, refs: Scores | None = None) -> JoinedDataset:
@@ -196,9 +188,8 @@ def join(w2v: Scores, mllm: Scores, refs: Scores | None = None) -> JoinedDataset
     the evaluation set.
     """
     tables = (w2v, mllm) if refs is None else (w2v, mllm, refs)
-    codes, n_codes = key_codes(*tables)
-    in_w2v = _row_at(w2v, codes[0], n_codes, "w2v")
-    in_mllm = _row_at(mllm, codes[1], n_codes, "mllm")
+    in_w2v, in_mllm, *in_refs = (grid.ravel() for grid in
+                                 key_rows(tables, ("w2v", "mllm", "reference")))
     shared = (in_w2v >= 0) & (in_mllm >= 0)
     if not shared.any():
         raise EmptyJoin("no (speaker, part) keys shared by the two grader streams")
@@ -210,12 +201,12 @@ def join(w2v: Scores, mllm: Scores, refs: Scores | None = None) -> JoinedDataset
     rows = in_w2v[shared]
     reference = None
     if refs is not None:
-        in_refs = _row_at(refs, codes[2], n_codes, "reference")[shared]
-        missing = rows[in_refs < 0]
+        at = in_refs[0][shared]
+        missing = rows[at < 0]
         if missing.size:
             raise MissingReference(f"{missing.size} joined key(s) without a reference, "
                                    f"first {_keys(w2v, missing[:3])}")
-        reference = refs.score[in_refs]
+        reference = refs.score[at]
     return JoinedDataset(w2v.speaker_id[rows], w2v.part[rows], w2v.score[rows],
                          mllm.score[in_mllm[shared]], reference)
 
@@ -225,9 +216,13 @@ def pair_on_keys(pred: Scores, ref: Scores) -> tuple[np.ndarray, np.ndarray]:
     prediction order.
 
     Every prediction needs a reference; references without a prediction
-    are dropped with one warning giving their count.
+    are dropped with one warning giving their count. A repeated key raises
+    DuplicateKey, in the predictions first.
     """
-    at = match_keys(pred, ref, "reference")
+    in_pred, in_ref = (grid.ravel() for grid in key_rows((pred, ref), ("prediction", "reference")))
+    held = in_pred >= 0
+    at = np.full(len(pred), -1, dtype=np.intp)
+    at[in_pred[held]] = in_ref[held]
     missing = np.flatnonzero(at < 0)
     if len(missing) == len(pred):
         raise EmptyJoin("no shared (speaker, part) keys between predictions and references")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OVERALL, PARTS, Scores, first_repeat, key_codes, validate_record
+from .core import OVERALL, PARTS, Scores, key_rows, validate_record
 from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidConfig, InvalidPart
 from .errors import NonFiniteScore, OffGridReference, ParseError, ValidationError
 from .fusion import DEFAULT_EDGES, N_BINS, FusionCalibration, weight_grid
@@ -78,14 +78,13 @@ def _ascii(text: str) -> str:
 
 
 def write_predictions(path: str | Path, scores: Scores) -> None:
+    # the text reads back as these rows only when no id is empty or breaks a field or line
+    if any("," in sid or sid.splitlines() != [sid] for sid in set(scores.speaker_id.tolist())):
+        raise ValidationError(f"{path}: a speaker id is empty or holds a comma or line break")
     parts = scores.part.astype(object)
     parts[scores.part == OVERALL] = OVERALL_TEXT
     rows = map("{},{},{!r}".format, scores.speaker_id, parts, scores.score.tolist())
     text = "\n".join([PREDICTION_HEADER, *rows]) + "\n"
-    # the text reads back as these rows only when no id is empty or breaks a field or line
-    if (text.count(",") != 2 * (len(scores) + 1) or len(text.splitlines()) != len(scores) + 1
-            or (scores.speaker_id == "").any()):
-        raise ValidationError(f"{path}: a speaker id is empty or holds a comma or line break")
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
@@ -115,11 +114,12 @@ def read_predictions(path: str | Path, kind: str = "prediction") -> Scores:
     part = np.fromiter(map(codes.get, part_texts), dtype=np.int64, count=len(sids))
     try:
         scores = validate_record(Scores(sids, part, score), kind)
+        key_rows((scores,), (kind,))
     except (NonFiniteScore, OffGridReference) as exc:  # each names its row
         raise type(exc)(f"{where(exc.row)}: {exc}") from exc
-    row = first_repeat(key_codes(scores)[0][0])
-    if row is not None:
-        raise DuplicateKey(f"{where(row)}: duplicate key ({sids[row]}, {part_texts[row]})")
+    except DuplicateKey as exc:
+        row = exc.row
+        raise DuplicateKey(f"{where(row)}: duplicate key ({sids[row]}, {part_texts[row]})") from exc
     return scores
 
 

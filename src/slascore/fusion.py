@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .core import OVERALL, PART_VALUES, PARTS, JoinedDataset, Scores, key_grid
+from .core import OVERALL, PART_VALUES, PARTS, JoinedDataset, Scores, key_rows
 from .errors import EmptyDataset, InvalidConfig, MissingPart, NonFiniteScore, NoReferences
 
 log = logging.getLogger(__name__)
@@ -160,7 +160,7 @@ def fuse_dataset(
 def aggregate_overall(per_part: Scores) -> Scores:
     """Per-speaker mean of the four part scores (parts 1, 3, 4, 5),
     sorted by speaker."""
-    grid = key_grid(per_part, "per-part")  # columns OVERALL, *PARTS
+    (grid,) = key_rows((per_part,), ("per-part",))  # columns OVERALL, *PARTS
     incomplete = np.flatnonzero((grid[:, 0] >= 0) | (grid[:, 1:] < 0).any(axis=1))
     if incomplete.size:
         at = grid[incomplete[0]]

@@ -7,7 +7,7 @@ loop-based ranking) of the same definitions. The calibration oracle
 takes plain score sequences; the separability oracle works on the
 library's own frame sequences. The prediction-CSV reader, the key join
 and the per-speaker aggregate are per-line and dict versions of the
-library's bulk reader, integer-code join and key-grid aggregate.
+library's bulk reader, key-grid join and pairing, and key-grid aggregate.
 """
 
 import math
@@ -252,9 +252,21 @@ def _key_index(table: Scores, label: str) -> dict:
     return index
 
 
-def match_keys_oracle(rows: Scores, table: Scores, label: str) -> list[int]:
-    index = _key_index(table, label)
-    return [index.get(key, -1) for key in zip(rows.speaker_id.tolist(), rows.part.tolist())]
+def pair_on_keys_oracle(pred: Scores, ref: Scores):
+    """Dict pairing: the prediction and reference scores of each prediction
+    key, in prediction order, and the warning messages ``pair_on_keys`` logs.
+    Prediction keys are checked for repeats before reference keys."""
+    in_pred, in_ref = _key_index(pred, "prediction"), _key_index(ref, "reference")
+    missing = [key for key in in_pred if key not in in_ref]  # in prediction order
+    if len(missing) == len(in_pred):
+        raise EmptyJoin("no shared (speaker, part) keys between predictions and references")
+    if missing:
+        raise MissingReference(f"{len(missing)} prediction key(s) without a reference, "
+                               f"first {missing[:3]}")
+    dropped = len(in_ref.keys() - in_pred.keys())
+    warnings = [f"{dropped} reference key(s) without a prediction dropped"] if dropped else []
+    return ([pred.score[row] for row in in_pred.values()],
+            [ref.score[in_ref[key]] for key in in_pred], warnings)
 
 
 def join_oracle(w2v: Scores, mllm: Scores, refs: Scores | None = None):
@@ -262,6 +274,7 @@ def join_oracle(w2v: Scores, mllm: Scores, refs: Scores | None = None):
     mllm, reference-or-None) tuples sorted by key, and the warning
     messages ``join`` logs for keys in only one grader stream."""
     in_w2v, in_mllm = _key_index(w2v, "w2v"), _key_index(mllm, "mllm")
+    in_refs = None if refs is None else _key_index(refs, "reference")
     shared = sorted(in_w2v.keys() & in_mllm.keys())
     if not shared:
         raise EmptyJoin("no (speaker, part) keys shared by the two grader streams")
@@ -272,7 +285,6 @@ def join_oracle(w2v: Scores, mllm: Scores, refs: Scores | None = None):
             warnings.append(f"{len(only)} key(s) only in {side} stream, first {only[:3]}")
     reference = [None] * len(shared)
     if refs is not None:
-        in_refs = _key_index(refs, "reference")
         missing = [key for key in shared if key not in in_refs]
         if missing:
             raise MissingReference(f"{len(missing)} joined key(s) without a reference, "

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slascore import cli, fileio, fusion, metrics
+from slascore import cli, fileio, fusion, metrics, synth
 from slascore.core import OVERALL, Scores, join
 from slascore.synth import SynthConfig, generate_frames, generate_scores, heteroscedastic_config
 from tables import rows, scores
@@ -125,6 +125,15 @@ class TestEvaluate:
         assert code == cli.EXIT_VALIDATION and out == ""
         assert [line for line in err.splitlines() if not line.startswith("warning: ")] == [
             "error: values beyond the float range: overflow encountered in square"]
+
+    def test_unwritable_out_prints_nothing(self, tmp_path, capsys):
+        """``--out`` is written before the table is printed, so a directory as
+        ``--out`` exits 3 with no output."""
+        pred = tmp_path / "p.csv"
+        fileio.write_predictions(pred, scores(("a", 1, 2.0), ("b", 1, 3.0)))
+        code, out, err = run(capsys, "evaluate", str(pred), str(pred), "--out", str(tmp_path))
+        assert code == cli.EXIT_IO and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestCalibrateFuse:
@@ -297,6 +306,29 @@ class TestSynthCommand:
         code, out, err = run(capsys, "synth", "--noise", "1e308", "--out-dir", str(tmp_path / "d"))
         assert code == cli.EXIT_VALIDATION and out == ""
         assert err.startswith("error: ") and "not finite" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "d").exists()
+
+
+    def test_bad_frame_setting_writes_nothing(self, tmp_path, capsys):
+        """The frames are drawn before any file is written."""
+        code, out, err = run(capsys, "synth", "--features", "--frames-per-class", "0",
+                             "--out-dir", str(tmp_path / "d"))
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 8.00 GiB", "error: Unable to allocate 8.00 GiB"),
+        ("", "error: out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, message, line):
+        def exhausted(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(synth, "generate_scores", exhausted)
+        code, out, err = run(capsys, "synth", "--out-dir", str(tmp_path / "d"))
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err == line + "\n"
         assert not (tmp_path / "d").exists()
 
 

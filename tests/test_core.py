@@ -1,5 +1,6 @@
 import logging
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from slascore.core import (
     JoinedDataset,
     Scores,
     join,
-    key_codes,
-    match_keys,
+    key_rows,
+    pair_on_keys,
     validate_record,
 )
 from slascore.errors import (
@@ -26,8 +27,9 @@ from slascore.errors import (
     NoReferences,
     OffGridReference,
 )
+from slascore import fileio
 from slascore.fusion import calibrate
-from oracles import join_oracle, match_keys_oracle
+from oracles import join_oracle, pair_on_keys_oracle
 from tables import rows, scores
 
 
@@ -147,8 +149,8 @@ def test_dataset_accessors():
 
 
 def test_part_values_checked_when_built():
-    """A table holds only OVERALL and the four parts, so the key codes of
-    any tables number five per distinct speaker."""
+    """A table holds only OVERALL and the four parts, so the key grids of
+    any tables have five columns, one row per distinct speaker."""
     for bad in (2, 6, -1, 2**40):
         with pytest.raises(InvalidPart, match=f"part {bad} not in"):
             Scores(["a", "b"], [1, bad], [3.0, 3.0])
@@ -156,9 +158,61 @@ def test_part_values_checked_when_built():
             JoinedDataset(["a"], [bad], [3.0], [3.0])
     first = Scores(["b", "a", "b", "a"], [OVERALL, 5, 1, 1], np.zeros(4))
     second = Scores(["c", "a"], [4, 3], np.zeros(2))
-    (codes, other), n_codes = key_codes(first, second)
-    assert n_codes == 5 * 3
-    assert codes.tolist() == [5, 4, 6, 1] and other.tolist() == [13, 2]
+    grid, other = key_rows((first, second), ("first", "second"))
+    assert grid.shape == other.shape == (3, 5)  # speakers a, b, c; parts OVERALL, 1, 3, 4, 5
+    assert np.argwhere(grid >= 0).tolist() == [[0, 1], [0, 4], [1, 0], [1, 1]]
+    assert grid[grid >= 0].tolist() == [3, 1, 0, 2]
+    assert np.argwhere(other >= 0).tolist() == [[0, 2], [2, 3]]
+    assert other[other >= 0].tolist() == [1, 0]
+
+
+def test_columns_are_read_only():
+    """A table's columns cannot be changed in place, so its derived key index
+    cannot go stale; the caller's own array keeps its flags."""
+    ids = np.array(["a", "b"], dtype=object)
+    table = Scores(ids, [1, 1], [3.0, 4.0])
+    for column in (table.speaker_id, table.part, table.score):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+    with pytest.raises(ValueError, match="read-only"):
+        table.speaker_id[0] = "z"
+    assert ids.flags.writeable
+
+
+def test_each_table_ranks_its_ids_once(tmp_path, monkeypatch):
+    """Reading three files, joining them and pairing two of them derives each
+    table's key index once: the reader's duplicate check derives it and
+    ``join`` and ``pair_on_keys`` reuse it."""
+    derived = []
+    speakers = Scores.speakers
+
+    def counted(table):
+        derived.append(table)
+        return speakers.func(table)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Scores, "speakers")
+    monkeypatch.setattr(Scores, "speakers", prop)
+    paths = {}
+    for name, values in (("w2v", [3.0, 4.0, 2.0]), ("mllm", [3.5, 4.5, 2.5]),
+                         ("refs", [3.5, 4.0, 2.5])):
+        paths[name] = tmp_path / f"{name}.csv"
+        fileio.write_predictions(paths[name], Scores(["b", "a", "c"], [1, 3, 1], values))
+    w2v, mllm = (fileio.read_predictions(paths[name]) for name in ("w2v", "mllm"))
+    refs = fileio.read_predictions(paths["refs"], "reference")
+    assert derived == [w2v, mllm, refs]
+    assert len(join(w2v, mllm, refs)) == 3
+    assert pair_on_keys(w2v, refs)[1].tolist() == [3.5, 4.0, 2.5]
+    assert derived == [w2v, mllm, refs]
+    assert all("speakers" in vars(table) for table in (w2v, mllm, refs))
+
+
+def test_pair_on_keys_rejects_a_repeated_prediction_key():
+    pred = Scores(["a", "a", "b"], [1, 1, 1], [3.0, 4.0, 2.0])
+    with pytest.raises(DuplicateKey, match=r"^duplicate prediction key \('a', 1\)$"):
+        pair_on_keys(pred, Scores(["a", "b"], [1, 1], [3.0, 2.0]))
+    with pytest.raises(DuplicateKey, match="prediction"):  # checked before the references
+        pair_on_keys(pred, pred)
 
 
 # Speaker ids that sort, compare or survive differently: "1" against
@@ -197,15 +251,21 @@ def bits(values) -> list[int]:
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(tables=key_tables())
-def test_join_and_match_keys_agree_with_dict_oracle(caplog, tables):
-    """``join`` and ``match_keys`` give the dict-of-tuples join's rows, in
-    its (speaker, part) order and bit for bit, its row indices (-1 for a
-    missing key), its DuplicateKey message and its one-stream warnings."""
+def test_join_and_pair_on_keys_agree_with_dict_oracles(caplog, tables):
+    """``join`` and ``pair_on_keys`` give the dict joins' rows and scores, in
+    their order and bit for bit, their DuplicateKey, EmptyJoin and
+    MissingReference messages and their warnings."""
     w2v, mllm, refs = tables
     other = refs if refs is not None else mllm
-    got = outcome(match_keys, w2v, other, "reference")
-    want = outcome(match_keys_oracle, w2v, other, "reference")
-    assert (got.tolist() if isinstance(got, np.ndarray) else got) == want
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="slascore.core"):
+        got = outcome(pair_on_keys, w2v, other)
+    want = outcome(pair_on_keys_oracle, w2v, other)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert [bits(column) for column in got] == [bits(column) for column in want[:2]]
+        assert [r.getMessage() for r in caplog.records] == want[2]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="slascore.core"):
         got = outcome(join, w2v, mllm, refs)
