@@ -4,17 +4,17 @@ train-head, synth, report.
 Exit codes: 0 success, 2 validation error, 3 I/O or parse error.
 Arithmetic that overflows the float range is a validation error, so no
 infinite or NaN result is written or printed.
-All parsing and arithmetic happen in the library (``fileio`` reads every
-input file); the CLI only wires files to functions and prints results.
+Parsing, arithmetic and file writes live in the library (``fileio`` reads and
+writes every file); the CLI only wires files to functions and prints.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
-from dataclasses import asdict
+import typing
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +36,7 @@ def cmd_evaluate(args) -> int:
     p, r = pair_on_keys(pred, ref)
     report = metrics.full_report(p, r)
     if args.out:  # written before anything is printed, so a failed write prints nothing
-        Path(args.out).write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n",
-                                  encoding="utf-8", newline="\n")
+        fileio.write_json(args.out, asdict(report))
     if args.format == "csv":
         print("rmse,pcc,src,within_half,within_one,n")
         print(f"{report.rmse:.3f},{report.pcc:.3f},{report.src:.3f},"
@@ -93,28 +92,16 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_train_head(args) -> int:
-    config = head.TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        warmup_steps=args.warmup_steps,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        mode=args.mode,
-    )
+    config = head.TrainConfig(**{f.name: getattr(args, f.name) for f in fields(head.TrainConfig)})
     train_data = fileio.read_features(args.train_features)
     dev_data = fileio.read_features(args.dev_features)
     params, history = head.train(train_data, dev_data, config)
     fileio.write_head_params(args.out, params)
-    log_lines = [
-        f"epoch={h['epoch']} train_loss={h['train_loss']!r} dev_macro_f1={h['dev_macro_f1']!r}"
-        for h in history
-    ]
+    log = "".join(f"epoch={h['epoch']} train_loss={h['train_loss']!r} "
+                  f"dev_macro_f1={h['dev_macro_f1']!r}\n" for h in history)
     if args.history:
-        Path(args.history).write_text("\n".join(log_lines) + "\n",
-                                      encoding="utf-8", newline="\n")
-    for line in log_lines:
-        print(line)
+        fileio.write_text(args.history, log)
+    print(log, end="")
     best = max(history, key=lambda h: h["dev_macro_f1"])
     print(f"best epoch {best['epoch']} dev_macro_f1={best['dev_macro_f1']!r}")
     return 0
@@ -177,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("w2v")
     p.add_argument("mllm")
     p.add_argument("references")
-    p.add_argument("--grid-step", type=float, default=0.01)
+    p.add_argument("--grid-step", type=float, default=fusion.GRID_STEP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
@@ -197,23 +184,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-head", help="train the toy grader head on feature files")
     p.add_argument("train_features")
     p.add_argument("dev_features")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--learning-rate", type=float, default=1e-4)
-    p.add_argument("--warmup-steps", type=int, default=600)
-    p.add_argument("--weight-decay", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=(head.REGRESSION, head.CLASSIFICATION),
-                   default=head.CLASSIFICATION)
+    types = typing.get_type_hints(head.TrainConfig)
+    for f in fields(head.TrainConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=types[f.name], default=f.default,
+                       choices=head.MODES if f.name == "mode" else None)
     p.add_argument("--out", required=True, help="best parameters (JSON)")
     p.add_argument("--history", help="per-epoch training log")
     p.set_defaults(func=cmd_train_head)
 
+    synth_defaults = synth.SynthConfig()
     p = sub.add_parser("synth", help="generate synthetic prediction/feature files")
-    p.add_argument("--n-speakers", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-speakers", type=int, default=synth_defaults.n_speakers)
+    p.add_argument("--seed", type=int, default=synth_defaults.seed)
     p.add_argument("--preset", choices=("uniform", "heteroscedastic"), default="uniform")
-    p.add_argument("--noise", type=float, default=0.3,
+    p.add_argument("--noise", type=float, default=synth_defaults.w2v_noise[0],
                    help="per-bin sigma for the uniform preset")
     p.add_argument("--features", action="store_true", help="also write feature files")
     p.add_argument("--frames-per-class", type=int, default=50)

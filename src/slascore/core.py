@@ -55,8 +55,10 @@ def is_on_grid(values: np.ndarray) -> np.ndarray:
 
 def _store_columns(table, **dtypes) -> None:
     """Store each named field of ``table`` (except a ``None`` one) as a read-only 1-D
-    array of its dtype; all of them must have one length, each part in ``PART_VALUES``."""
-    columns = {name: np.asarray(getattr(table, name), dtype=dtype).view()
+    array of its dtype; all of them must have one length, each part in ``PART_VALUES``.
+    The ids are the table's own copy, so no caller can change them under ``speakers``."""
+    columns = {name: (np.array if name == "speaker_id" else np.asarray)(
+                   getattr(table, name), dtype=dtype).view()
                for name, dtype in dtypes.items() if getattr(table, name) is not None}
     shapes = {col.shape for col in columns.values()}
     if len(shapes) != 1 or len(shapes.pop()) != 1:

@@ -1,11 +1,13 @@
-"""File formats, and the reader of every input file: score CSVs (each of one
-kind: per-part predictions or references, or overall scores), leaderboard
-CSVs, calibration and head-parameter JSON, frame features.
+"""File formats, the reader of every input file and the writer of every output
+file: score CSVs (each of one kind: per-part predictions or references, or
+overall scores), leaderboard CSVs, calibration, parameter and metrics JSON,
+frame features and training logs.
 
 The CSVs share one table reader (split once; ASCII numbers; ``path:line``
 errors), the JSON files one object reader; feature files are read a record
-at a time. In a CSV or feature file only LF, CR and CRLF end a line. Writers
-emit canonical bytes, so write -> read -> write round-trips are byte-identical.
+at a time. In a CSV or feature file only LF, CR and CRLF end a line. Every
+file is written by ``write_text`` in canonical bytes, so write -> read ->
+write round-trips are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from .core import OVERALL, PARTS, Scores, key_rows, validate_record
 from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidConfig, InvalidPart
 from .errors import NonFiniteScore, OffGridReference, ParseError, ValidationError
-from .fusion import DEFAULT_EDGES, N_BINS, FusionCalibration, weight_grid
-from .head import CLASSIFICATION, PARAM_FIELDS, REGRESSION, FrameSequence, HeadParameters
+from .fusion import DEFAULT_EDGES, N_BINS, FusionCalibration
+from .head import MODES, PARAM_FIELDS, FrameSequence, HeadParameters
 from .metrics import MetricReport
 
 PREDICTION_HEADER = "speaker_id,part,score"
@@ -47,6 +49,16 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with LF line ends."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write ``doc`` as indented JSON with sorted keys and a final newline."""
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _json_object(path: str | Path, what: str) -> dict:
@@ -84,8 +96,7 @@ def write_predictions(path: str | Path, scores: Scores) -> None:
     parts = scores.part.astype(object)
     parts[scores.part == OVERALL] = OVERALL_TEXT
     rows = map("{},{},{!r}".format, scores.speaker_id, parts, scores.score.tolist())
-    text = "\n".join([PREDICTION_HEADER, *rows]) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    write_text(path, "\n".join([PREDICTION_HEADER, *rows]) + "\n")
 
 
 def read_predictions(path: str | Path, kind: str = "prediction") -> Scores:
@@ -184,7 +195,7 @@ def write_calibration(
     calib: FusionCalibration,
     provenance: dict | None = None,
 ) -> None:
-    doc = {
+    write_json(path, {
         "format_version": CALIBRATION_VERSION,
         "grid_step": calib.grid_step,
         "edges": list(DEFAULT_EDGES),
@@ -192,15 +203,13 @@ def write_calibration(
         "per_bin_counts": list(calib.per_bin_counts),
         "dev_rmse": calib.dev_rmse,
         "provenance": provenance or {},
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    })
 
 
 def read_calibration(path: str | Path) -> tuple[FusionCalibration, dict]:
     """The calibration in ``path`` and its provenance. A missing field or
-    one of the wrong type is a ParseError; a value out of range, or edges
-    other than ``DEFAULT_EDGES``, is an InvalidConfig."""
+    one of the wrong type is a ParseError; edges other than ``DEFAULT_EDGES``,
+    or a value ``FusionCalibration`` rejects, is an InvalidConfig."""
     doc = _json_object(path, "calibration")
     version = doc.get("format_version")
     if version != CALIBRATION_VERSION:
@@ -224,14 +233,9 @@ def read_calibration(path: str | Path) -> tuple[FusionCalibration, dict]:
         if edges != list(DEFAULT_EDGES):
             raise InvalidConfig(f"edges must be the fixed, finite interval edges "
                                 f"{list(DEFAULT_EDGES)}")
-        weight_grid(grid_step)  # InvalidConfig unless the step is one calibrate accepts
-        if not 0 <= dev_rmse <= sys.float_info.max:
-            raise InvalidConfig(f"dev_rmse {dev_rmse!r} is not finite and >= 0")
-        if min(counts) < 0:
-            raise InvalidConfig(f"per_bin_counts {counts} hold a negative count")
         calib = FusionCalibration(weights=tuple(weights), grid_step=grid_step,
                                   dev_rmse=dev_rmse, per_bin_counts=tuple(counts))
-    except InvalidConfig as exc:  # FusionCalibration's weight checks too
+    except InvalidConfig as exc:
         raise InvalidConfig(f"{path}: {exc}") from exc
     return calib, doc.get("provenance", {})
 
@@ -248,7 +252,7 @@ def write_features(path: str | Path, sequences: list[FrameSequence]) -> None:
         lines.append(f"record {t} {d} {label}")
         for row in seq.frames:
             lines.append(" ".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_features(path: str | Path) -> list[FrameSequence]:
@@ -334,20 +338,18 @@ def _check_line_ends(path, first: int, text: str) -> None:
 
 
 def write_head_params(path: str | Path, params: HeadParameters) -> None:
-    doc = {
+    write_json(path, {
         "format_version": PARAMS_VERSION,
         "mode": params.mode,
         **{name: getattr(params, name).tolist() for name in ("levels", *PARAM_FIELDS)},
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    })
 
 
 def read_head_params(path: str | Path) -> HeadParameters:
     doc = _json_object(path, "parameters")
     if doc.get("format_version") != PARAMS_VERSION:
         raise ParseError(f"{path}: unsupported format_version {doc.get('format_version')!r}")
-    if doc.get("mode") not in (REGRESSION, CLASSIFICATION):
+    if doc.get("mode") not in MODES:
         raise ParseError(f"{path}: bad mode {doc.get('mode')!r}")
     try:
         params = HeadParameters(

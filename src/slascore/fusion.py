@@ -13,6 +13,7 @@ Overall speaker scores are the mean of the four part scores.
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,14 +29,15 @@ log = logging.getLogger(__name__)
 DEFAULT_EDGES = (0.0, 2.25, 2.75, 3.25, 3.75, 4.25, 4.75, 5.25, 6.0)
 
 N_BINS = 8
+GRID_STEP = 0.01  # the default weight grid is {0, 0.01, ..., 1}
 
 
 @dataclass(frozen=True, slots=True)
 class FusionCalibration:
-    """Per-interval weights fixed after dev-set grid search."""
+    """Per-interval weights fixed after dev-set grid search; every field is checked."""
 
     weights: tuple[float, ...]
-    grid_step: float = 0.01
+    grid_step: float = GRID_STEP
     #: The dev RMSE under these weights; 0.0, like the zero counts, for a
     #: calibration built without a dev set, so that its file reads back.
     dev_rmse: float = 0.0
@@ -45,6 +47,11 @@ class FusionCalibration:
     per_bin_rmse: tuple[float | None, ...] = field(default=(None,) * N_BINS, compare=False)
 
     def __post_init__(self):
+        weight_grid(self.grid_step)  # InvalidConfig unless calibrate accepts the step
+        if not 0 <= self.dev_rmse <= sys.float_info.max:
+            raise InvalidConfig(f"dev_rmse {self.dev_rmse!r} is not finite and >= 0")
+        if min(self.per_bin_counts) < 0:
+            raise InvalidConfig(f"per_bin_counts {list(self.per_bin_counts)} hold a negative count")
         if len(self.weights) != N_BINS:
             raise InvalidConfig(f"need {N_BINS} weights, got {len(self.weights)}")
         for w in self.weights:
@@ -103,7 +110,7 @@ def fuse_one(
     return float(fused) if fused.ndim == 0 else fused
 
 
-def calibrate(dev: JoinedDataset, grid_step: float = 0.01) -> FusionCalibration:
+def calibrate(dev: JoinedDataset, grid_step: float = GRID_STEP) -> FusionCalibration:
     """Grid-search each interval's weight on a dev set with references.
 
     Each populated bin independently gets the grid weight minimizing the

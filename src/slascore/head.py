@@ -29,6 +29,7 @@ from .metrics import macro_f1
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
+MODES = (REGRESSION, CLASSIFICATION)
 
 #: The trainable arrays of ``HeadParameters``: ``backward``'s gradient keys, the
 #: parameter file's keys, and ``train``'s layout of one vector, in which the
@@ -45,8 +46,8 @@ class FrameSequence:
 
     def __post_init__(self):
         f = np.asarray(self.frames, dtype=np.float64)
-        if f.ndim != 2 or f.shape[0] < 1:
-            raise ValidationError(f"frames must be a T x d matrix with T >= 1, got {f.shape}")
+        if f.ndim != 2 or min(f.shape) < 1:
+            raise ValidationError(f"frames must be a T x d matrix with T, d >= 1, got {f.shape}")
         if not np.all(np.isfinite(f)):
             raise ValidationError("frames contain non-finite entries")
         if self.label is not None and not math.isfinite(self.label):
@@ -54,13 +55,18 @@ class FrameSequence:
         object.__setattr__(self, "frames", f)
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise InvalidConfig(f"mode must be {REGRESSION!r} or {CLASSIFICATION!r}, got {mode!r}")
+
+
 @dataclass(slots=True)
 class HeadParameters:
     """Attention, prototype bank (one row per CEFR level), and MLP.
 
     ``version`` increments on every optimizer step so stale backward
-    caches can be detected. Shapes are checked when an instance is built
-    (``copy`` builds one too), so a field assigned later must keep its shape.
+    caches can be detected. The mode and shapes are checked when an instance is
+    built (``copy`` builds one too), so a field assigned later must keep its shape.
     """
 
     attn_W: np.ndarray  # d_a x d
@@ -78,6 +84,7 @@ class HeadParameters:
         return self.attn_W.shape[1]
 
     def __post_init__(self):
+        _check_mode(self.mode)
         d_a, d = self.attn_W.shape
         n = self.prototypes.shape[0]
         out = 1 if self.mode == REGRESSION else n
@@ -255,9 +262,7 @@ class TrainConfig:
         for name in ("learning_rate", "weight_decay"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise InvalidConfig(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if self.mode not in (REGRESSION, CLASSIFICATION):
-            raise InvalidConfig(f"mode must be {REGRESSION!r} or {CLASSIFICATION!r}, "
-                                f"got {self.mode!r}")
+        _check_mode(self.mode)
 
 
 def init_parameters(

@@ -2,13 +2,16 @@ import copy
 import json
 import logging
 import re
+from dataclasses import fields
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slascore import cli, fileio, fusion, metrics, synth
+from slascore import cli, fileio, fusion, head, metrics, synth
 from slascore.core import OVERALL, Scores, join
+from slascore.errors import EmptyDataset
 from slascore.synth import SynthConfig, generate_frames, generate_scores, heteroscedastic_config
 from tables import rows, scores
 
@@ -317,6 +320,21 @@ class TestSynthCommand:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "d").exists()
 
+    def test_defaults_are_the_library_defaults(self, tmp_path, capsys, monkeypatch):
+        """``synth`` draws with ``SynthConfig()`` and ``calibrate`` searches the
+        ``GRID_STEP`` grid when no flag is given."""
+        configs = []
+
+        def stop(cfg):
+            configs.append(cfg)
+            raise MemoryError
+
+        monkeypatch.setattr(synth, "generate_scores", stop)
+        run(capsys, "synth", "--out-dir", str(tmp_path / "d"))
+        assert configs == [SynthConfig()]
+        args = cli.build_parser().parse_args(["calibrate", "a", "b", "c", "--out", "o"])
+        assert args.grid_step == fusion.GRID_STEP
+
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 8.00 GiB", "error: Unable to allocate 8.00 GiB"),
         ("", "error: out of memory"),
@@ -333,6 +351,26 @@ class TestSynthCommand:
 
 
 class TestTrainHead:
+    def test_flags_are_the_train_config_fields(self, capsys, monkeypatch):
+        """With no flag given the run trains with ``TrainConfig()``; each field
+        has a flag of its name, and a value given reaches that field."""
+        configs = []
+
+        def stop(train_data, dev_data, config):
+            configs.append(config)
+            raise EmptyDataset("stopped")
+
+        monkeypatch.setattr(fileio, "read_features", lambda path: [])
+        monkeypatch.setattr(head, "train", stop)
+        assert run(capsys, "train-head", "a", "b", "--out", "o")[0] == cli.EXIT_VALIDATION
+        given = {"epochs": 2, "learning_rate": 0.5, "warmup_steps": 1, "weight_decay": 0.25,
+                 "batch_size": 3, "seed": 4, "mode": head.REGRESSION}
+        assert list(given) == [f.name for f in fields(head.TrainConfig)]
+        flags = [(f"--{name.replace('_', '-')}", str(value)) for name, value in given.items()]
+        run(capsys, "train-head", "a", "b", "--out", "o", *chain.from_iterable(flags))
+        assert configs == [head.TrainConfig(), head.TrainConfig(**given)]
+        assert all(value != getattr(configs[0], name) for name, value in given.items())
+
     def test_train_and_reload(self, tmp_path, capsys):
         run(capsys, "synth", "--n-speakers", "2", "--features",
             "--frames-per-class", "10", "--separation", "8.0",

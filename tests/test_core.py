@@ -179,6 +179,19 @@ def test_columns_are_read_only():
     assert ids.flags.writeable
 
 
+def test_ids_are_the_tables_own():
+    """Changing the caller's id array after the table ranked its ids changes
+    neither the table's ids nor where ``key_rows`` files its rows."""
+    ids = np.array(["b", "a"], dtype=object)
+    t = Scores(ids, [1, 1], [1.0, 2.0])
+    t.speakers
+    ids[0] = "z"
+    assert t.speaker_id.tolist() == ["b", "a"]
+    assert t.speakers[0] == ["a", "b"]
+    (grid,) = key_rows((t,), ("prediction",))
+    assert grid[:, 1].tolist() == [1, 0]  # a in row 1, b in row 0
+
+
 def test_each_table_ranks_its_ids_once(tmp_path, monkeypatch):
     """Reading three files, joining them and pairing two of them derives each
     table's key index once: the reader's duplicate check derives it and

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import sys
 import tracemalloc
 from dataclasses import astuple
 
@@ -13,6 +15,7 @@ from slascore.core import OVERALL, PARTS, Scores
 from slascore.errors import (
     CalibrationVersionMismatch,
     DuplicateKey,
+    InvalidConfig,
     InvalidPart,
     OffGridReference,
     ParseError,
@@ -228,6 +231,36 @@ class TestLeaderboardFiles:
         p.write_text(f"{fileio.LEADERBOARD_HEADER}\n{row}\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f"^{re.escape(str(p) + message)}$"):
             fileio.read_leaderboard(p)
+
+
+# Grid steps either side of weight_grid's rules: 1/3 and 0.1 divide 1 in floats.
+GRID_STEPS = st.sampled_from([0.01, 0.001, 1 / 3, 0.1, 0.25, 1.0, 0.3, 0.03, 0.0001, 0.0,
+                              -0.5, 1.5, math.nan, math.inf])
+DEV_RMSES = st.one_of(st.floats(0.0, sys.float_info.max),
+                      st.sampled_from([-0.0, 0, 7, sys.float_info.max, -1e-300, -1, 10**400,
+                                       math.nan, math.inf, -math.inf]))
+# Each list is valid as a whole or drawn from anything, so many calibrations build.
+COUNTS = st.one_of(st.lists(st.integers(0, 10**12), min_size=8, max_size=8),
+                   st.lists(st.integers(-2, 10**12), min_size=8, max_size=8))
+WEIGHTS = st.one_of(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0, 1]), min_size=8,
+                             max_size=8),
+                    st.lists(st.floats(), min_size=7, max_size=9))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(grid_step=GRID_STEPS, dev_rmse=DEV_RMSES, counts=COUNTS, weights=WEIGHTS)
+def test_calibration_is_checked_when_built_or_reads_back(tmp_path, grid_step, dev_rmse,
+                                                         counts, weights):
+    """A calibration either fails when it is built, or the file it writes
+    reads back as the same calibration: no value is left to the reader."""
+    try:
+        calib = FusionCalibration(tuple(weights), grid_step, dev_rmse, tuple(counts))
+    except InvalidConfig:
+        return
+    path = tmp_path / "calib.json"
+    fileio.write_calibration(path, calib)
+    assert fileio.read_calibration(path) == (calib, {})
 
 
 class TestCalibrationFiles:

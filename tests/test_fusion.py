@@ -1,3 +1,4 @@
+import inspect
 import logging
 import math
 
@@ -18,6 +19,7 @@ from slascore.errors import (
 )
 from slascore.fusion import (
     DEFAULT_EDGES,
+    GRID_STEP,
     N_BINS,
     FusionCalibration,
     aggregate_overall,
@@ -156,6 +158,27 @@ class TestFuseOne:
     def test_weight_out_of_range_rejected(self):
         with pytest.raises(InvalidConfig):
             make_calib([1.5] * N_BINS)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"grid_step": 0.3}, "grid_step 0.3 does not divide 1 evenly"),
+        ({"grid_step": 0.3, "dev_rmse": math.nan}, "grid_step 0.3 does not divide 1 evenly"),
+        ({"dev_rmse": math.nan}, "dev_rmse nan is not finite and >= 0"),
+        ({"dev_rmse": -1, "per_bin_counts": (-1,) * N_BINS}, "dev_rmse -1 is not finite and >= 0"),
+        ({"dev_rmse": 10**400}, f"dev_rmse {10**400} is not finite and >= 0"),
+        ({"per_bin_counts": (0,) * 7 + (-1,)},
+         r"per_bin_counts \[0, 0, 0, 0, 0, 0, 0, -1\] hold a negative count"),
+        ({"per_bin_counts": (-1,) * N_BINS, "weights": (2.0,) * N_BINS},
+         r"per_bin_counts \[-1, .*\] hold a negative count"),
+    ], ids=["uneven-step", "step-first", "nan-dev-rmse", "dev-rmse-before-counts",
+            "huge-int-dev-rmse", "negative-count", "counts-before-weights"])
+    def test_every_field_checked_when_built(self, fields, message):
+        """The calibration file's value rules, in the reader's order and words."""
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            FusionCalibration(**{"weights": (0.5,) * N_BINS, **fields})
+
+    def test_default_grid_step(self):
+        assert make_calib([0.5] * N_BINS).grid_step == GRID_STEP == 0.01
+        assert inspect.signature(calibrate).parameters["grid_step"].default == GRID_STEP
 
 
 class TestWeightGrid:

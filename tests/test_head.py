@@ -85,6 +85,12 @@ class TestFrameSequence:
         with pytest.raises(ValidationError):
             FrameSequence(frames=np.ones(3))
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)])
+    def test_empty_axis(self, shape):
+        """A record of no frames or of width 0 is one the feature reader rejects."""
+        with pytest.raises(ValidationError, match=r"T, d >= 1"):
+            FrameSequence(np.zeros(shape), 2.5)
+
     def test_non_finite(self):
         with pytest.raises(ValidationError):
             FrameSequence(frames=np.array([[1.0, math.nan]]))
@@ -101,6 +107,12 @@ class TestHeadParameters:
         fields[name] = np.zeros(shape[:-1] + (shape[-1] + 1,))
         with pytest.raises(ShapeMismatch, match=r"expected \("):
             HeadParameters(mode=mode, **fields)
+
+    def test_mode_checked_at_construction(self):
+        params = random_params(np.random.default_rng(22), d=4, n=3)
+        fields = {f: getattr(params, f) for f in ("levels", *head.PARAM_FIELDS)}
+        with pytest.raises(InvalidConfig, match="got 'ordinal'"):
+            HeadParameters(mode="ordinal", **fields)
 
     def test_copy_checks_shapes(self):
         params = random_params(np.random.default_rng(21), d=4, n=3)
