@@ -55,10 +55,8 @@ def is_on_grid(values: np.ndarray) -> np.ndarray:
 
 def _store_columns(table, **dtypes) -> None:
     """Store each named field of ``table`` (except a ``None`` one) as a read-only 1-D
-    array of its dtype; all of them must have one length, each part in ``PART_VALUES``.
-    The ids are the table's own copy, so no caller can change them under ``speakers``."""
-    columns = {name: (np.array if name == "speaker_id" else np.asarray)(
-                   getattr(table, name), dtype=dtype).view()
+    array of its dtype; all of them must have one length, each part in ``PART_VALUES``."""
+    columns = {name: np.asarray(getattr(table, name), dtype=dtype).view()
                for name, dtype in dtypes.items() if getattr(table, name) is not None}
     shapes = {col.shape for col in columns.values()}
     if len(shapes) != 1 or len(shapes.pop()) != 1:
@@ -83,6 +81,8 @@ class Scores:
     score: np.ndarray
 
     def __post_init__(self):
+        # the ids are the table's own copy, so no caller can change them under ``speakers``
+        object.__setattr__(self, "speaker_id", np.array(self.speaker_id, dtype=object))
         _store_columns(self, speaker_id=object, part=np.int64, score=np.float64)
 
     def __len__(self) -> int:
@@ -133,7 +133,8 @@ class JoinedDataset:
     """Inner join of the two grader streams, keyed by (speaker, part).
 
     ``blind`` datasets carry no reference column and can only be fused,
-    not evaluated or calibrated.
+    not evaluated or calibrated. Having no key index, a dataset shares its
+    columns: it stores read-only views of the arrays it is given.
     """
 
     speaker_id: np.ndarray

@@ -24,7 +24,7 @@ import numpy as np
 from .core import OVERALL, PARTS, Scores, key_rows, validate_record
 from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidConfig, InvalidPart
 from .errors import NonFiniteScore, OffGridReference, ParseError, ValidationError
-from .fusion import DEFAULT_EDGES, N_BINS, FusionCalibration
+from .fusion import DEFAULT_EDGES, N_BINS, FusionCalibration, _is_number
 from .head import MODES, PARAM_FIELDS, FrameSequence, HeadParameters
 from .metrics import MetricReport
 
@@ -37,10 +37,6 @@ FEATURE_MAGIC = "slascore-features v1"
 # only LF, CR and CRLF do, and a line holding one of these is an error.
 _FOREIGN_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 PARAMS_VERSION = 1
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def read_text(path: str | Path) -> str:
@@ -73,10 +69,6 @@ def _json_object(path: str | Path, what: str) -> dict:
     return doc
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _ascii(text: str) -> str:
     """``text`` if it is ASCII without ``_``, as numbers in files are; ``float``
     and ``int`` would also read digit-group ``_`` and any Unicode digit."""
@@ -91,11 +83,11 @@ def _ascii(text: str) -> str:
 
 def write_predictions(path: str | Path, scores: Scores) -> None:
     # the text reads back as these rows only when no id is empty or breaks a field or line
-    if any("," in sid or sid.splitlines() != [sid] for sid in set(scores.speaker_id.tolist())):
+    ids = scores.speaker_id.tolist()
+    if any("," in sid or sid.splitlines() != [sid] for sid in set(ids)):
         raise ValidationError(f"{path}: a speaker id is empty or holds a comma or line break")
-    parts = scores.part.astype(object)
-    parts[scores.part == OVERALL] = OVERALL_TEXT
-    rows = map("{},{},{!r}".format, scores.speaker_id, parts, scores.score.tolist())
+    parts = [OVERALL_TEXT if p == OVERALL else p for p in scores.part.tolist()]
+    rows = map("{},{},{!r}".format, ids, parts, scores.score.tolist())
     write_text(path, "\n".join([PREDICTION_HEADER, *rows]) + "\n")
 
 
@@ -248,10 +240,9 @@ def write_features(path: str | Path, sequences: list[FrameSequence]) -> None:
     lines = [FEATURE_MAGIC]
     for seq in sequences:
         t, d = seq.frames.shape
-        label = "-" if seq.label is None else _fmt(seq.label)
+        label = "-" if seq.label is None else repr(float(seq.label))
         lines.append(f"record {t} {d} {label}")
-        for row in seq.frames:
-            lines.append(" ".join(_fmt(v) for v in row))
+        lines.extend(" ".join(map(repr, row)) for row in seq.frames.tolist())
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -47,16 +47,27 @@ class FusionCalibration:
     per_bin_rmse: tuple[float | None, ...] = field(default=(None,) * N_BINS, compare=False)
 
     def __post_init__(self):
+        if not all(map(_is_number, (self.grid_step, self.dev_rmse, *self.weights))):
+            raise InvalidConfig("grid_step, dev_rmse and each weight must be an int or float, "
+                                "not a bool")
         weight_grid(self.grid_step)  # InvalidConfig unless calibrate accepts the step
         if not 0 <= self.dev_rmse <= sys.float_info.max:
             raise InvalidConfig(f"dev_rmse {self.dev_rmse!r} is not finite and >= 0")
-        if min(self.per_bin_counts) < 0:
-            raise InvalidConfig(f"per_bin_counts {list(self.per_bin_counts)} hold a negative count")
+        counts = self.per_bin_counts
+        if len(counts) != N_BINS or not all(_is_number(c) and isinstance(c, int) for c in counts):
+            raise InvalidConfig(f"need {N_BINS} integer per_bin_counts, got {list(counts)}")
+        if min(counts) < 0:
+            raise InvalidConfig(f"per_bin_counts {list(counts)} hold a negative count")
         if len(self.weights) != N_BINS:
             raise InvalidConfig(f"need {N_BINS} weights, got {len(self.weights)}")
         for w in self.weights:
             if not 0.0 <= w <= 1.0:
                 raise InvalidConfig(f"weight {w} outside [0, 1]")
+
+
+def _is_number(x) -> bool:
+    """An int or float, as a JSON number reads back, and not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def weight_grid(grid_step: float) -> list[float]:
@@ -70,10 +81,10 @@ def weight_grid(grid_step: float) -> list[float]:
     return [i * grid_step for i in range(n + 1)]
 
 
-def bin_index(mllm_score: float | np.ndarray) -> int | np.ndarray:
+def bin_index(mllm_score: float | np.ndarray) -> np.integer | np.ndarray:
     """Index of the ``DEFAULT_EDGES`` interval containing each multimodal score.
 
-    Elementwise: a scalar gives an int, an array an array of ints. The
+    Elementwise: a scalar gives a numpy integer, an array an array of them. The
     last interval is closed at its right edge; scores outside the edges
     clamp to the end bins, with one warning per call giving their count.
     """
@@ -85,8 +96,7 @@ def bin_index(mllm_score: float | np.ndarray) -> int | np.ndarray:
     outside = np.count_nonzero((s < lo) | (s > hi))
     if outside:
         log.warning("%d score(s) outside [%s, %s] clamped to the end bins", outside, lo, hi)
-    k = np.clip(np.searchsorted(DEFAULT_EDGES, s, side="right") - 1, 0, N_BINS - 1)
-    return int(k) if k.ndim == 0 else k
+    return np.clip(np.searchsorted(DEFAULT_EDGES, s, side="right") - 1, 0, N_BINS - 1)
 
 
 def _mix(w2v, mllm, w):
@@ -98,16 +108,15 @@ def fuse_one(
     w2v: float | np.ndarray,
     mllm: float | np.ndarray,
     calib: FusionCalibration,
-) -> float | np.ndarray:
+) -> np.floating | np.ndarray:
     """Convex combination with the weight of the mllm score's interval.
 
-    Elementwise: scalars give a float, arrays an array.
+    Elementwise: scalars give a numpy float, arrays an array.
     """
     w2v, mllm = np.asarray(w2v, dtype=np.float64), np.asarray(mllm, dtype=np.float64)
     if not np.isfinite(w2v).all():
         raise NonFiniteScore("cannot fuse non-finite w2v score(s)")
-    fused = _mix(w2v, mllm, np.asarray(calib.weights)[bin_index(mllm)])
-    return float(fused) if fused.ndim == 0 else fused
+    return _mix(w2v, mllm, np.asarray(calib.weights)[bin_index(mllm)])
 
 
 def calibrate(dev: JoinedDataset, grid_step: float = GRID_STEP) -> FusionCalibration:

@@ -277,7 +277,11 @@ def init_parameters(
     labels = [s.label for s in train_data]
     if any(lbl is None for lbl in labels):
         raise ValidationError("all training sequences must carry labels")
-    levels = np.unique(np.asarray(labels, dtype=np.float64))
+    levels, label_class = np.unique(np.asarray(labels, dtype=np.float64), return_inverse=True)
+    near = np.diff(levels, prepend=-np.inf, append=np.inf) <= 1e-9  # gaps around each level
+    if (bad := near[label_class] | near[label_class + 1]).any():  # a label near two levels
+        raise OffGridTarget(f"target {labels[bad.argmax()]} is not one of the trained levels "
+                            f"{levels.tolist()}")
     d = train_data[0].frames.shape[1]
     n = levels.size
     out = 1 if mode == REGRESSION else n
@@ -296,12 +300,9 @@ def init_parameters(
         mode=mode,
     )
     sums = np.zeros((n, d))
-    counts = np.zeros(n)
-    for seq in train_data:
-        k = _target_index(seq.label, levels)
+    for seq, k in zip(train_data, label_class.tolist()):
         sums[k] += _pool(seq.frames, params)[2]
-        counts[k] += 1
-    params.prototypes = sums / counts[:, None]
+    params.prototypes = sums / np.bincount(label_class, minlength=n)[:, None]
     return params
 
 
@@ -329,12 +330,10 @@ def train(
         raise ShapeMismatch(f"frames have d={bad_d}, parameters expect d={params.d}")
     dev_refs = [seq.label for seq in dev_data]
     macro_f1(dev_refs, dev_refs)  # raises OffGridReference for an off-grid label
-    # each label's loss target, found once per run
-    if config.mode == REGRESSION:
-        step_loss, targets = _squared_error, [seq.label for seq in train_data]
-    else:
-        step_loss = _cross_entropy
-        targets = [_target_index(seq.label, params.levels) for seq in train_data]
+    # each label's loss target, found once per run; the levels are the distinct labels
+    labels = [seq.label for seq in train_data]
+    step_loss, targets = ((_squared_error, labels) if config.mode == REGRESSION else
+                          (_cross_entropy, params.levels.searchsorted(labels).tolist()))
     rng = np.random.default_rng(config.seed + 1)
     # one vector theta holds every trainable array; the fields become views into it
     sizes = [getattr(params, name).size for name in PARAM_FIELDS]

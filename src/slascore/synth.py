@@ -2,9 +2,9 @@
 
 Stands in for the real corpus: each speaker's four part scores are
 simulated as the reference level plus Gaussian noise set per fixed fusion
-interval, and frame features as class-conditional Gaussians, so
-calibration and training behaviour can be checked against
-exhaustive/nearest-mean oracles (``tests/oracles.py``).
+interval, drawn straight into numpy columns, and frame features as
+class-conditional Gaussians, so calibration and training behaviour can be
+checked against exhaustive/nearest-mean oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import PARTS, REFERENCE_LEVELS, JoinedDataset
 from .errors import InvalidConfig
-from .fusion import N_BINS, bin_index
+from .fusion import N_BINS
 from .head import FrameSequence
 
 
@@ -61,17 +61,15 @@ def generate_scores(cfg: SynthConfig) -> JoinedDataset:
     rng = np.random.default_rng(cfg.seed)
     weights = np.asarray(cfg.level_weights, dtype=np.float64)
     weights = weights / weights.sum()
-    levels = np.asarray(REFERENCE_LEVELS)
-    bins = bin_index(levels)  # the interval of each level
-    rows = []
-    for i in range(cfg.n_speakers):
-        sid = f"spk{i:04d}"
-        for part in PARTS:
-            j = rng.choice(len(levels), p=weights)
-            ref, k = float(levels[j]), bins[j]
-            rows.append((sid, part, ref + rng.normal(0.0, cfg.w2v_noise[k]),
-                         ref + rng.normal(0.0, cfg.mllm_noise[k]), ref))
-    data = JoinedDataset(*zip(*rows))
+    n = cfg.n_speakers * len(PARTS)
+    level, w2v, mllm = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
+    for i in range(n):  # the draw order (level, w2v, mllm) fixes the random stream
+        k = level[i] = rng.choice(N_BINS, p=weights)  # level k lies in fusion interval k
+        w2v[i] = rng.normal(0.0, cfg.w2v_noise[k])
+        mllm[i] = rng.normal(0.0, cfg.mllm_noise[k])
+    ref = np.asarray(REFERENCE_LEVELS)[level]
+    ids = np.repeat([f"spk{i:04d}" for i in range(cfg.n_speakers)], len(PARTS)).astype(object)
+    data = JoinedDataset(ids, np.tile(PARTS, cfg.n_speakers), ref + w2v, ref + mllm, ref)
     # a finite but huge sigma can still draw a score past the float range
     for name in ("w2v", "mllm"):
         if not np.isfinite(getattr(data, name)).all():

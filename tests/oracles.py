@@ -8,6 +8,7 @@ takes plain score sequences; the separability oracle works on the
 library's own frame sequences. The prediction-CSV reader, the key join
 and the per-speaker aggregate are per-line and dict versions of the
 library's bulk reader, key-grid join and pairing, and key-grid aggregate.
+The synthetic-score oracle draws row tuples where the library fills columns.
 """
 
 import math
@@ -15,7 +16,7 @@ import re
 
 import numpy as np
 
-from slascore.core import OVERALL, PARTS, Scores
+from slascore.core import OVERALL, PARTS, REFERENCE_LEVELS, JoinedDataset, Scores
 from slascore.errors import (
     DuplicateKey,
     EmptyJoin,
@@ -30,8 +31,10 @@ from slascore.errors import (
     ValidationError,
 )
 from slascore.fileio import OVERALL_TEXT, PREDICTION_HEADER
+from slascore.fusion import bin_index
 from slascore.head import FrameSequence
 from slascore.metrics import macro_f1
+from slascore.synth import SynthConfig
 
 
 def rmse_oracle(pred, ref):
@@ -293,3 +296,22 @@ def join_oracle(w2v: Scores, mllm: Scores, refs: Scores | None = None):
     rows = [(*key, w2v.score[in_w2v[key]], mllm.score[in_mllm[key]], ref)
             for key, ref in zip(shared, reference)]
     return rows, warnings
+
+
+def generate_scores_oracle(cfg: SynthConfig) -> JoinedDataset:
+    """``synth.generate_scores`` as a loop of (speaker, part, w2v, mllm,
+    reference) row tuples, each row's interval found by ``bin_index``."""
+    rng = np.random.default_rng(cfg.seed)
+    weights = np.asarray(cfg.level_weights, dtype=np.float64)
+    weights = weights / weights.sum()
+    levels = np.asarray(REFERENCE_LEVELS)
+    bins = bin_index(levels)  # the interval of each level
+    rows = []
+    for i in range(cfg.n_speakers):
+        sid = f"spk{i:04d}"
+        for part in PARTS:
+            j = rng.choice(len(levels), p=weights)
+            ref, k = float(levels[j]), bins[j]
+            rows.append((sid, part, ref + rng.normal(0.0, cfg.w2v_noise[k]),
+                         ref + rng.normal(0.0, cfg.mllm_noise[k]), ref))
+    return JoinedDataset(*zip(*rows))

@@ -192,6 +192,17 @@ def test_ids_are_the_tables_own():
     assert grid[:, 1].tolist() == [1, 0]  # a in row 1, b in row 0
 
 
+def test_only_score_tables_copy_their_ids():
+    """A ``Scores`` table keeps a key index, so it copies its ids; a
+    ``JoinedDataset`` keeps none and stores a read-only view of the ids it is given."""
+    ids = np.array(["b", "a"], dtype=object)
+    joined = JoinedDataset(ids, [1, 1], [1.0, 2.0], [1.0, 2.0])
+    assert np.shares_memory(joined.speaker_id, ids)
+    assert not joined.speaker_id.flags.writeable
+    assert not np.shares_memory(Scores(ids, [1, 1], [1.0, 2.0]).speaker_id, ids)
+    assert not np.shares_memory(Scores(joined.speaker_id, [1, 1], [1.0, 2.0]).speaker_id, ids)
+
+
 def test_each_table_ranks_its_ids_once(tmp_path, monkeypatch):
     """Reading three files, joining them and pairing two of them derives each
     table's key index once: the reader's duplicate check derives it and

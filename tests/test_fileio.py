@@ -234,17 +234,26 @@ class TestLeaderboardFiles:
 
 
 # Grid steps either side of weight_grid's rules: 1/3 and 0.1 divide 1 in floats.
+# Bools and numpy numbers pass range checks but write no JSON number that reads back.
 GRID_STEPS = st.sampled_from([0.01, 0.001, 1 / 3, 0.1, 0.25, 1.0, 0.3, 0.03, 0.0001, 0.0,
-                              -0.5, 1.5, math.nan, math.inf])
+                              -0.5, 1.5, math.nan, math.inf, True, np.float64(0.5),
+                              np.int64(1)])
 DEV_RMSES = st.one_of(st.floats(0.0, sys.float_info.max),
                       st.sampled_from([-0.0, 0, 7, sys.float_info.max, -1e-300, -1, 10**400,
-                                       math.nan, math.inf, -math.inf]))
+                                       math.nan, math.inf, -math.inf, True, False,
+                                       np.int64(3), np.float64(0.25)]))
 # Each list is valid as a whole or drawn from anything, so many calibrations build.
 COUNTS = st.one_of(st.lists(st.integers(0, 10**12), min_size=8, max_size=8),
-                   st.lists(st.integers(-2, 10**12), min_size=8, max_size=8))
+                   st.lists(st.integers(-2, 10**12), min_size=8, max_size=8),
+                   st.lists(st.integers(0, 10**12), max_size=9),
+                   st.lists(st.integers(0, 9).map(np.int64) | st.booleans()
+                            | st.sampled_from([0.5, 2.0]) | st.integers(0, 9),
+                            min_size=8, max_size=8))
 WEIGHTS = st.one_of(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0, 1]), min_size=8,
                              max_size=8),
-                    st.lists(st.floats(), min_size=7, max_size=9))
+                    st.lists(st.floats(), min_size=7, max_size=9),
+                    st.lists(st.booleans() | st.sampled_from([np.int64(1), np.float64(0.5), 0.5]),
+                             min_size=8, max_size=8))
 
 
 @settings(max_examples=300, deadline=None,

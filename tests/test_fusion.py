@@ -73,6 +73,8 @@ class TestBinIndex:
     @pytest.mark.parametrize("score,expected", [
         (3.0, 2), (2.25, 1), (6.0, 7), (0.0, 0), (2.24, 0),
         (5.25, 7), (5.24, 6), (4.999, 6),
+        # reference level k lies in interval k (3.0 -> 2 is listed above)
+        (2.0, 0), (2.5, 1), (3.5, 3), (4.0, 4), (4.5, 5), (5.0, 6), (5.5, 7),
     ])
     def test_examples(self, score, expected):
         assert bin_index(score) == expected

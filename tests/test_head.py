@@ -427,6 +427,20 @@ class TestTrain:
         assert counts[0] == counts[1] <= 2 * len(train_d)
 
     @pytest.mark.parametrize("mode", [REGRESSION, CLASSIFICATION])
+    @pytest.mark.parametrize("labels,target", [
+        ([3.5, 2.5, 3.0000000000000004, 3.0], "3.0000000000000004"),
+        ([2.5, 3.0, 3.0000000005, 3.000000001], "3.0"),  # a chain of near levels
+    ], ids=["pair", "chain"])
+    def test_label_near_two_levels_rejected(self, mode, labels, target):
+        """A label within 1e-9 of another distinct label names no single level;
+        the first such label in the training data is reported."""
+        train_d = [FrameSequence(frames=np.eye(2) + i, label=lbl) for i, lbl in enumerate(labels)]
+        levels = sorted(labels)
+        with pytest.raises(OffGridTarget, match=f"^target {re.escape(target)} is not one of "
+                                                f"the trained levels {re.escape(str(levels))}$"):
+            train(train_d, train_d[:1], TrainConfig(epochs=1, mode=mode))
+
+    @pytest.mark.parametrize("mode", [REGRESSION, CLASSIFICATION])
     def test_diverging_loss_raises(self, mode):
         train_d = generate_frames(5, [2.5, 3.5], 4, 4.0, seed=0)
         dev_d = generate_frames(5, [2.5, 3.5], 4, 4.0, seed=1)

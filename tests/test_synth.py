@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import EmptyBin, brute_force_bin_weight, nearest_class_mean_f1
+from oracles import EmptyBin, brute_force_bin_weight, generate_scores_oracle, nearest_class_mean_f1
 from tables import rows
 from slascore import metrics
 from slascore.core import REFERENCE_LEVELS
@@ -60,6 +62,24 @@ class TestGenerateScores:
         data = generate_scores(SynthConfig(n_speakers=10, seed=0))
         assert len(data) == 40
         assert len(set(zip(data.speaker_id, data.part.tolist()))) == 40
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.builds(
+        SynthConfig,
+        n_speakers=st.integers(1, 30),
+        w2v_noise=st.tuples(*[st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.5])] * N_BINS),
+        mllm_noise=st.tuples(*[st.floats(0.0, 3.0)] * N_BINS),
+        seed=st.integers(0, 2**32),
+        level_weights=st.tuples(*[st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0])] * N_BINS)
+        .filter(any)))
+    def test_columns_match_row_oracle(self, cfg):
+        """The column draw gives the row loop's ids, parts and scores, bit for bit."""
+        got, want = generate_scores(cfg), generate_scores_oracle(cfg)
+        assert got.speaker_id.tolist() == want.speaker_id.tolist()
+        assert got.part.tolist() == want.part.tolist()
+        for name in ("w2v", "mllm", "reference"):
+            np.testing.assert_array_equal(getattr(got, name).view(np.int64),
+                                          getattr(want, name).view(np.int64))
 
     @pytest.mark.parametrize("name", ["w2v", "mllm"])
     def test_non_finite_draw_rejected(self, name):
