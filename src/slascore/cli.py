@@ -112,8 +112,8 @@ def cmd_synth(args) -> int:
         cfg = synth.heteroscedastic_config(args.n_speakers, args.seed)
     else:
         cfg = synth.SynthConfig(n_speakers=args.n_speakers, seed=args.seed,
-                                w2v_noise=(args.noise,) * fusion.N_BINS,
-                                mllm_noise=(args.noise,) * fusion.N_BINS)
+                                w2v_noise=(args.noise,) * synth.N_LEVELS,
+                                mllm_noise=(args.noise,) * synth.N_LEVELS)
     data = synth.generate_scores(cfg)
     if args.features:  # drawn before any file is written, so a bad setting writes none
         levels = [2.5, 3.5, 4.5]

@@ -4,9 +4,9 @@ matching. Speaker ids are ``object`` arrays of ``str``, so every id survives
 exactly; each score table ranks its ids once (``Scores.speakers``), and
 ``key_rows`` aligns tables on those ranks.
 
-Scores live on a CEFR-aligned numeric scale: references take the eight
-levels 2.0, 2.5, ..., 5.5; grader predictions are unconstrained finite
-reals (counted when outside [0.0, 6.0]).
+This module owns the score scale, from which every level test, snap, clamp and
+fusion edge derives: references take the eight ``REFERENCE_LEVELS``; grader predictions
+are unconstrained finite reals (counted when outside ``SCORE_RANGE``).
 """
 
 from __future__ import annotations
@@ -43,14 +43,19 @@ PART_VALUES = (OVERALL, *PARTS)
 
 #: Valid reference levels: 2.0 through 5.5 in 0.5 steps.
 REFERENCE_LEVELS = tuple(2.0 + 0.5 * i for i in range(8))
+SCORE_RANGE = (0.0, 6.0)  # the graders' range, and fusion's outer edges
+LEVEL_TOL = 1e-9  # how far a value may lie from a level and still be that level
 
-_GRID_TOL = 1e-9
+
+def snap_to_grid(pred) -> np.ndarray:
+    """Nearest level to each score, half-way up (3.25 -> 3.5); clipped first, so none overflows."""
+    p = np.clip(np.asarray(pred, dtype=np.float64), REFERENCE_LEVELS[0], REFERENCE_LEVELS[-1])
+    return np.floor(2.0 * p + 0.5) / 2.0
 
 
 def is_on_grid(values: np.ndarray) -> np.ndarray:
-    """True where a value is one of the eight 0.5-step reference levels."""
-    diff = np.abs(np.asarray(values, dtype=np.float64)[:, None] - np.asarray(REFERENCE_LEVELS))
-    return (diff <= _GRID_TOL).any(axis=1)
+    """True where a value lies within ``LEVEL_TOL`` of a reference level."""
+    return np.abs(np.asarray(values, dtype=np.float64) - snap_to_grid(values)) <= LEVEL_TOL
 
 
 def _store_columns(table, **dtypes) -> None:
@@ -105,7 +110,7 @@ def _keys(table, rows=slice(None)) -> list[tuple[str, int]]:
 def validate_record(scores: Scores, kind: str) -> Scores:
     """Validate the scores of a ``"prediction"``, ``"reference"`` or ``"overall"``
     table: finite, and references on the 0.5-step level grid. Predictions outside
-    [0.0, 6.0] are counted in one warning, not rejected, since both graders regress
+    ``SCORE_RANGE`` are counted in one warning, not rejected, since both graders regress
     continuously. The error raised for the first fault names its row in ``row``.
     A file's parts are checked against its kind by the reader."""
     if kind not in ("prediction", "reference", "overall"):
@@ -122,9 +127,9 @@ def validate_record(scores: Scores, kind: str) -> Scores:
             exc.row = row
             raise exc
     if kind == "prediction":
-        outside = np.count_nonzero((scores.score < 0.0) | (scores.score > 6.0))
+        outside = np.count_nonzero(np.clip(scores.score, *SCORE_RANGE) != scores.score)
         if outside:
-            log.warning("%d prediction(s) outside [0.0, 6.0]", outside)
+            log.warning("%d prediction(s) outside [%s, %s]", outside, *SCORE_RANGE)
     return scores
 
 

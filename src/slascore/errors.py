@@ -10,7 +10,7 @@ class ValidationError(SlaError):
 
 
 class OffGridReference(ValidationError):
-    """Reference score is not a 0.5-step level in [2.0, 5.5]."""
+    """Reference score is not one of ``core.REFERENCE_LEVELS``."""
 
 
 class NonFiniteScore(ValidationError):

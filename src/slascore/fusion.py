@@ -1,7 +1,7 @@
 """Score-conditioned fusion of the two grader streams.
 
-The multimodal score selects one of eight fixed CEFR-aligned intervals
-(``DEFAULT_EDGES``); each interval carries an interpolation weight w_k
+The multimodal score selects one of eight fixed intervals, one around each of
+``core``'s reference levels (``DEFAULT_EDGES``); each carries an interpolation weight w_k
 calibrated by exhaustive grid search on a dev set (RMSE objective), then
 fixed for evaluation:
 
@@ -19,16 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .core import OVERALL, PART_VALUES, PARTS, JoinedDataset, Scores, key_rows
+from .core import (OVERALL, PART_VALUES, PARTS, REFERENCE_LEVELS, SCORE_RANGE, JoinedDataset,
+                   Scores, key_rows)
 from .errors import EmptyDataset, InvalidConfig, MissingPart, NonFiniteScore, NoReferences
 
 log = logging.getLogger(__name__)
 
-#: The edges of the eight fixed CEFR-aligned intervals: [0.0-2.25),
-#: [2.25-2.75), ..., [4.75-5.25), [5.25-6.0]; last interval closed on both ends.
-DEFAULT_EDGES = (0.0, 2.25, 2.75, 3.25, 3.75, 4.25, 4.75, 5.25, 6.0)
+#: The interval edges: the level midpoints between the ends of ``SCORE_RANGE``, the last closed.
+DEFAULT_EDGES = (SCORE_RANGE[0], *((lo + hi) / 2 for lo, hi in
+                                   zip(REFERENCE_LEVELS, REFERENCE_LEVELS[1:])), SCORE_RANGE[1])
 
-N_BINS = 8
+N_BINS = len(REFERENCE_LEVELS)
 GRID_STEP = 0.01  # the default weight grid is {0, 0.01, ..., 1}
 
 
@@ -47,6 +48,9 @@ class FusionCalibration:
     per_bin_rmse: tuple[float | None, ...] = field(default=(None,) * N_BINS, compare=False)
 
     def __post_init__(self):
+        # tuples, as the file reads back, so a calibration equals its read-back
+        object.__setattr__(self, "weights", tuple(self.weights))
+        object.__setattr__(self, "per_bin_counts", tuple(self.per_bin_counts))
         if not all(map(_is_number, (self.grid_step, self.dev_rmse, *self.weights))):
             raise InvalidConfig("grid_step, dev_rmse and each weight must be an int or float, "
                                 "not a bool")
@@ -92,10 +96,9 @@ def bin_index(mllm_score: float | np.ndarray) -> np.integer | np.ndarray:
     finite = np.isfinite(s)
     if not finite.all():
         raise NonFiniteScore(f"cannot bin {np.count_nonzero(~finite)} non-finite score(s)")
-    lo, hi = DEFAULT_EDGES[0], DEFAULT_EDGES[-1]
-    outside = np.count_nonzero((s < lo) | (s > hi))
+    outside = np.count_nonzero(np.clip(s, *SCORE_RANGE) != s)  # the edges' ends
     if outside:
-        log.warning("%d score(s) outside [%s, %s] clamped to the end bins", outside, lo, hi)
+        log.warning("%d score(s) outside [%s, %s] clamped to the end bins", outside, *SCORE_RANGE)
     return np.clip(np.searchsorted(DEFAULT_EDGES, s, side="right") - 1, 0, N_BINS - 1)
 
 
@@ -164,12 +167,12 @@ def fuse_dataset(
 ) -> Scores:
     """Fuse every row; key- and order-preserving.
 
-    ``clamp`` optionally clips fused scores to the reference range
-    [2.0, 5.5] (off by default: references never leave it, but graders may).
+    ``clamp`` optionally clips fused scores to the ends of ``REFERENCE_LEVELS``
+    (off by default: references never leave them, but graders may).
     """
     fused = fuse_one(data.w2v, data.mllm, calib)
     if clamp:
-        fused = np.clip(fused, 2.0, 5.5)
+        fused = np.clip(fused, REFERENCE_LEVELS[0], REFERENCE_LEVELS[-1])
     return Scores(data.speaker_id, data.part, fused)
 
 

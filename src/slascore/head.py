@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import LEVEL_TOL
 from .errors import (
     EmptyDataset,
     InvalidConfig,
@@ -170,11 +171,16 @@ def forward(seq: FrameSequence, params: HeadParameters):
     return prediction, cache
 
 
-def _target_index(target: float, levels: np.ndarray) -> int:
-    hits = np.flatnonzero(np.abs(levels - target) <= 1e-9)
-    if hits.size != 1:
-        raise OffGridTarget(f"target {target} is not one of the trained levels {levels.tolist()}")
-    return int(hits[0])
+def _level_index(targets: list[float], levels: np.ndarray) -> np.ndarray:
+    """Each target's one level within ``LEVEL_TOL``; the first with none or two raises."""
+    t = np.asarray(targets, dtype=np.float64)[:, None]
+    # the levels near a target are a run where it sorts in; indices -2 and -1 wrap to the NaNs
+    window = levels.searchsorted(t) + np.arange(-2, 2)
+    near = np.abs(np.append(levels, [np.nan] * 2)[window] - t) <= LEVEL_TOL
+    if (bad := near.sum(axis=1) != 1).any():
+        raise OffGridTarget(f"target {targets[bad.argmax()]} is not one of the trained levels "
+                            f"{levels.tolist()}")
+    return window[near]
 
 
 def loss(prediction, target: float, params: HeadParameters) -> tuple[float, np.ndarray]:
@@ -182,7 +188,7 @@ def loss(prediction, target: float, params: HeadParameters) -> tuple[float, np.n
     gradient d loss / d prediction in the shape of the forward output."""
     if params.mode == REGRESSION:
         return _squared_error(prediction, target)
-    return _cross_entropy(prediction, _target_index(target, params.levels))
+    return _cross_entropy(prediction, int(_level_index([target], params.levels)[0]))
 
 
 def _squared_error(prediction: float, target: float) -> tuple[float, np.ndarray]:
@@ -277,11 +283,8 @@ def init_parameters(
     labels = [s.label for s in train_data]
     if any(lbl is None for lbl in labels):
         raise ValidationError("all training sequences must carry labels")
-    levels, label_class = np.unique(np.asarray(labels, dtype=np.float64), return_inverse=True)
-    near = np.diff(levels, prepend=-np.inf, append=np.inf) <= 1e-9  # gaps around each level
-    if (bad := near[label_class] | near[label_class + 1]).any():  # a label near two levels
-        raise OffGridTarget(f"target {labels[bad.argmax()]} is not one of the trained levels "
-                            f"{levels.tolist()}")
+    levels = np.unique(np.asarray(labels, dtype=np.float64))
+    label_class = _level_index(labels, levels)  # a label near two levels is rejected
     d = train_data[0].frames.shape[1]
     n = levels.size
     out = 1 if mode == REGRESSION else n
@@ -333,7 +336,7 @@ def train(
     # each label's loss target, found once per run; the levels are the distinct labels
     labels = [seq.label for seq in train_data]
     step_loss, targets = ((_squared_error, labels) if config.mode == REGRESSION else
-                          (_cross_entropy, params.levels.searchsorted(labels).tolist()))
+                          (_cross_entropy, _level_index(labels, params.levels).tolist()))
     rng = np.random.default_rng(config.seed + 1)
     # one vector theta holds every trainable array; the fields become views into it
     sizes = [getattr(params, name).size for name in PARAM_FIELDS]

@@ -3,7 +3,7 @@ plus macro F1 for model selection.
 
 RMSE is the primary ranking criterion; correlations use the population
 (n-denominator) form in both covariance and variances, which leaves the
-ratio unchanged but pins down a bit-exact oracle.
+ratio unchanged but pins down a bit-exact oracle. Macro F1 uses ``core``'s level grid.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import is_on_grid
+from .core import is_on_grid, snap_to_grid
 from .errors import ConstantInput, EmptyInput, LengthMismatch, OffGridReference
 
 
@@ -83,15 +83,6 @@ def within_tolerance(pred, ref, tol: float) -> float:
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     return float(100.0 * np.mean(np.abs(p - r) <= tol))
-
-
-def snap_to_grid(pred) -> np.ndarray:
-    """Snap scores to the nearest 0.5 level in [2.0, 5.5].
-
-    Half-way values round toward +inf, e.g. 3.25 -> 3.5.
-    """
-    p = np.asarray(pred, dtype=np.float64)
-    return np.clip(np.floor(2.0 * p + 0.5) / 2.0, 2.0, 5.5)
 
 
 def macro_f1(pred, ref) -> float:

@@ -1,8 +1,8 @@
 """Synthetic datasets for desk-scale verification.
 
 Stands in for the real corpus: each speaker's four part scores are
-simulated as the reference level plus Gaussian noise set per fixed fusion
-interval, drawn straight into numpy columns, and frame features as
+simulated as the reference level plus Gaussian noise set per level, drawn
+straight into numpy columns, and frame features as
 class-conditional Gaussians, so calibration and training behaviour can be
 checked against exhaustive/nearest-mean oracles (``tests/oracles.py``).
 """
@@ -16,37 +16,42 @@ import numpy as np
 
 from .core import PARTS, REFERENCE_LEVELS, JoinedDataset
 from .errors import InvalidConfig
-from .fusion import N_BINS
 from .head import FrameSequence
+
+N_LEVELS = len(REFERENCE_LEVELS)
+MAX_SPEAKERS = 250_000  # 1M score rows
+MAX_FRAME_VALUES = 10**7  # the most frame values generate_frames may draw
 
 
 @dataclass(frozen=True, slots=True)
 class SynthConfig:
-    """Per-interval noise model for the two simulated grader streams."""
+    """Per-level noise model for the two simulated grader streams."""
 
     n_speakers: int = 100
-    w2v_noise: tuple[float, ...] = (0.3,) * N_BINS
-    mllm_noise: tuple[float, ...] = (0.3,) * N_BINS
+    w2v_noise: tuple[float, ...] = (0.3,) * N_LEVELS
+    mllm_noise: tuple[float, ...] = (0.3,) * N_LEVELS
     seed: int = 0
-    level_weights: tuple[float, ...] = (1.0,) * N_BINS
+    level_weights: tuple[float, ...] = (1.0,) * N_LEVELS
 
     def __post_init__(self):
         if self.n_speakers < 1:
             raise InvalidConfig("need at least one speaker")
+        if self.n_speakers > MAX_SPEAKERS:
+            raise InvalidConfig(f"n_speakers {self.n_speakers} exceeds {MAX_SPEAKERS}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         for name in ("w2v_noise", "mllm_noise"):
             sigmas = getattr(self, name)
-            if len(sigmas) != N_BINS or not all(0 <= s < math.inf for s in sigmas):
-                raise InvalidConfig(f"{name} must be {N_BINS} finite non-negative sigmas")
-        if len(self.level_weights) != N_BINS:
-            raise InvalidConfig(f"level_weights must have length {N_BINS}")
+            if len(sigmas) != N_LEVELS or not all(0 <= s < math.inf for s in sigmas):
+                raise InvalidConfig(f"{name} must be {N_LEVELS} finite non-negative sigmas")
+        if len(self.level_weights) != N_LEVELS:
+            raise InvalidConfig(f"level_weights must have length {N_LEVELS}")
         if not all(0 <= w < math.inf for w in self.level_weights) or sum(self.level_weights) == 0:
             raise InvalidConfig("level_weights must be finite, non-negative and not all zero")
 
 
 def heteroscedastic_config(n_speakers: int = 500, seed: int = 0) -> SynthConfig:
-    """mllm accurate in the top four intervals, w2v in the bottom four."""
+    """mllm accurate on the top four levels, w2v on the bottom four."""
     return SynthConfig(
         n_speakers=n_speakers,
         w2v_noise=(0.1,) * 4 + (0.6,) * 4,
@@ -64,7 +69,7 @@ def generate_scores(cfg: SynthConfig) -> JoinedDataset:
     n = cfg.n_speakers * len(PARTS)
     level, w2v, mllm = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
     for i in range(n):  # the draw order (level, w2v, mllm) fixes the random stream
-        k = level[i] = rng.choice(N_BINS, p=weights)  # level k lies in fusion interval k
+        k = level[i] = rng.choice(N_LEVELS, p=weights)
         w2v[i] = rng.normal(0.0, cfg.w2v_noise[k])
         mllm[i] = rng.normal(0.0, cfg.mllm_noise[k])
     ref = np.asarray(REFERENCE_LEVELS)[level]
@@ -88,7 +93,8 @@ def generate_frames(
     """Class-conditional Gaussian frame sequences, unit within-class sigma.
 
     Class means sit ``separation`` apart along distinct coordinate axes;
-    sequence lengths are uniform over ``t_range``.
+    sequence lengths are uniform over ``t_range``. A request that could draw
+    more than ``MAX_FRAME_VALUES`` values is refused before anything is drawn.
     """
     if separation < 0:
         raise InvalidConfig("separation must be >= 0")
@@ -96,6 +102,8 @@ def generate_frames(
         raise InvalidConfig("need n_per_class >= 1, d >= 1, and at least one level")
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
+    if (size := n_per_class * len(levels) * t_range[1] * d) > MAX_FRAME_VALUES:
+        raise InvalidConfig(f"up to {size} frame values requested, more than {MAX_FRAME_VALUES}")
     rng = np.random.default_rng(seed)
     out = []
     for k, level in enumerate(levels):

@@ -8,7 +8,9 @@ takes plain score sequences; the separability oracle works on the
 library's own frame sequences. The prediction-CSV reader, the key join
 and the per-speaker aggregate are per-line and dict versions of the
 library's bulk reader, key-grid join and pairing, and key-grid aggregate.
-The synthetic-score oracle draws row tuples where the library fills columns.
+The synthetic-score oracle draws row tuples where the library fills columns,
+and the level test compares each value with every level, where the library
+compares it with its snapped level only.
 """
 
 import math
@@ -69,6 +71,22 @@ def within_oracle(pred, ref, tol):
 
 
 _LEVELS = [2.0 + 0.5 * i for i in range(8)]
+
+
+def is_on_grid_oracle(values):
+    """Within 1e-9 of one of the eight levels, by one column per level."""
+    diff = np.abs(np.asarray(values, dtype=np.float64)[:, None] - np.asarray(_LEVELS))
+    return (diff <= 1e-9).any(axis=1)
+
+
+def level_index_oracle(targets, levels):
+    """Each target's index among ``levels`` by a scan of all of them; None
+    when a target lies within 1e-9 of no level or of two."""
+    out = []
+    for t in targets:
+        hits = [k for k, level in enumerate(levels) if abs(level - t) <= 1e-9]
+        out.append(hits[0] if len(hits) == 1 else None)
+    return out
 
 
 def snap_oracle(x):

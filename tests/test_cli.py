@@ -298,7 +298,11 @@ class TestSynthCommand:
         assert code == 0
 
 
-    @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--noise", "nan"]], ids="=".join)
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "-1"], ["--noise", "nan"], ["--n-speakers", "250001"],
+        # 1 train sequence per level, up to 20 frames of 166,667 values: past 10**7
+        ["--features", "--frames-per-class", "1", "--feature-dim", "166667"],
+    ], ids="=".join)
     def test_bad_config_exit_code(self, tmp_path, capsys, argv):
         code, out, err = run(capsys, "synth", *argv, "--out-dir", str(tmp_path / "d"))
         assert code == cli.EXIT_VALIDATION and out == ""

@@ -1,5 +1,6 @@
 import logging
 import math
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -8,11 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from slascore.core import (
+    LEVEL_TOL,
     OVERALL,
     PARTS,
     REFERENCE_LEVELS,
     JoinedDataset,
     Scores,
+    is_on_grid,
     join,
     key_rows,
     pair_on_keys,
@@ -29,7 +32,7 @@ from slascore.errors import (
 )
 from slascore import fileio
 from slascore.fusion import calibrate
-from oracles import join_oracle, pair_on_keys_oracle
+from oracles import is_on_grid_oracle, join_oracle, pair_on_keys_oracle
 from tables import rows, scores
 
 
@@ -137,6 +140,28 @@ class TestJoin:
     def test_case_sensitive_keys(self):
         with pytest.raises(EmptyJoin):
             join(rec("A", 1, 3.0), rec("a", 1, 4.0))
+
+
+# Each level, the level +- LEVEL_TOL, and the float either side of all three.
+_NEAR_LEVELS = [x for level in REFERENCE_LEVELS
+                for y in (level - LEVEL_TOL, level, level + LEVEL_TOL)
+                for x in (np.nextafter(y, -math.inf), y, np.nextafter(y, math.inf))]
+GRID_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(_NEAR_LEVELS + [math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                                    sys.float_info.min, sys.float_info.max,
+                                    -sys.float_info.max, 0.0, -0.0]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(GRID_VALUES, max_size=40))
+def test_is_on_grid_agrees_with_the_level_columns(values):
+    """The one-snap level test equals one comparison per level on any float,
+    and raises no floating-point error under the CLI's error state."""
+    with np.errstate(over="raise", invalid="raise"):
+        got = is_on_grid(values)
+    expected = is_on_grid_oracle(values)
+    assert got.shape == expected.shape and got.tolist() == expected.tolist()
 
 
 def test_parts_constant():

@@ -256,15 +256,21 @@ WEIGHTS = st.one_of(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0, 1]), min_
                              min_size=8, max_size=8))
 
 
+# The container a caller may hold weights or counts in.
+CONTAINERS = st.sampled_from([tuple, list, lambda values: np.asarray(values, dtype=np.float64)])
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(grid_step=GRID_STEPS, dev_rmse=DEV_RMSES, counts=COUNTS, weights=WEIGHTS)
+@given(grid_step=GRID_STEPS, dev_rmse=DEV_RMSES, counts=COUNTS, weights=WEIGHTS,
+       counts_as=CONTAINERS, weights_as=CONTAINERS)
 def test_calibration_is_checked_when_built_or_reads_back(tmp_path, grid_step, dev_rmse,
-                                                         counts, weights):
+                                                         counts, weights, counts_as, weights_as):
     """A calibration either fails when it is built, or the file it writes
-    reads back as the same calibration: no value is left to the reader."""
+    reads back as the same calibration, whatever container its weights and
+    counts came in: no value is left to the reader."""
     try:
-        calib = FusionCalibration(tuple(weights), grid_step, dev_rmse, tuple(counts))
+        calib = FusionCalibration(weights_as(weights), grid_step, dev_rmse, counts_as(counts))
     except InvalidConfig:
         return
     path = tmp_path / "calib.json"

@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import nearest_class_mean_f1
+from oracles import level_index_oracle, nearest_class_mean_f1
 from slascore import head
 from slascore.errors import (
     EmptyDataset,
@@ -244,6 +246,27 @@ class TestForwardLoss:
             loss(np.zeros(3), 1.23, params)
 
 
+# Values on or within a few 1e-9 of three levels, so runs of near levels form.
+NEAR_VALUES = st.builds(lambda base, step: base + step * 4e-10,
+                        st.sampled_from([2.0, 2.5, 5.5]), st.integers(-6, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels=st.lists(NEAR_VALUES, min_size=0, max_size=8, unique=True),
+       targets=st.lists(NEAR_VALUES | st.sampled_from([math.nan, 3.0, 1e308]), max_size=8))
+def test_level_index_agrees_with_a_scan_of_every_level(levels, targets):
+    """The two-either-side window finds what a scan of every level finds, and
+    names the first target near no level or near two."""
+    levels = np.array(sorted(levels))
+    expected = level_index_oracle(targets, levels.tolist())
+    if None in expected:
+        first = targets[expected.index(None)]
+        with pytest.raises(OffGridTarget, match=f"^target {re.escape(str(first))} is not"):
+            head._level_index(targets, levels)
+    else:
+        assert head._level_index(targets, levels).tolist() == expected
+
+
 class TestBackward:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -414,11 +437,11 @@ class TestTrain:
         train_d, dev_d = toy_data
         calls = []
 
-        def counting(target, levels, _find=head._target_index):
-            calls.append(target)
-            return _find(target, levels)
+        def counting(targets, levels, _find=head._level_index):
+            calls.extend(targets)
+            return _find(targets, levels)
 
-        monkeypatch.setattr(head, "_target_index", counting)
+        monkeypatch.setattr(head, "_level_index", counting)
         counts = []
         for epochs in (1, 5):
             calls.clear()

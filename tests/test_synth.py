@@ -9,7 +9,10 @@ from slascore import metrics
 from slascore.core import REFERENCE_LEVELS
 from slascore.errors import InvalidConfig, NoReferences
 from slascore.fusion import N_BINS, bin_index, calibrate
+from slascore import synth
 from slascore.synth import (
+    MAX_FRAME_VALUES,
+    MAX_SPEAKERS,
     SynthConfig,
     generate_frames,
     generate_scores,
@@ -32,6 +35,13 @@ class TestSynthConfig:
     def test_negative_seed(self):
         with pytest.raises(InvalidConfig, match="seed"):
             SynthConfig(seed=-1)
+
+    def test_speaker_count_bounded(self):
+        """At most 250,000 speakers, 1M score rows; the config draws nothing."""
+        assert MAX_SPEAKERS == 250_000
+        assert SynthConfig(n_speakers=MAX_SPEAKERS).n_speakers == MAX_SPEAKERS
+        with pytest.raises(InvalidConfig, match="^n_speakers 250001 exceeds 250000$"):
+            SynthConfig(n_speakers=MAX_SPEAKERS + 1)
 
     @pytest.mark.parametrize("field", ["w2v_noise", "mllm_noise", "level_weights"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -132,6 +142,24 @@ class TestGenerateFrames:
     def test_negative_seed(self):
         with pytest.raises(InvalidConfig, match="seed"):
             generate_frames(5, [3.0], d=4, separation=1.0, seed=-1)
+
+    def test_size_bounded_before_drawing(self, monkeypatch):
+        """A request whose longest sequences would draw more than 10**7 values
+        is refused; one at the bound passes the check and starts drawing."""
+
+        class Drawing(Exception):
+            pass
+
+        def no_draw(seed):
+            raise Drawing
+
+        monkeypatch.setattr(synth.np.random, "default_rng", no_draw)
+        assert MAX_FRAME_VALUES == 10**7
+        with pytest.raises(Drawing):
+            generate_frames(1, [3.0], d=1, separation=1.0, t_range=(1, MAX_FRAME_VALUES))
+        with pytest.raises(InvalidConfig, match=r"^up to 10000001 frame values requested, "
+                                                r"more than 10000000$"):
+            generate_frames(1, [3.0], d=1, separation=1.0, t_range=(1, MAX_FRAME_VALUES + 1))
 
 
 class TestBruteForceBinWeight:
