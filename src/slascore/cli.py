@@ -39,8 +39,7 @@ def cmd_evaluate(args) -> int:
         fileio.write_json(args.out, asdict(report))
     if args.format == "csv":
         print("rmse,pcc,src,within_half,within_one,n")
-        print(f"{report.rmse:.3f},{report.pcc:.3f},{report.src:.3f},"
-              f"{report.within_half:.1f},{report.within_one:.1f},{report.n}")
+        print(f"{format_metric_row(report, ',')},{report.n}")
     else:
         print(TABLE_HEADER)
         print(format_metric_row(report))
@@ -114,24 +113,24 @@ def cmd_synth(args) -> int:
         cfg = synth.SynthConfig(n_speakers=args.n_speakers, seed=args.seed,
                                 w2v_noise=(args.noise,) * synth.N_LEVELS,
                                 mllm_noise=(args.noise,) * synth.N_LEVELS)
-    data = synth.generate_scores(cfg)
-    if args.features:  # drawn before any file is written, so a bad setting writes none
+    if args.features:  # checked and drawn (each split on its own seed) before any score
         levels = [2.5, 3.5, 4.5]
         frames = synth.generate_frames(args.frames_per_class, levels, args.feature_dim,
                                        args.separation, seed=args.seed)
         dev_frames = synth.generate_frames(max(1, args.frames_per_class // 2), levels,
                                            args.feature_dim, args.separation,
                                            seed=args.seed + 1)
+    data = synth.generate_scores(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, column in (("w2v", data.w2v), ("mllm", data.mllm), ("refs", data.reference)):
         fileio.write_predictions(out_dir / f"{name}.csv",
                                  Scores(data.speaker_id, data.part, column))
-    print(f"wrote {len(data)} rows per file to {out_dir} (w2v.csv, mllm.csv, refs.csv)")
-
     if args.features:
         fileio.write_features(out_dir / "train_features.txt", frames)
         fileio.write_features(out_dir / "dev_features.txt", dev_frames)
+    print(f"wrote {len(data)} rows per file to {out_dir} (w2v.csv, mllm.csv, refs.csv)")
+    if args.features:
         print(f"wrote {len(frames)} train / {len(dev_frames)} dev feature sequences")
     return 0
 

@@ -1,8 +1,8 @@
 """Domain types: score tables and joined grader datasets, held as numpy
 columns with one entry per (speaker, part) row, plus validation and key
 matching. Speaker ids are ``object`` arrays of ``str``, so every id survives
-exactly; each score table ranks its ids once (``Scores.speakers``), and
-``key_rows`` aligns tables on those ranks.
+exactly; each score table derives its key grid and first repeated key once
+(``Scores.key_index``), and ``key_rows`` aligns tables' grids on one speaker axis.
 
 This module owns the score scale, from which every level test, snap, clamp and
 fusion edge derives: references take the eight ``REFERENCE_LEVELS``; grader predictions
@@ -86,7 +86,7 @@ class Scores:
     score: np.ndarray
 
     def __post_init__(self):
-        # the ids are the table's own copy, so no caller can change them under ``speakers``
+        # the ids are the table's own copy, so no caller can change them under ``key_index``
         object.__setattr__(self, "speaker_id", np.array(self.speaker_id, dtype=object))
         _store_columns(self, speaker_id=object, part=np.int64, score=np.float64)
 
@@ -94,12 +94,21 @@ class Scores:
         return len(self.score)
 
     @cached_property
-    def speakers(self) -> tuple[list[str], np.ndarray]:
-        """The table's distinct speaker ids in ``str`` order, and each row's
-        position among them; derived once per table."""
-        ids = self.speaker_id.tolist()
-        rank = dict(zip(sorted(set(ids)), count()))
-        return list(rank), np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
+    def key_index(self) -> tuple[list[str], np.ndarray, int | None]:
+        """The distinct speaker ids in ``str`` order; the read-only ``(n_speakers,
+        len(PART_VALUES))`` grid of each (speaker, part) key's first row, -1 for none; the
+        first row repeating an earlier key, or None. Derived once per table."""
+        ids = sorted(set(self.speaker_id.tolist()))
+        # each row's speaker rank, from a dict freed at once: a read's memory peak stays down
+        key = (np.fromiter(map(dict(zip(ids, count())).__getitem__, self.speaker_id.tolist()),
+                           dtype=np.intp, count=len(self)), np.searchsorted(PART_VALUES, self.part))
+        rows = np.arange(len(self))
+        grid = np.full((len(ids), len(PART_VALUES)), len(self), dtype=np.intp)
+        np.minimum.at(grid, key, rows)  # each key's first row
+        repeats = np.flatnonzero(grid[key] != rows)  # rows whose key an earlier row holds
+        grid[grid == len(self)] = -1
+        grid.flags.writeable = False
+        return ids, grid, int(repeats[0]) if repeats.size else None
 
 
 def _keys(table, rows=slice(None)) -> list[tuple[str, int]]:
@@ -161,28 +170,19 @@ class JoinedDataset:
 
 
 def key_rows(tables: tuple[Scores, ...], labels: tuple[str, ...]) -> list[np.ndarray]:
-    """Row of each table holding each (speaker, part) key, -1 for none, as one
-    ``(n_speakers, len(PART_VALUES))`` grid per table, on one speaker axis (the tables'
-    ids in ``str`` order) and parts in ``PART_VALUES`` order. The first table with a
-    repeated key raises DuplicateKey naming it, its first repeated row in ``row``."""
-    ids = [table.speakers[0] for table in tables]
-    shared = ids[0] if all(own == ids[0] for own in ids) else sorted(set().union(*ids))
-    grids = []
-    for table, own, label in zip(tables, ids, labels):
-        index = table.speakers[1]
-        if own != shared:  # map the table's own ranks onto the shared ones
-            rank = dict(zip(shared, count()))
-            index = np.fromiter(map(rank.__getitem__, own), dtype=np.intp, count=len(own))[index]
-        codes = index * len(PART_VALUES) + np.searchsorted(PART_VALUES, table.part)
-        rows = np.arange(len(codes))
-        grid = np.full(len(shared) * len(PART_VALUES), -1, dtype=np.intp)
-        grid[codes] = rows
-        if (grid[codes] != rows).any():  # some key is held by two rows: name the first repeat
-            row = int(np.setdiff1d(rows, np.unique(codes, return_index=True)[1])[0])
-            exc = DuplicateKey(f"duplicate {label} key {_keys(table, [row])[0]}")
-            exc.row = row
-            raise exc
-        grids.append(grid.reshape(-1, len(PART_VALUES)))
+    """Each table's row for each (speaker, part) key, -1 for none, as one grid per table on
+    one speaker axis (the tables' ids in ``str`` order): their own ``key_index`` grids when
+    they hold the same ids. The first table with a repeated key raises DuplicateKey."""
+    indexes = [table.key_index for table in tables]
+    for table, label, (_, _, repeat) in zip(tables, labels, indexes):
+        if repeat is not None:
+            raise DuplicateKey(f"duplicate {label} key {_keys(table, [repeat])[0]}")
+    if all(own == indexes[0][0] for own, _, _ in indexes):
+        return [grid for _, grid, _ in indexes]
+    rank = dict(zip(sorted(set().union(*(own for own, _, _ in indexes))), count()))
+    grids = [np.full((len(rank), len(PART_VALUES)), -1, dtype=np.intp) for _ in indexes]
+    for merged, (own, grid, _) in zip(grids, indexes):  # one row scatter per table
+        merged[np.fromiter(map(rank.__getitem__, own), dtype=np.intp, count=len(own))] = grid
     return grids
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OVERALL, PARTS, Scores, key_rows, validate_record
+from .core import OVERALL, PARTS, Scores, validate_record
 from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidConfig, InvalidPart
 from .errors import NonFiniteScore, OffGridReference, ParseError, ValidationError
 from .fusion import DEFAULT_EDGES, N_BINS, FusionCalibration, _is_number
@@ -117,12 +117,10 @@ def read_predictions(path: str | Path, kind: str = "prediction") -> Scores:
     part = np.fromiter(map(codes.get, part_texts), dtype=np.int64, count=len(sids))
     try:
         scores = validate_record(Scores(sids, part, score), kind)
-        key_rows((scores,), (kind,))
     except (NonFiniteScore, OffGridReference) as exc:  # each names its row
         raise type(exc)(f"{where(exc.row)}: {exc}") from exc
-    except DuplicateKey as exc:
-        row = exc.row
-        raise DuplicateKey(f"{where(row)}: duplicate key ({sids[row]}, {part_texts[row]})") from exc
+    if (row := scores.key_index[2]) is not None:  # the first row repeating a key
+        raise DuplicateKey(f"{where(row)}: duplicate key ({sids[row]}, {part_texts[row]})")
     return scores
 
 

@@ -117,10 +117,8 @@ def full_report(pred, ref) -> MetricReport:
     )
 
 
-def format_metric_row(report: MetricReport) -> str:
-    """Render one leaderboard-style row: RMSE/PCC/SRC to 3 decimals,
-    percentages to 1."""
-    return (
-        f"{report.rmse:.3f} {report.pcc:.3f} {report.src:.3f} "
-        f"{report.within_half:.1f} {report.within_one:.1f}"
-    )
+def format_metric_row(report: MetricReport, sep: str = " ") -> str:
+    """Render one leaderboard-style row, fields joined by ``sep``: RMSE/PCC/SRC
+    to 3 decimals, percentages to 1."""
+    return sep.join([f"{report.rmse:.3f}", f"{report.pcc:.3f}", f"{report.src:.3f}",
+                     f"{report.within_half:.1f}", f"{report.within_one:.1f}"])

@@ -7,7 +7,7 @@ loop-based ranking) of the same definitions. The calibration oracle
 takes plain score sequences; the separability oracle works on the
 library's own frame sequences. The prediction-CSV reader, the key join
 and the per-speaker aggregate are per-line and dict versions of the
-library's bulk reader, key-grid join and pairing, and key-grid aggregate.
+library's bulk reader, key index, key-grid join and pairing, and key-grid aggregate.
 The synthetic-score oracle draws row tuples where the library fills columns,
 and the level test compares each value with every level, where the library
 compares it with its snapped level only.
@@ -261,6 +261,20 @@ def aggregate_oracle(per_part: Scores) -> list[tuple]:
         p1, p3, p4, p5 = (held[part] for part in PARTS)
         out.append((sid, OVERALL, (0.0 + p1 + p3 + p4 + p5) / 4))
     return out
+
+
+def key_index_oracle(table: Scores) -> tuple[list[str], list[list[int]], int | None]:
+    """Dict scan of ``Scores.key_index``: the sorted distinct ids, each key's first
+    row as nested lists (a row per id, a column per part value, -1 for none) and
+    the first row whose key an earlier row holds, or None."""
+    first, repeat = {}, None
+    for row, key in enumerate(zip(table.speaker_id.tolist(), table.part.tolist())):
+        if key not in first:
+            first[key] = row
+        elif repeat is None:
+            repeat = row
+    ids = sorted({sid for sid, _ in first})
+    return ids, [[first.get((sid, part), -1) for part in (OVERALL, *PARTS)] for sid in ids], repeat
 
 
 def _key_index(table: Scores, label: str) -> dict:

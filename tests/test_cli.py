@@ -316,13 +316,18 @@ class TestSynthCommand:
         assert not (tmp_path / "d").exists()
 
 
-    def test_bad_frame_setting_writes_nothing(self, tmp_path, capsys):
-        """The frames are drawn before any file is written."""
+    def test_bad_frame_setting_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        """The frames are drawn before any score is drawn or any file is written."""
+        calls = []
+        draw = synth.generate_scores
+        monkeypatch.setattr(synth, "generate_scores", lambda cfg: calls.append(cfg) or draw(cfg))
         code, out, err = run(capsys, "synth", "--features", "--frames-per-class", "0",
                              "--out-dir", str(tmp_path / "d"))
         assert code == cli.EXIT_VALIDATION and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert not (tmp_path / "d").exists()
+        assert not (tmp_path / "d").exists() and calls == []
+        assert run(capsys, "synth", "--features", "--out-dir", str(tmp_path / "e"))[0] == 0
+        assert len(calls) == 1
 
     def test_defaults_are_the_library_defaults(self, tmp_path, capsys, monkeypatch):
         """``synth`` draws with ``SynthConfig()`` and ``calibrate`` searches the

@@ -31,8 +31,8 @@ from slascore.errors import (
     OffGridReference,
 )
 from slascore import fileio
-from slascore.fusion import calibrate
-from oracles import is_on_grid_oracle, join_oracle, pair_on_keys_oracle
+from slascore.fusion import aggregate_overall, calibrate
+from oracles import is_on_grid_oracle, join_oracle, key_index_oracle, pair_on_keys_oracle
 from tables import rows, scores
 
 
@@ -193,10 +193,10 @@ def test_part_values_checked_when_built():
 
 def test_columns_are_read_only():
     """A table's columns cannot be changed in place, so its derived key index
-    cannot go stale; the caller's own array keeps its flags."""
+    cannot go stale, nor can the index's grid; the caller's own array keeps its flags."""
     ids = np.array(["a", "b"], dtype=object)
     table = Scores(ids, [1, 1], [3.0, 4.0])
-    for column in (table.speaker_id, table.part, table.score):
+    for column in (table.speaker_id, table.part, table.score, table.key_index[1]):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = column[1]
     with pytest.raises(ValueError, match="read-only"):
@@ -209,11 +209,12 @@ def test_ids_are_the_tables_own():
     neither the table's ids nor where ``key_rows`` files its rows."""
     ids = np.array(["b", "a"], dtype=object)
     t = Scores(ids, [1, 1], [1.0, 2.0])
-    t.speakers
+    t.key_index
     ids[0] = "z"
     assert t.speaker_id.tolist() == ["b", "a"]
-    assert t.speakers[0] == ["a", "b"]
+    assert t.key_index[0] == ["a", "b"]
     (grid,) = key_rows((t,), ("prediction",))
+    assert grid is t.key_index[1]  # one table's own grid, handed out as it is
     assert grid[:, 1].tolist() == [1, 0]  # a in row 1, b in row 0
 
 
@@ -229,31 +230,32 @@ def test_only_score_tables_copy_their_ids():
 
 
 def test_each_table_ranks_its_ids_once(tmp_path, monkeypatch):
-    """Reading three files, joining them and pairing two of them derives each
-    table's key index once: the reader's duplicate check derives it and
-    ``join`` and ``pair_on_keys`` reuse it."""
+    """Reading three files, joining them, pairing two of them and averaging one
+    derives each table's key index once: the reader's duplicate check derives it
+    and ``join``, ``pair_on_keys`` and ``aggregate_overall`` reuse it."""
     derived = []
-    speakers = Scores.speakers
+    key_index = Scores.key_index
 
     def counted(table):
         derived.append(table)
-        return speakers.func(table)
+        return key_index.func(table)
 
     prop = cached_property(counted)
-    prop.__set_name__(Scores, "speakers")
-    monkeypatch.setattr(Scores, "speakers", prop)
+    prop.__set_name__(Scores, "key_index")
+    monkeypatch.setattr(Scores, "key_index", prop)
+    sids, parts = zip(*((sid, part) for sid in ("b", "a", "c") for part in PARTS))
     paths = {}
-    for name, values in (("w2v", [3.0, 4.0, 2.0]), ("mllm", [3.5, 4.5, 2.5]),
-                         ("refs", [3.5, 4.0, 2.5])):
+    for name, offset in (("w2v", 2.0), ("mllm", 2.25), ("refs", 2.5)):
         paths[name] = tmp_path / f"{name}.csv"
-        fileio.write_predictions(paths[name], Scores(["b", "a", "c"], [1, 3, 1], values))
+        fileio.write_predictions(paths[name], Scores(sids, parts, offset + np.arange(12) % 4 * 0.5))
     w2v, mllm = (fileio.read_predictions(paths[name]) for name in ("w2v", "mllm"))
     refs = fileio.read_predictions(paths["refs"], "reference")
     assert derived == [w2v, mllm, refs]
-    assert len(join(w2v, mllm, refs)) == 3
-    assert pair_on_keys(w2v, refs)[1].tolist() == [3.5, 4.0, 2.5]
+    assert len(join(w2v, mllm, refs)) == 12
+    assert pair_on_keys(w2v, refs)[1].tolist() == refs.score.tolist()
+    assert aggregate_overall(w2v).speaker_id.tolist() == ["a", "b", "c"]
     assert derived == [w2v, mllm, refs]
-    assert all("speakers" in vars(table) for table in (w2v, mllm, refs))
+    assert all("key_index" in vars(table) for table in (w2v, mllm, refs))
 
 
 def test_pair_on_keys_rejects_a_repeated_prediction_key():
@@ -283,6 +285,21 @@ def key_tables(draw) -> tuple[Scores, Scores, Scores | None]:
         values = draw(st.lists(st.floats(width=64), min_size=len(keys), max_size=len(keys)))
         tables.append(Scores([k[0] for k in keys], [k[1] for k in keys], values))
     return tables[0], tables[1], tables[2] if draw(st.booleans()) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables=key_tables())
+def test_key_index_agrees_with_a_dict_scan(tables):
+    """Each table's distinct ids, key grid and first repeated row are those a
+    dict scan of its rows finds; so are those of the tables' rows stacked, which
+    repeat every key two tables share."""
+    drawn = [table for table in tables if table is not None]
+    stacked = Scores(*(np.concatenate([getattr(table, name) for table in drawn])
+                       for name in ("speaker_id", "part", "score")))
+    for table in (*drawn, stacked):
+        ids, grid, repeat = table.key_index
+        assert grid.dtype == np.intp and grid.shape == (len(ids), 5)
+        assert (ids, grid.tolist(), repeat) == key_index_oracle(table)
 
 
 def outcome(fn, *args):

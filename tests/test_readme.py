@@ -1,12 +1,13 @@
 """The README's library example and CLI walkthrough run as written, and
-the library's public names resolve."""
+the library's public names and the names the README gives resolve."""
 
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
 import slascore
-from slascore import cli
+from slascore import cli, core, fileio, fusion, head, metrics, synth
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -47,3 +48,25 @@ def test_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
 def test_public_names_resolve():
     missing = [name for name in slascore.__all__ if not hasattr(slascore, name)]
     assert missing == []
+
+
+def test_readme_names_resolve():
+    """Every backticked ``module.attr`` of a library module and ``Type.attr`` of a
+    library dataclass (a method, property or field) in the README exists."""
+    modules = {m.__name__.rpartition(".")[2]: m for m in (core, fusion, fileio, head, metrics,
+                                                         synth, cli)}
+    types = {name: obj for m in modules.values() for name, obj in vars(m).items()
+             if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+             and obj.__module__.startswith("slascore.")}
+
+    def resolves(owner, attr):
+        if owner in modules:
+            return hasattr(modules[owner], attr)
+        # a field with no default is no class attribute
+        fields = {f.name for f in dataclasses.fields(types[owner])}
+        return attr in fields or hasattr(types[owner], attr)
+
+    names = re.findall(r"`(\w+)\.(\w+)`", README.read_text(encoding="utf-8"))
+    checked = [(owner, attr) for owner, attr in names if owner in modules or owner in types]
+    assert checked
+    assert [f"{owner}.{attr}" for owner, attr in checked if not resolves(owner, attr)] == []
