@@ -97,11 +97,10 @@ class Scores:
     def key_index(self) -> tuple[list[str], np.ndarray, int | None]:
         """The distinct speaker ids in ``str`` order; the read-only ``(n_speakers,
         len(PART_VALUES))`` grid of each (speaker, part) key's first row, -1 for none; the
-        first row repeating an earlier key, or None. Derived once per table."""
-        ids = sorted(set(self.speaker_id.tolist()))
-        # each row's speaker rank, from a dict freed at once: a read's memory peak stays down
-        key = (np.fromiter(map(dict(zip(ids, count())).__getitem__, self.speaker_id.tolist()),
-                           dtype=np.intp, count=len(self)), np.searchsorted(PART_VALUES, self.part))
+        first row repeating an earlier key, or None. Derived once per table; the ids are
+        ranked by ``_rank``, which sorts only the distinct ones."""
+        ids, rank = _rank(self.speaker_id.tolist())
+        key = (rank, np.searchsorted(PART_VALUES, self.part))
         rows = np.arange(len(self))
         grid = np.full((len(ids), len(PART_VALUES)), len(self), dtype=np.intp)
         np.minimum.at(grid, key, rows)  # each key's first row
@@ -109,6 +108,19 @@ class Scores:
         grid[grid == len(self)] = -1
         grid.flags.writeable = False
         return ids, grid, int(repeats[0]) if repeats.size else None
+
+
+def _rank(ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ``ids`` in ``str`` order and each id's rank among them. One dict pass
+    finds each id's first position, only the distinct ids are sorted, and array indexing
+    spreads their ranks to the positions."""
+    first: dict[str, int] = {}
+    at = np.fromiter(map(first.setdefault, ids, count()), dtype=np.intp, count=len(ids))
+    distinct = sorted(first)
+    rank = np.empty(len(ids), dtype=np.intp)  # at each id's first position, its rank
+    rank[np.fromiter(map(first.__getitem__, distinct), dtype=np.intp, count=len(distinct))] = \
+        np.arange(len(distinct))
+    return distinct, rank[at]
 
 
 def _keys(table, rows=slice(None)) -> list[tuple[str, int]]:

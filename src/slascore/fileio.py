@@ -3,7 +3,8 @@ file: score CSVs (each of one kind: per-part predictions or references, or
 overall scores), leaderboard CSVs, calibration, parameter and metrics JSON,
 frame features and training logs.
 
-The CSVs share one table reader (split once; ASCII numbers; ``path:line``
+The CSVs share one table reader (one numpy pass over the file's bytes counts
+each line's commas, the text is split once; ASCII numbers; ``path:line``
 errors), the JSON files one object reader; feature files are read a record
 at a time. In a CSV or feature file only LF, CR and CRLF end a line. Every
 file is written by ``write_text`` in canonical bytes, so write -> read ->
@@ -15,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -82,9 +83,12 @@ def _ascii(text: str) -> str:
 
 
 def write_predictions(path: str | Path, scores: Scores) -> None:
-    # the text reads back as these rows only when no id is empty or breaks a field or line
     ids = scores.speaker_id.tolist()
-    if any("," in sid or sid.splitlines() != [sid] for sid in set(ids)):
+    # the text reads back as these rows only when no id is empty or breaks a field or line;
+    # joined by LF, the distinct ids split back into themselves only when none holds a break
+    distinct = list(set(ids))
+    joined = "\n".join(distinct)
+    if "" in distinct or "," in joined or joined.splitlines() != distinct:
         raise ValidationError(f"{path}: a speaker id is empty or holds a comma or line break")
     parts = [OVERALL_TEXT if p == OVERALL else p for p in scores.part.tolist()]
     rows = map("{},{},{!r}".format, ids, parts, scores.score.tolist())
@@ -93,28 +97,40 @@ def write_predictions(path: str | Path, scores: Scores) -> None:
 
 def read_predictions(path: str | Path, kind: str = "prediction") -> Scores:
     """Parse and validate a CSV of ``kind`` scores (prediction, reference or overall)
-    into score columns, in bulk; a fault is traced back to its ``path:line``."""
-    cells, where = _read_table(path, PREDICTION_HEADER)
+    into score columns, in bulk; a fault is traced back to its ``path:line``. The
+    empty-id check and, when every part field is one byte, each row's part code come
+    from the table's comma positions, not from per-row cell lookups."""
+    cells, where, raw, commas = _read_table(path, PREDICTION_HEADER)
     sids, part_texts, score_texts = cells[0::3], cells[1::3], cells[2::3]
-    if "" in sids:
-        raise ParseError(f"{where(sids.index(''))}: empty speaker id")
+    # an id is empty when its row's first comma follows the line break before the row
+    if (empty := np.flatnonzero(raw[commas[:, 0] - 1] == ord("\n"))).size:
+        raise ParseError(f"{where(empty[0])}: empty speaker id")
     score = _numbers(score_texts, where, "bad score {!r}")
-    codes = dict.fromkeys(part_texts)  # each distinct part text is parsed once
-    for text in codes:
+    # a one-byte part field is an ASCII character, so a 256-entry lookup maps it to its code
+    byte = raw[commas[:, 0] + 1] if (commas[:, 1] - commas[:, 0] == 2).all() else None
+    codes = dict.fromkeys(part_texts if byte is None else
+                          map(chr, np.flatnonzero(np.bincount(byte, minlength=256)).tolist()))
+    for text in codes:  # each distinct part text is parsed once; None if it is no part
         try:  # every part of an overall file is `overall`, none of a per-part file
             if (text == OVERALL_TEXT) != (kind == "overall"):
                 raise ValueError(text)
             codes[text] = OVERALL if text == OVERALL_TEXT else np.int64(int(_ascii(text)))
         except (ValueError, OverflowError):
-            raise ParseError(f"{where(part_texts.index(text))}: bad part {text!r} for {kind} "
-                             f"scores") from None
+            pass
+    if bad := [text for text, code in codes.items() if code is None]:
+        row = min(map(part_texts.index, bad))  # the first bad text's first row
+        raise ParseError(f"{where(row)}: bad part {part_texts[row]!r} for {kind} scores")
     parts = (OVERALL,) if kind == "overall" else PARTS
-    for text, code in codes.items():  # the first bad text's first row is the first bad row
-        if code not in parts:
-            row = part_texts.index(text)
-            raise InvalidPart(f"{where(row)}: part {code} not in {parts}, the {kind} parts "
-                              f"(speaker {sids[row]})")
-    part = np.fromiter(map(codes.get, part_texts), dtype=np.int64, count=len(sids))
+    if bad := [text for text, code in codes.items() if code not in parts]:
+        row = min(map(part_texts.index, bad))
+        raise InvalidPart(f"{where(row)}: part {codes[part_texts[row]]} not in {parts}, the "
+                          f"{kind} parts (speaker {sids[row]})")
+    if byte is None:
+        part = np.fromiter(map(codes.get, part_texts), dtype=np.int64, count=len(sids))
+    else:
+        lookup = np.zeros(256, dtype=np.int64)
+        lookup[list(map(ord, codes))] = list(codes.values())
+        part = lookup[byte]
     try:
         scores = validate_record(Scores(sids, part, score), kind)
     except (NonFiniteScore, OffGridReference) as exc:  # each names its row
@@ -127,7 +143,7 @@ def read_predictions(path: str | Path, kind: str = "prediction") -> Scores:
 def read_leaderboard(path: str | Path) -> list[tuple[str, MetricReport]]:
     """Named rows of precomputed metrics, read under the prediction files'
     rules; a NaN or infinite value is a ParseError too."""
-    cells, where = _read_table(path, LEADERBOARD_HEADER)
+    cells, where, _, _ = _read_table(path, LEADERBOARD_HEADER)
     names = cells[0::6]
     del cells[0::6]  # leaves the five metrics of each row, row after row
     values = _numbers(cells, lambda i: where(i // 5), "bad numeric field {!r}").reshape(-1, 5)
@@ -138,25 +154,45 @@ def read_leaderboard(path: str | Path) -> list[tuple[str, MetricReport]]:
 
 
 def _read_table(path: str | Path, header: str):
-    """The cells of a CSV file whose first line is ``header``, row after
-    row, and ``where(row)``, the ``path:line`` of data row ``row``. LF, CR
-    and CRLF end a line; blank lines hold no row but are counted."""
+    """The cells of a CSV file whose first line is ``header``, row after row;
+    ``where(row)``, the ``path:line`` of data row ``row``; the file's UTF-8 bytes
+    ``raw``; and the byte positions of each row's commas, one row of ``commas``
+    per data row. LF, CR and CRLF end a line; blank lines hold no row but are
+    counted.
+
+    One numpy pass over the bytes counts each line's commas; only a line whose
+    count is wrong is decoded on its own: blank, it is dropped, otherwise it is
+    the error. The cells come from one split of the text."""
     text = read_text(path)  # read_text gives CR and CRLF as LF
     _check_line_ends(path, 1, text)
-    lines = text.split("\n")
-    if lines[0] != header:
+    if not (text == header or text.startswith(header + "\n")):
         raise ParseError(f"{path}: expected header {header!r}")
-    rows = list(filter(str.strip, lines[1:]))
+    data = text.encode()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    commas = np.flatnonzero(raw == ord(","))
+    count = np.bincount(np.searchsorted(ends, commas), minlength=len(ends) + 1)  # per line
+    width = header.count(",") + 1
+    odd = np.flatnonzero(count != width - 1)  # never the header line
+    for line in odd.tolist():
+        start = ends[line - 1] + 1
+        if data[start:ends[line] if line < len(ends) else None].decode().strip():
+            raise ParseError(f"{path}:{line + 1}: expected {width} fields, got "
+                             f"{count[line] + 1}")
+    rows = np.flatnonzero(count == width - 1)[1:]  # each data row's line, from 0
 
     def where(row) -> str:
-        return f"{path}:{[n for n, ln in enumerate(lines, 1) if n > 1 and ln.strip()][row]}"
+        return f"{path}:{rows[row] + 1}"
 
-    width = header.count(",") + 1
-    commas = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.intp, count=len(rows))
-    bad = np.flatnonzero(commas != width - 1)
-    if bad.size:
-        raise ParseError(f"{where(bad[0])}: expected {width} fields, got {commas[bad[0]] + 1}")
-    return (",".join(rows).split(",") if rows else []), where
+    flat = text.replace("\n", ",")  # a blank line gives one cell, dropped below
+    del text  # not held through the split
+    cells = flat.split(",")
+    if odd.size and odd[0] + odd.size == len(count):  # blank lines only at the end
+        del cells[-odd.size:]
+    elif odd.size:
+        cells = list(compress(cells, np.repeat(count == width - 1, count + 1).tolist()))
+    del cells[:width]  # the header's
+    return cells, where, raw, commas[width - 1:].reshape(-1, width - 1)
 
 
 def _numbers(texts: list[str], where, fault: str) -> np.ndarray:

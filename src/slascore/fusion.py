@@ -2,8 +2,8 @@
 
 The multimodal score selects one of eight fixed intervals, one around each of
 ``core``'s reference levels (``DEFAULT_EDGES``); each carries an interpolation weight w_k
-calibrated by exhaustive grid search on a dev set (RMSE objective), then
-fixed for evaluation:
+calibrated by grid search on a dev set (RMSE objective; the grid's closed-form
+quadratic shortlists the weights whose RMSE is computed), then fixed for evaluation:
 
     fused = (1 - w_k) * w2v + w_k * mllm
 
@@ -129,26 +129,35 @@ def calibrate(dev: JoinedDataset, grid_step: float = GRID_STEP) -> FusionCalibra
     bin-restricted RMSE (ties toward the smallest w, favoring the speech
     grader); empty bins fall back to the single best global weight. The
     result carries the dev RMSE overall and per bin under those weights.
+
+    The search is in closed form: over a bin's rows the squared fusion error
+    at weight w is A + 2wB + w²C, the sums of e², e·d and d² for
+    e = w2v - ref and d = mllm - w2v. Only the grid weights whose quadratic
+    lies within a rounding bound (``_shortlist``) of its least value have their
+    RMSE computed, as a scan of the whole grid computes it, so the weight is
+    the one that scan picks.
     """
     if len(dev) == 0:
         raise EmptyDataset("cannot calibrate on an empty dev set")
     if dev.blind:
         raise NoReferences("calibration requires reference scores")
     grid = weight_grid(grid_step)
+    w = np.asarray(grid)
 
     bins = bin_index(dev.mllm)
     counts = np.bincount(bins, minlength=N_BINS)
-    g = np.asarray(grid)[:, None]
+    sums = _error_sums(dev, bins)
 
-    def best_weight(rows):
-        # sq[i, j]: squared fusion error of row j under grid weight i
+    def best_weight(rows, n, row_sums):
+        near = _shortlist(w, n, *row_sums)
         w2v_r, mllm_r = dev.w2v[rows], dev.mllm[rows]
-        sq = (w2v_r + g * (mllm_r - w2v_r) - dev.reference[rows]) ** 2
-        return grid[int(np.argmin(np.sqrt(np.mean(sq, axis=1))))]
+        sq = (w2v_r + w[near, None] * (mllm_r - w2v_r) - dev.reference[rows]) ** 2
+        return grid[near[int(np.argmin(np.sqrt(np.mean(sq, axis=1))))]]
 
     in_bin = [bins == k if counts[k] else None for k in range(N_BINS)]
-    global_w = best_weight(slice(None)) if 0 in counts else None
-    weights = tuple(global_w if rows is None else best_weight(rows) for rows in in_bin)
+    global_w = best_weight(slice(None), len(dev), sums.sum(axis=1)) if 0 in counts else None
+    weights = tuple(global_w if rows is None else best_weight(rows, counts[k], sums[:, k])
+                    for k, rows in enumerate(in_bin))
     fused = _mix(dev.w2v, dev.mllm, np.asarray(weights)[bins])
     return FusionCalibration(
         weights=weights,
@@ -158,6 +167,44 @@ def calibrate(dev: JoinedDataset, grid_step: float = GRID_STEP) -> FusionCalibra
         per_bin_rmse=tuple(None if rows is None else metrics.rmse(fused[rows], dev.reference[rows])
                            for rows in in_bin),
     )
+
+
+def _error_sums(dev: JoinedDataset, bins: np.ndarray) -> np.ndarray:
+    """Per bin, the sums A of e², B of e·d and C of d² (e = w2v - ref, d = mllm - w2v)
+    and the scale V of (|w2v| + |mllm| + |ref|)², as a (4, N_BINS) array; all zero when a
+    score's size exceeds 2**478, so that no sum can overflow and every bin scans its grid."""
+    sums = np.zeros((4, N_BINS))
+    columns = (dev.w2v, dev.mllm, dev.reference)
+    if not max(float(np.abs(col).max()) for col in columns) <= 2.0**478:
+        return sums
+    e, d = dev.w2v - dev.reference, dev.mllm - dev.w2v
+    size = np.abs(dev.w2v) + np.abs(dev.mllm) + np.abs(dev.reference)
+    for i, (x, y) in enumerate(((e, e), (e, d), (d, d), (size, size))):
+        sums[i] = np.bincount(bins, weights=x * y, minlength=N_BINS)
+    return sums
+
+
+def _shortlist(w: np.ndarray, n: int, a: float, b: float, c: float, scale: float) -> np.ndarray:
+    """The indices of the grid weights ``w`` among which a scan of ``n`` rows with
+    error sums ``a``, ``b``, ``c`` and scale ``scale`` finds its first least RMSE.
+
+    Why the bound holds, with EPS = 2u the float64 epsilon and V the exact scale:
+    - The scan's sum of squares at w in [0, 1] is within (n + 8)u·V of the exact
+      A + 2wB + w²C: each row's fused error is off by at most 4u(|w2v| + |mllm| + |ref|)
+      before it is squared, and n non-negative terms summed in any order gain at
+      most (n - 1)u of their total.
+    - The computed quadratic is within (4n + 24)u·V of it: the sums A, B and C are each
+      off by at most (n + 2)u·V, and evaluating it adds at most 16u·V.
+    - sqrt(sum / n) rounds to one value only for sums within 7u of each other, relatively.
+    So at the scan's first minimiser the computed quadratic exceeds its least value by
+    at most 2((n + 8) + (4n + 24))u·V + 8u·V = (10n + 72)u·V, below the (6n + 50)·EPS·V
+    used; the margin covers the rounding of V and, for V >= n·2**-1000, any underflow.
+    Below that every weight is kept.
+    """
+    if not scale >= n * 2.0**-1000:
+        return np.arange(len(w))
+    q = a + w * (2.0 * b + w * c)
+    return np.flatnonzero(q <= q.min() + (6 * n + 50) * np.finfo(np.float64).eps * scale)
 
 
 def fuse_dataset(

@@ -8,6 +8,8 @@ takes plain score sequences; the separability oracle works on the
 library's own frame sequences. The prediction-CSV reader, the key join
 and the per-speaker aggregate are per-line and dict versions of the
 library's bulk reader, key index, key-grid join and pairing, and key-grid aggregate.
+The grid-scan calibration is the library's search as it stood before its closed
+form, kept unchanged: every grid weight's fused RMSE over each bin's rows.
 The synthetic-score oracle draws row tuples where the library fills columns,
 and the level test compares each value with every level, where the library
 compares it with its snapped level only.
@@ -33,7 +35,8 @@ from slascore.errors import (
     ValidationError,
 )
 from slascore.fileio import OVERALL_TEXT, PREDICTION_HEADER
-from slascore.fusion import bin_index
+from slascore import metrics
+from slascore.fusion import N_BINS, FusionCalibration, _mix, bin_index, weight_grid
 from slascore.head import FrameSequence
 from slascore.metrics import macro_f1
 from slascore.synth import SynthConfig
@@ -147,6 +150,35 @@ def brute_force_bin_weight(
         if rm < best_rmse:
             best_w, best_rmse = w, rm
     return best_w, best_rmse
+
+
+def grid_scan_calibration(dev: JoinedDataset, grid_step: float = 0.01) -> FusionCalibration:
+    """``fusion.calibrate`` by a scan of the whole weight grid: one (grid x rows)
+    matrix of squared fusion errors per bin, and the first weight of least RMSE."""
+    grid = weight_grid(grid_step)
+
+    bins = bin_index(dev.mllm)
+    counts = np.bincount(bins, minlength=N_BINS)
+    g = np.asarray(grid)[:, None]
+
+    def best_weight(rows):
+        # sq[i, j]: squared fusion error of row j under grid weight i
+        w2v_r, mllm_r = dev.w2v[rows], dev.mllm[rows]
+        sq = (w2v_r + g * (mllm_r - w2v_r) - dev.reference[rows]) ** 2
+        return grid[int(np.argmin(np.sqrt(np.mean(sq, axis=1))))]
+
+    in_bin = [bins == k if counts[k] else None for k in range(N_BINS)]
+    global_w = best_weight(slice(None)) if 0 in counts else None
+    weights = tuple(global_w if rows is None else best_weight(rows) for rows in in_bin)
+    fused = _mix(dev.w2v, dev.mllm, np.asarray(weights)[bins])
+    return FusionCalibration(
+        weights=weights,
+        grid_step=grid_step,
+        dev_rmse=metrics.rmse(fused, dev.reference),
+        per_bin_counts=tuple(counts.tolist()),
+        per_bin_rmse=tuple(None if rows is None else metrics.rmse(fused[rows], dev.reference[rows])
+                           for rows in in_bin),
+    )
 
 
 def nearest_class_mean_f1(

@@ -106,6 +106,25 @@ class TestPredictionFiles:
         with pytest.raises(ParseError):
             fileio.read_predictions(tmp_path / "nope.csv")
 
+    def test_read_peak_memory(self, tmp_path):
+        """One 25k-row read peaks below 7.8 MB under tracemalloc, the peak (7.78 MB)
+        of the reader that counted each line's commas in Python."""
+        n = 25_000
+        rng = np.random.default_rng(3)
+        order = rng.permutation(n)
+        ids = np.repeat([f"d{i:06d}" for i in range(n // 4)], len(PARTS))
+        table = Scores(ids[order], np.tile(PARTS, n // 4)[order], rng.uniform(0.0, 6.0, n))
+        p = tmp_path / "s.csv"
+        fileio.write_predictions(p, table)
+        fileio.read_predictions(p)  # first-call allocations are not the read's
+        tracemalloc.start()
+        try:
+            assert len(fileio.read_predictions(p)) == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.8 * 2**20
+
     @pytest.mark.parametrize("sid", ["", "a,b", "a\nb", "a\r", "a\x1cb", "a\u2028b", "\x85"])
     def test_unreadable_speaker_id_not_written(self, tmp_path, sid):
         p = tmp_path / "s.csv"
@@ -155,10 +174,11 @@ class TestPredictionFiles:
 
 # Lines of a drawn prediction CSV of one kind: mostly valid rows, whose
 # ids include "1" against "01", a trailing NUL, padding, non-ASCII and
-# mixed case; then well-formed rows whose score is off the reference grid
-# or not finite, or whose part is not one of the kind's; rows with fields
-# that fail to parse or validate, rows of the wrong width and blank lines.
-CSV_IDS = ["s", "S", "1", "01", "s\x00", " s ", "\u00e9", "\u4e2d"]
+# mixed case and multi-byte characters next to the comma; then well-formed
+# rows whose score is off the reference grid or not finite, or whose part is
+# not one of the kind's; rows with fields that fail to parse or validate, rows
+# of the wrong width, lines of commas only and blank or whitespace-only lines.
+CSV_IDS = ["s", "S", "1", "01", "s\x00", " s ", "\u00e9", "\u4e2d", "s\U0001f600"]
 ODD_LINE = st.tuples(st.sampled_from([*CSV_IDS, ""]),
                      st.sampled_from(["1", " 3", "overall", "0", "2", "-1", "9" * 20, "x", "",
                                       "\u0663", "0_1"]),
@@ -183,7 +203,8 @@ def csv_lines(kind):
         *[valid] * 12, *[row(parts, ["3.3", "3.25", "2.5000001", "-inf"])] * 2,
         row(["0", "2", "-1", "overall"], ["3.0"]), ODD_LINE, broken,
         st.lists(st.sampled_from(CSV_IDS), min_size=1, max_size=4).map(",".join),
-        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from([",", ",,", ",,,"]),
+        st.sampled_from(["", " ", "\t", "\u3000", " \t"]),
     ]).flatmap(lambda lines: lines)
 
 
@@ -194,11 +215,14 @@ def csv_lines(kind):
 def test_read_predictions_agrees_with_per_line_oracle(tmp_path, data, header, kind):
     """The bulk reader gives the per-line reader's columns, or raises its
     error with the same message, which names the ``path:line`` of the
-    first fault."""
+    first fault. Lines end in LF, CRLF or CR, the last one or not; with no
+    lines the file is its header alone."""
     lines = data.draw(st.lists(csv_lines(kind), max_size=10))
+    newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
     p = tmp_path / "s.csv"
-    p.write_text("\n".join([fileio.PREDICTION_HEADER if header else "speaker,part,score",
-                            *lines]) + "\n", encoding="utf-8")
+    p.write_bytes((newline.join([fileio.PREDICTION_HEADER if header else "speaker,part,score",
+                                 *lines]) + data.draw(st.sampled_from([newline, ""])))
+                  .encode("utf-8"))
     results = []
     for read in (fileio.read_predictions, read_predictions_oracle):
         try:
@@ -225,7 +249,9 @@ class TestLeaderboardFiles:
         ("\n\nm,1,2,3", ":4: expected 6 fields, got 4"),
         ("m,1,2,3,4,5\n\nm,1,2,3,4,x", ":4: bad numeric field 'x'"),
         ("m,1,2,3,4,5\nm,1,2,3,4,-inf", ":3: non-finite numeric field"),
-    ], ids=["underscore", "arabic-indic", "short-after-blanks", "after-blank", "inf"])
+        ("m,1,2,3,4,5\n \r\n\t\n\u3000\n,,,,,,", ":6: expected 6 fields, got 7"),
+    ], ids=["underscore", "arabic-indic", "short-after-blanks", "after-blank", "inf",
+            "long-after-whitespace-lines"])
     def test_faults_name_their_line(self, tmp_path, row, message):
         p = tmp_path / "rows.csv"
         p.write_text(f"{fileio.LEADERBOARD_HEADER}\n{row}\n", encoding="utf-8")

@@ -1,14 +1,15 @@
 import inspect
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slascore import metrics
-from slascore.core import OVERALL, PARTS, Scores
+from slascore.core import OVERALL, PARTS, REFERENCE_LEVELS, JoinedDataset, Scores
 from slascore.errors import (
     DuplicateKey,
     EmptyDataset,
@@ -30,7 +31,7 @@ from slascore.fusion import (
     weight_grid,
 )
 from slascore.synth import SynthConfig, generate_scores, heteroscedastic_config
-from oracles import aggregate_oracle
+from oracles import aggregate_oracle, grid_scan_calibration
 import tables
 from tables import rows, scores
 
@@ -270,6 +271,72 @@ class TestCalibrate:
         assert len(empty) >= 5
         global_w = {calib.weights[k] for k in empty}
         assert len(global_w) == 1  # single global fallback weight
+
+    def test_memory_is_a_few_columns(self):
+        """No (grid x rows) matrix: on 100k dev rows a scan of the 101-weight
+        grid peaks near 22 MB under tracemalloc, the closed form below 8 MB."""
+        n = 100_000
+        rng = np.random.default_rng(0)
+        ref = rng.choice(REFERENCE_LEVELS, n)
+        dev = JoinedDataset(np.full(n, "s", dtype=object), np.ones(n, dtype=np.int64),
+                            ref + rng.normal(0, 0.5, n), ref + rng.normal(0, 0.4, n), ref)
+        calibrate(dev)  # first-call allocations are not the search's
+        tracemalloc.start()
+        try:
+            calibrate(dev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+@st.composite
+def calibration_bins(draw):
+    """The w2v, mllm and reference columns of 1 to 50 rows in one of three forms:
+    scores rounded to 0.1, so that weights tie; w2v equal to mllm on every row, so
+    that every weight ties; or all three a few ulps around one magnitude from 1 to
+    1e6, where rounding alone tells the weights apart."""
+    n = draw(st.integers(1, 50))
+    form = draw(st.sampled_from(["tenths", "equal", "ulps"]))
+    if form == "ulps":
+        centre = draw(st.sampled_from([1.0, 3.0, 4.5]) | st.floats(1.0, 1e6))
+        steps = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        return tuple(centre + np.spacing(centre) * np.array(draw(steps), dtype=np.float64)
+                     for _ in range(3))
+    scores = st.lists(st.integers(0, 60), min_size=n, max_size=n).map(lambda k: np.array(k) / 10)
+    if form == "equal":
+        scores = st.lists(st.floats(0.0, 6.0), min_size=n, max_size=n).map(np.array)
+    w2v = draw(scores)
+    mllm = w2v if form == "equal" else draw(scores)
+    return w2v, mllm, np.array(draw(st.lists(st.sampled_from(REFERENCE_LEVELS), min_size=n,
+                                             max_size=n)))
+
+
+# Three rows a few ulps around 3.0, where the scan picks 0.51 and a shortlist
+# whose tolerance scales with A, B and C alone, not with the scores, picks 0.42.
+ULPS_AROUND_3 = tuple(3.0 + np.spacing(3.0) * np.array(steps) for steps in
+                      ([-2.0, -2.0, 2.0], [2.0, -1.0, -1.0], [0.0, 1.0, 2.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(groups=st.lists(calibration_bins(), min_size=1, max_size=3),
+       grid_step=st.sampled_from([0.01, 0.001, 0.25, 1.0]))
+@example(groups=[ULPS_AROUND_3], grid_step=0.01)
+def test_calibrate_agrees_with_grid_scan(groups, grid_step):
+    """The closed-form search picks the weights a scan of the whole grid picks,
+    and the same figures follow, bit for bit. Three groups of rows at most
+    mostly leave some bin empty, so the global weight is searched too."""
+    w2v, mllm, ref = (np.concatenate(column) for column in zip(*groups))
+    dev = JoinedDataset([f"s{i}" for i in range(len(ref))], [1] * len(ref), w2v, mllm, ref)
+    got, want = calibrate(dev, grid_step), grid_scan_calibration(dev, grid_step)
+
+    def bits(calib):
+        return [None if x is None else float(x).hex() for x in (calib.dev_rmse,
+                                                                *calib.per_bin_rmse)]
+
+    assert got.weights == want.weights
+    assert got.per_bin_counts == want.per_bin_counts
+    assert bits(got) == bits(want)
 
 
 class TestFuseDataset:
