@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fileio, fusion, head, metrics, synth
 from .core import Scores, join, pair_on_keys
-from .errors import ParseError, SlaError
+from .errors import InvalidConfig, ParseError, SlaError
 from .metrics import format_metric_row
 
 EXIT_VALIDATION = 2
@@ -91,6 +91,8 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_train_head(args) -> int:
+    if args.history and Path(args.history).resolve() == Path(args.out).resolve():
+        raise InvalidConfig(f"--out and --history both name {args.out}")
     config = head.TrainConfig(**{f.name: getattr(args, f.name) for f in fields(head.TrainConfig)})
     train_data = fileio.read_features(args.train_features)
     dev_data = fileio.read_features(args.dev_features)

@@ -2,10 +2,12 @@
 
 The multimodal score selects one of eight fixed intervals, one around each of
 ``core``'s reference levels (``DEFAULT_EDGES``); each carries an interpolation weight w_k
-calibrated by grid search on a dev set (RMSE objective; the grid's closed-form
-quadratic shortlists the weights whose RMSE is computed), then fixed for evaluation:
+calibrated by grid search on a dev set (RMSE objective), then fixed for evaluation:
 
     fused = (1 - w_k) * w2v + w_k * mllm
+
+One stable sort by interval gives each interval its dev rows; three dot products over
+them give the closed-form quadratic that shortlists the weights whose RMSE is computed.
 
 Overall speaker scores are the mean of the four part scores.
 """
@@ -130,63 +132,39 @@ def calibrate(dev: JoinedDataset, grid_step: float = GRID_STEP) -> FusionCalibra
     grader); empty bins fall back to the single best global weight. The
     result carries the dev RMSE overall and per bin under those weights.
 
-    The search is in closed form: over a bin's rows the squared fusion error
-    at weight w is A + 2wB + w²C, the sums of e², e·d and d² for
-    e = w2v - ref and d = mllm - w2v. Only the grid weights whose quadratic
-    lies within a rounding bound (``_shortlist``) of its least value have their
-    RMSE computed, as a scan of the whole grid computes it, so the weight is
-    the one that scan picks.
+    One stable sort by bin gives each bin its rows in row order; ``_best_weight``
+    searches them, and all rows for the global weight.
     """
     if len(dev) == 0:
         raise EmptyDataset("cannot calibrate on an empty dev set")
     if dev.blind:
         raise NoReferences("calibration requires reference scores")
     grid = weight_grid(grid_step)
-    w = np.asarray(grid)
 
     bins = bin_index(dev.mllm)
     counts = np.bincount(bins, minlength=N_BINS)
-    sums = _error_sums(dev, bins)
-
-    def best_weight(rows, n, row_sums):
-        near = _shortlist(w, n, *row_sums)
-        w2v_r, mllm_r = dev.w2v[rows], dev.mllm[rows]
-        sq = (w2v_r + w[near, None] * (mllm_r - w2v_r) - dev.reference[rows]) ** 2
-        return grid[near[int(np.argmin(np.sqrt(np.mean(sq, axis=1))))]]
-
-    in_bin = [bins == k if counts[k] else None for k in range(N_BINS)]
-    global_w = best_weight(slice(None), len(dev), sums.sum(axis=1)) if 0 in counts else None
-    weights = tuple(global_w if rows is None else best_weight(rows, counts[k], sums[:, k])
-                    for k, rows in enumerate(in_bin))
+    in_bin = np.split(np.argsort(bins, kind="stable"), np.cumsum(counts)[:-1])
+    columns = (dev.w2v, dev.mllm, dev.reference)
+    global_w = _best_weight(grid, *columns) if 0 in counts else None
+    weights = tuple(_best_weight(grid, *(col[rows] for col in columns)) if rows.size else global_w
+                    for rows in in_bin)
     fused = _mix(dev.w2v, dev.mllm, np.asarray(weights)[bins])
     return FusionCalibration(
         weights=weights,
         grid_step=grid_step,
         dev_rmse=metrics.rmse(fused, dev.reference),
         per_bin_counts=tuple(counts.tolist()),
-        per_bin_rmse=tuple(None if rows is None else metrics.rmse(fused[rows], dev.reference[rows])
+        per_bin_rmse=tuple(metrics.rmse(fused[rows], dev.reference[rows]) if rows.size else None
                            for rows in in_bin),
     )
 
 
-def _error_sums(dev: JoinedDataset, bins: np.ndarray) -> np.ndarray:
-    """Per bin, the sums A of e², B of e·d and C of d² (e = w2v - ref, d = mllm - w2v)
-    and the scale V of (|w2v| + |mllm| + |ref|)², as a (4, N_BINS) array; all zero when a
-    score's size exceeds 2**478, so that no sum can overflow and every bin scans its grid."""
-    sums = np.zeros((4, N_BINS))
-    columns = (dev.w2v, dev.mllm, dev.reference)
-    if not max(float(np.abs(col).max()) for col in columns) <= 2.0**478:
-        return sums
-    e, d = dev.w2v - dev.reference, dev.mllm - dev.w2v
-    size = np.abs(dev.w2v) + np.abs(dev.mllm) + np.abs(dev.reference)
-    for i, (x, y) in enumerate(((e, e), (e, d), (d, d), (size, size))):
-        sums[i] = np.bincount(bins, weights=x * y, minlength=N_BINS)
-    return sums
-
-
-def _shortlist(w: np.ndarray, n: int, a: float, b: float, c: float, scale: float) -> np.ndarray:
-    """The indices of the grid weights ``w`` among which a scan of ``n`` rows with
-    error sums ``a``, ``b``, ``c`` and scale ``scale`` finds its first least RMSE.
+def _best_weight(grid: list[float], w2v: np.ndarray, mllm: np.ndarray, ref: np.ndarray) -> float:
+    """The grid weight a scan of the whole grid picks over these rows, the first of least
+    RMSE. Over n rows the squared fusion error at weight w is A + 2wB + w²C, for the sums
+    A = e·e, B = e·d and C = d·d (e = w2v - ref, d = mllm - w2v); only the weights whose
+    computed quadratic lies within (6n + 50)·EPS·V of its least value, V = Σ(|w2v| +
+    |mllm| + |ref|)², are rescored, by the scan's own expression.
 
     Why the bound holds, with EPS = 2u the float64 epsilon and V the exact scale:
     - The scan's sum of squares at w in [0, 1] is within (n + 8)u·V of the exact
@@ -199,12 +177,18 @@ def _shortlist(w: np.ndarray, n: int, a: float, b: float, c: float, scale: float
     So at the scan's first minimiser the computed quadratic exceeds its least value by
     at most 2((n + 8) + (4n + 24))u·V + 8u·V = (10n + 72)u·V, below the (6n + 50)·EPS·V
     used; the margin covers the rounding of V and, for V >= n·2**-1000, any underflow.
-    Below that every weight is kept.
+    Below that every weight is kept, as it is when a score above 2**478 could overflow a sum.
     """
-    if not scale >= n * 2.0**-1000:
-        return np.arange(len(w))
-    q = a + w * (2.0 * b + w * c)
-    return np.flatnonzero(q <= q.min() + (6 * n + 50) * np.finfo(np.float64).eps * scale)
+    n, w = len(w2v), np.asarray(grid)
+    near = np.arange(len(w))
+    if (max(float(np.abs(col).max()) for col in (w2v, mllm, ref)) <= 2.0**478
+            and (scale := (size := np.abs(w2v) + np.abs(mllm) + np.abs(ref)) @ size)
+            >= n * 2.0**-1000):
+        e, d = w2v - ref, mllm - w2v
+        q = e @ e + w * (2.0 * (e @ d) + w * (d @ d))
+        near = np.flatnonzero(q <= q.min() + (6 * n + 50) * np.finfo(np.float64).eps * scale)
+    sq = (w2v + w[near, None] * (mllm - w2v) - ref) ** 2
+    return grid[near[int(np.argmin(np.sqrt(np.mean(sq, axis=1))))]]
 
 
 def fuse_dataset(

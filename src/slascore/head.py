@@ -3,9 +3,9 @@
 Pipeline: additive (tanh) attention pooling over T frame vectors, cosine
 similarity against one learnable prototype per CEFR level, concatenation
 [x; s], and a single-layer MLP emitting either a scalar score
-(regression) or per-level logits (classification). ``loss`` gives the
-loss and its gradient at the output. All gradients are analytic and
-finite-difference checked in the test suite.
+(regression) or per-level logits (classification), trained on squared
+error or cross-entropy. All gradients are analytic and finite-difference
+checked in the test suite.
 """
 
 from __future__ import annotations
@@ -183,21 +183,15 @@ def _level_index(targets: list[float], levels: np.ndarray) -> np.ndarray:
     return window[near]
 
 
-def loss(prediction, target: float, params: HeadParameters) -> tuple[float, np.ndarray]:
-    """Squared error (regression) or cross-entropy (classification), and its
-    gradient d loss / d prediction in the shape of the forward output."""
-    if params.mode == REGRESSION:
-        return _squared_error(prediction, target)
-    return _cross_entropy(prediction, int(_level_index([target], params.levels)[0]))
-
-
 def _squared_error(prediction: float, target: float) -> tuple[float, np.ndarray]:
+    """The regression loss and its gradient d loss / d prediction, shaped as the output."""
     r = prediction - target
     return float(r**2), np.array([2.0 * r])
 
 
 def _cross_entropy(logits, idx: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of ``logits`` against the level at index ``idx``."""
+    """Cross-entropy of ``logits`` against the level at index ``idx``, and its
+    gradient d loss / d logits."""
     logits = np.asarray(logits, dtype=np.float64)
     shift = logits.max()
     e = np.exp(logits - shift)

@@ -19,7 +19,6 @@ from slascore.head import (
     TrainConfig,
     backward,
     forward,
-    loss,
 )
 
 
@@ -139,17 +138,21 @@ def test_criterion_4_gradient_correctness():
         )
         seq = FrameSequence(frames=rng.standard_normal((t, d)))
         target = float(rng.choice(levels))
+        # the loss train takes of this output, and its gradient
+        loss = (functools.partial(head._squared_error, target=target) if mode == REGRESSION else
+                functools.partial(head._cross_entropy,
+                                  idx=int(head._level_index([target], levels)[0])))
         pred, cache = forward(seq, params)
-        grads = backward(cache, loss(pred, target, params)[1])
+        grads = backward(cache, loss(pred)[1])
         for name in ("attn_W", "attn_b", "attn_u", "prototypes", "mlp_W", "mlp_b"):
             analytic = grads[name]
             arr = getattr(params, name)
             for idx in range(arr.size):
                 orig = arr.flat[idx]
                 arr.flat[idx] = orig + step
-                lp = loss(forward(seq, params)[0], target, params)[0]
+                lp = loss(forward(seq, params)[0])[0]
                 arr.flat[idx] = orig - step
-                lm = loss(forward(seq, params)[0], target, params)[0]
+                lm = loss(forward(seq, params)[0])[0]
                 arr.flat[idx] = orig
                 numeric = (lp - lm) / (2 * step)
                 ana = analytic.flat[idx]

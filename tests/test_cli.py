@@ -440,6 +440,15 @@ class TestTrainHead:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert argv[0].split("=")[0][2:].replace("-", "_") in err  # names the field
 
+    def test_out_and_history_same_file_exit_code(self, tmp_path, capsys, monkeypatch):
+        """Two spellings of one path are rejected before the (missing) feature files
+        are read, and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "train-head", "missing.txt", "missing.txt",
+                             "--out", "p.json", "--history", str(tmp_path / "p.json"))
+        assert code == cli.EXIT_VALIDATION and out == "" and list(tmp_path.iterdir()) == []
+        assert err == "error: --out and --history both name p.json\n"
+
     def test_non_finite_label_exit_code(self, tmp_path, capsys):
         feats = tmp_path / "f.txt"
         feats.write_text("slascore-features v1\nrecord 1 2 nan\n1.0 2.0\n")

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from dataclasses import replace
@@ -29,7 +30,6 @@ from slascore.head import (
     backward,
     forward,
     init_parameters,
-    loss,
     predict_score,
     train,
 )
@@ -54,22 +54,31 @@ def random_params(rng, d, n, d_a=None, mode=REGRESSION):
     )
 
 
+def output_loss(params, target):
+    """The loss ``train`` takes of one forward output, as a function of that output:
+    squared error against ``target``, or cross-entropy against its level's index."""
+    if params.mode == REGRESSION:
+        return functools.partial(head._squared_error, target=target)
+    return functools.partial(head._cross_entropy,
+                             idx=int(head._level_index([target], params.levels)[0]))
+
+
 def numeric_gradient(seq, params, target, name, idx, step=1e-5):
     arr = getattr(params, name)
     orig = arr.flat[idx]
     arr.flat[idx] = orig + step
     pred, _ = forward(seq, params)
-    lp = loss(pred, target, params)[0]
+    lp = output_loss(params, target)(pred)[0]
     arr.flat[idx] = orig - step
     pred, _ = forward(seq, params)
-    lm = loss(pred, target, params)[0]
+    lm = output_loss(params, target)(pred)[0]
     arr.flat[idx] = orig
     return (lp - lm) / (2 * step)
 
 
 def check_gradients(seq, params, target, rel_tol=1e-4):
     pred, cache = forward(seq, params)
-    grads = backward(cache, loss(pred, target, params)[1])
+    grads = backward(cache, output_loss(params, target)(pred)[1])
     for name in PARAM_NAMES:
         analytic = grads[name]
         for idx in range(analytic.size):
@@ -223,7 +232,8 @@ class TestForwardLoss:
         seq = FrameSequence(frames=rng.standard_normal((5, 4)))
         logits, _ = forward(seq, params)
         target = float(params.levels[0])
-        assert loss(logits, target, params)[0] == pytest.approx(math.log(3))
+        idx = int(head._level_index([target], params.levels)[0])
+        assert head._cross_entropy(logits, idx)[0] == pytest.approx(math.log(3))
         assert predict_score(seq, params) == pytest.approx(float(params.levels.mean()))
 
     def test_deterministic(self):
@@ -235,15 +245,13 @@ class TestForwardLoss:
         assert p1 == p2
 
     def test_regression_loss_zero_at_target(self):
-        rng = np.random.default_rng(10)
-        params = random_params(rng, d=4, n=3, mode=REGRESSION)
-        assert loss(3.5, 3.5, params)[0] == 0.0
+        assert head._squared_error(3.5, 3.5)[0] == 0.0
 
     def test_classification_off_grid_target(self):
         rng = np.random.default_rng(11)
         params = random_params(rng, d=4, n=3, mode=CLASSIFICATION)
         with pytest.raises(OffGridTarget):
-            loss(np.zeros(3), 1.23, params)
+            head._level_index([1.23], params.levels)
 
 
 # Values on or within a few 1e-9 of three levels, so runs of near levels form.
@@ -292,7 +300,7 @@ class TestBackward:
         rng = np.random.default_rng(14)
         params = random_params(rng, d=4, n=3, mode=REGRESSION)
         pred, cache = forward(FrameSequence(frames=rng.standard_normal((1, 4))), params)
-        grads = backward(cache, loss(pred, 3.0, params)[1])
+        grads = backward(cache, head._squared_error(pred, 3.0)[1])
         for name in ("attn_W", "attn_b", "attn_u"):
             assert np.all(grads[name] == 0.0)
 
