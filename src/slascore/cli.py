@@ -11,7 +11,9 @@ writes every file); the CLI only wires files to functions and prints.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
+import os
 import sys
 import typing
 from dataclasses import asdict, fields
@@ -30,7 +32,26 @@ EXIT_IO = 3
 TABLE_HEADER = "RMSE PCC SRC %<=0.5 %<=1.0"
 
 
+def check_files(inputs: dict, outputs: dict) -> None:
+    """Run by every writing command before it reads anything, on its files by the
+    names the command line gives them: an output that resolves to an input or to
+    another output is an InvalidConfig, and one that is an existing directory the
+    IsADirectoryError its write would raise, so nothing is read or written."""
+    named = {os.path.realpath(path): (name, path) for name, path in inputs.items()}
+    for name, path in outputs.items():
+        if path is None:
+            continue
+        if (where := os.path.realpath(path)) in named:
+            first, given = named[where]
+            raise InvalidConfig(f"{first} and {name} both name {given}")
+        if os.path.isdir(where):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        named[where] = (name, path)
+
+
 def cmd_evaluate(args) -> int:
+    check_files({"predictions": args.predictions, "references": args.references},
+                {"--out": args.out})
     kinds = ("overall", "overall") if args.overall else ("prediction", "reference")
     pred, ref = map(fileio.read_predictions, (args.predictions, args.references), kinds)
     p, r = pair_on_keys(pred, ref)
@@ -47,6 +68,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    check_files({"w2v": args.w2v, "mllm": args.mllm, "references": args.references},
+                {"--out": args.out})
     w2v = fileio.read_predictions(args.w2v, "prediction")
     mllm = fileio.read_predictions(args.mllm, "prediction")
     refs = fileio.read_predictions(args.references, "reference")
@@ -72,6 +95,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    check_files({"w2v": args.w2v, "mllm": args.mllm, "calibration": args.calibration},
+                {"--out": args.out})
     calib, _ = fileio.read_calibration(args.calibration)
     w2v = fileio.read_predictions(args.w2v, "prediction")
     mllm = fileio.read_predictions(args.mllm, "prediction")
@@ -83,6 +108,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    check_files({"predictions": args.predictions}, {"--out": args.out})
     pred = fileio.read_predictions(args.predictions, "prediction")
     overall = fusion.aggregate_overall(pred)
     fileio.write_predictions(args.out, overall)
@@ -91,8 +117,8 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_train_head(args) -> int:
-    if args.history and Path(args.history).resolve() == Path(args.out).resolve():
-        raise InvalidConfig(f"--out and --history both name {args.out}")
+    check_files({"train_features": args.train_features, "dev_features": args.dev_features},
+                {"--out": args.out, "--history": args.history})
     config = head.TrainConfig(**{f.name: getattr(args, f.name) for f in fields(head.TrainConfig)})
     train_data = fileio.read_features(args.train_features)
     dev_data = fileio.read_features(args.dev_features)
@@ -109,6 +135,10 @@ def cmd_train_head(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    out_dir = Path(args.out_dir)
+    features = ("train_features.txt", "dev_features.txt") if args.features else ()
+    check_files({}, {name: out_dir / name for name in ("w2v.csv", "mllm.csv", "refs.csv",
+                                                       *features)})
     if args.preset == "heteroscedastic":
         cfg = synth.heteroscedastic_config(args.n_speakers, args.seed)
     else:
@@ -123,7 +153,6 @@ def cmd_synth(args) -> int:
                                            args.feature_dim, args.separation,
                                            seed=args.seed + 1)
     data = synth.generate_scores(cfg)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, column in (("w2v", data.w2v), ("mllm", data.mllm), ("refs", data.reference)):
         fileio.write_predictions(out_dir / f"{name}.csv",

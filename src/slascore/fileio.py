@@ -4,11 +4,11 @@ overall scores), leaderboard CSVs, calibration, parameter and metrics JSON,
 frame features and training logs.
 
 The CSVs share one table reader (one numpy pass over the file's bytes counts
-each line's commas, the text is split once; ASCII numbers; ``path:line``
-errors), the JSON files one object reader; feature files are read a record
-at a time. In a CSV or feature file only LF, CR and CRLF end a line. Every
-file is written by ``write_text`` in canonical bytes, so write -> read ->
-write round-trips are byte-identical.
+each line's commas, and its callers get only the cells of one split; ASCII
+numbers; ``path:line`` errors), the JSON files one object reader; feature files
+are read a record at a time. In a CSV or feature file only LF, CR and CRLF
+end a line. Every file is written by ``write_text`` in canonical bytes, so
+write -> read -> write round-trips are byte-identical.
 """
 
 from __future__ import annotations
@@ -97,17 +97,17 @@ def write_predictions(path: str | Path, scores: Scores) -> None:
 
 def read_predictions(path: str | Path, kind: str = "prediction") -> Scores:
     """Parse and validate a CSV of ``kind`` scores (prediction, reference or overall)
-    into score columns, in bulk; a fault is traced back to its ``path:line``. The
-    empty-id check and, when every part field is one byte, each row's part code come
-    from the table's comma positions, not from per-row cell lookups."""
-    cells, where, raw, commas = _read_table(path, PREDICTION_HEADER)
+    into score columns, in bulk; a fault is traced back to its ``path:line``. When
+    every part field is one ASCII character, a 256-entry lookup on the bytes of the
+    joined part texts gives each row's part code."""
+    cells, where = _read_table(path, PREDICTION_HEADER)
     sids, part_texts, score_texts = cells[0::3], cells[1::3], cells[2::3]
-    # an id is empty when its row's first comma follows the line break before the row
-    if (empty := np.flatnonzero(raw[commas[:, 0] - 1] == ord("\n"))).size:
-        raise ParseError(f"{where(empty[0])}: empty speaker id")
+    if "" in sids:
+        raise ParseError(f"{where(sids.index(''))}: empty speaker id")
     score = _numbers(score_texts, where, "bad score {!r}")
-    # a one-byte part field is an ASCII character, so a 256-entry lookup maps it to its code
-    byte = raw[commas[:, 0] + 1] if (commas[:, 1] - commas[:, 0] == 2).all() else None
+    one = "".join(part_texts)  # n nonempty parts in n ASCII characters are a byte each
+    byte = (np.frombuffer(one.encode(), np.uint8)
+            if len(one) == len(sids) and one.isascii() and "" not in part_texts else None)
     codes = dict.fromkeys(part_texts if byte is None else
                           map(chr, np.flatnonzero(np.bincount(byte, minlength=256)).tolist()))
     for text in codes:  # each distinct part text is parsed once; None if it is no part
@@ -143,7 +143,7 @@ def read_predictions(path: str | Path, kind: str = "prediction") -> Scores:
 def read_leaderboard(path: str | Path) -> list[tuple[str, MetricReport]]:
     """Named rows of precomputed metrics, read under the prediction files'
     rules; a NaN or infinite value is a ParseError too."""
-    cells, where, _, _ = _read_table(path, LEADERBOARD_HEADER)
+    cells, where = _read_table(path, LEADERBOARD_HEADER)
     names = cells[0::6]
     del cells[0::6]  # leaves the five metrics of each row, row after row
     values = _numbers(cells, lambda i: where(i // 5), "bad numeric field {!r}").reshape(-1, 5)
@@ -154,15 +154,14 @@ def read_leaderboard(path: str | Path) -> list[tuple[str, MetricReport]]:
 
 
 def _read_table(path: str | Path, header: str):
-    """The cells of a CSV file whose first line is ``header``, row after row;
-    ``where(row)``, the ``path:line`` of data row ``row``; the file's UTF-8 bytes
-    ``raw``; and the byte positions of each row's commas, one row of ``commas``
-    per data row. LF, CR and CRLF end a line; blank lines hold no row but are
-    counted.
+    """The cells of a CSV file whose first line is ``header``, row after row, and
+    ``where(row)``, the ``path:line`` of data row ``row``. LF, CR and CRLF end a
+    line; blank lines hold no row but are counted.
 
-    One numpy pass over the bytes counts each line's commas; only a line whose
-    count is wrong is decoded on its own: blank, it is dropped, otherwise it is
-    the error. The cells come from one split of the text."""
+    One numpy pass over the file's UTF-8 bytes counts each line's commas; only a
+    line whose count is wrong is decoded on its own: blank, it is dropped,
+    otherwise it is the error. The bytes are dropped before the text is split
+    once into the cells."""
     text = read_text(path)  # read_text gives CR and CRLF as LF
     _check_line_ends(path, 1, text)
     if not (text == header or text.startswith(header + "\n")):
@@ -179,20 +178,21 @@ def _read_table(path: str | Path, header: str):
         if data[start:ends[line] if line < len(ends) else None].decode().strip():
             raise ParseError(f"{path}:{line + 1}: expected {width} fields, got "
                              f"{count[line] + 1}")
+    del data, raw, ends, commas  # the bytes are not held through the split
     rows = np.flatnonzero(count == width - 1)[1:]  # each data row's line, from 0
 
     def where(row) -> str:
         return f"{path}:{rows[row] + 1}"
 
     flat = text.replace("\n", ",")  # a blank line gives one cell, dropped below
-    del text  # not held through the split
+    del text
     cells = flat.split(",")
     if odd.size and odd[0] + odd.size == len(count):  # blank lines only at the end
         del cells[-odd.size:]
     elif odd.size:
         cells = list(compress(cells, np.repeat(count == width - 1, count + 1).tolist()))
     del cells[:width]  # the header's
-    return cells, where, raw, commas[width - 1:].reshape(-1, width - 1)
+    return cells, where
 
 
 def _numbers(texts: list[str], where, fault: str) -> np.ndarray:

@@ -130,8 +130,7 @@ class TestEvaluate:
             "error: values beyond the float range: overflow encountered in square"]
 
     def test_unwritable_out_prints_nothing(self, tmp_path, capsys):
-        """``--out`` is written before the table is printed, so a directory as
-        ``--out`` exits 3 with no output."""
+        """A directory as ``--out`` exits 3 with no output."""
         pred = tmp_path / "p.csv"
         fileio.write_predictions(pred, scores(("a", 1, 2.0), ("b", 1, 3.0)))
         code, out, err = run(capsys, "evaluate", str(pred), str(pred), "--out", str(tmp_path))
@@ -594,6 +593,52 @@ def test_out_of_range_calibration_exit_code(tmp_path, capsys, content):
     assert code == cli.EXIT_VALIDATION
     assert err.startswith(f"error: {calib}: ") and len(err.splitlines()) == 1
     assert out == "" and not (tmp_path / "o.csv").exists()
+
+
+TRAIN = ["train-head", "train_features.txt", "dev_features.txt", "--epochs", "1"]
+IS_A_DIRECTORY = "error: [Errno 21] Is a directory: '{}'\n"
+OUTPUT_CASES = [
+    (TRAIN + ["--out", "train_features.txt"], cli.EXIT_VALIDATION,
+     "error: train_features and --out both name train_features.txt\n"),
+    (TRAIN + ["--out", "p.json", "--history", "./dev_features.txt"], cli.EXIT_VALIDATION,
+     "error: dev_features and --history both name dev_features.txt\n"),
+    (["evaluate", "w2v.csv", "refs.csv", "--out", "refs.csv"], cli.EXIT_VALIDATION,
+     "error: references and --out both name refs.csv\n"),
+    (["calibrate", "w2v.csv", "mllm.csv", "refs.csv", "--out", "./mllm.csv"],
+     cli.EXIT_VALIDATION, "error: mllm and --out both name mllm.csv\n"),
+    (["fuse", "w2v.csv", "mllm.csv", "c.json", "--out", "w2v.csv"], cli.EXIT_VALIDATION,
+     "error: w2v and --out both name w2v.csv\n"),
+    (["fuse", "w2v.csv", "mllm.csv", "c.json", "--out", "sub/../c.json"], cli.EXIT_VALIDATION,
+     "error: calibration and --out both name c.json\n"),
+    (["aggregate", "w2v.csv", "--out", "w2v.csv"], cli.EXIT_VALIDATION,
+     "error: predictions and --out both name w2v.csv\n"),
+    (TRAIN + ["--out", "p.json", "--history", "sub"], cli.EXIT_IO, IS_A_DIRECTORY.format("sub")),
+    (TRAIN + ["--out", "sub"], cli.EXIT_IO, IS_A_DIRECTORY.format("sub")),
+    (["synth", "--out-dir", "sub"], cli.EXIT_IO, IS_A_DIRECTORY.format("sub/mllm.csv")),
+    (["synth", "--features", "--out-dir", "feat"], cli.EXIT_IO,
+     IS_A_DIRECTORY.format("feat/dev_features.txt")),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", OUTPUT_CASES,
+                         ids=[" ".join(argv) for argv, _, _ in OUTPUT_CASES])
+def test_output_over_input_or_directory_exit_code(tmp_path, capsys, monkeypatch, argv, code,
+                                                   err):
+    """An output that names an input or another output, or an existing directory,
+    stops the command before it reads or writes anything: every file is as it was."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "synth", "--n-speakers", "3", "--features", "--frames-per-class", "4",
+        "--out-dir", ".")
+    run(capsys, "calibrate", "w2v.csv", "mllm.csv", "refs.csv", "--out", "c.json")
+    (tmp_path / "sub" / "mllm.csv").mkdir(parents=True)
+    (tmp_path / "feat" / "dev_features.txt").mkdir(parents=True)
+
+    def files():
+        return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+    before = files()
+    assert run(capsys, *argv) == (code, "", err)
+    assert files() == before
 
 
 class TestReport:
