@@ -35,8 +35,9 @@ TABLE_HEADER = "RMSE PCC SRC %<=0.5 %<=1.0"
 def check_files(inputs: dict, outputs: dict) -> None:
     """Run by every writing command before it reads anything, on its files by the
     names the command line gives them: an output that resolves to an input or to
-    another output is an InvalidConfig, and one that is an existing directory the
-    IsADirectoryError its write would raise, so nothing is read or written."""
+    another output is an InvalidConfig, and one that is an existing directory, or
+    whose parent directory is missing, the OSError its write would raise, so
+    nothing is read or written."""
     named = {os.path.realpath(path): (name, path) for name, path in inputs.items()}
     for name, path in outputs.items():
         if path is None:
@@ -46,6 +47,10 @@ def check_files(inputs: dict, outputs: dict) -> None:
             raise InvalidConfig(f"{first} and {name} both name {given}")
         if os.path.isdir(where):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        try:
+            os.stat(os.path.join(os.path.dirname(where), "."))  # the parent is a directory
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         named[where] = (name, path)
 
 
@@ -137,8 +142,9 @@ def cmd_train_head(args) -> int:
 def cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
     features = ("train_features.txt", "dev_features.txt") if args.features else ()
-    check_files({}, {name: out_dir / name for name in ("w2v.csv", "mllm.csv", "refs.csv",
-                                                       *features)})
+    if out_dir.is_dir():  # made with its parents below otherwise, so no output is there
+        check_files({}, {name: out_dir / name for name in ("w2v.csv", "mllm.csv", "refs.csv",
+                                                           *features)})
     if args.preset == "heteroscedastic":
         cfg = synth.heteroscedastic_config(args.n_speakers, args.seed)
     else:

@@ -86,8 +86,9 @@ class Scores:
     score: np.ndarray
 
     def __post_init__(self):
-        # the ids are the table's own copy, so no caller can change them under ``key_index``
+        # the ids and parts are the table's own, so no caller can change them under key_index
         object.__setattr__(self, "speaker_id", np.array(self.speaker_id, dtype=object))
+        object.__setattr__(self, "part", np.array(self.part, dtype=np.int64))
         _store_columns(self, speaker_id=object, part=np.int64, score=np.float64)
 
     def __len__(self) -> int:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OVERALL, PARTS, Scores, validate_record
+from .core import OVERALL, PART_VALUES, PARTS, Scores, validate_record
 from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidConfig, InvalidPart
 from .errors import NonFiniteScore, OffGridReference, ParseError, ValidationError
 from .fusion import DEFAULT_EDGES, N_BINS, FusionCalibration, _is_number
@@ -90,8 +90,9 @@ def write_predictions(path: str | Path, scores: Scores) -> None:
     joined = "\n".join(distinct)
     if "" in distinct or "," in joined or joined.splitlines() != distinct:
         raise ValidationError(f"{path}: a speaker id is empty or holds a comma or line break")
-    parts = [OVERALL_TEXT if p == OVERALL else p for p in scores.part.tolist()]
-    rows = map("{},{},{!r}".format, ids, parts, scores.score.tolist())
+    parts = {p: f",{OVERALL_TEXT if p == OVERALL else p}," for p in PART_VALUES}
+    heads = map(str.__add__, ids, map(parts.__getitem__, scores.part.tolist()))
+    rows = map(str.__add__, heads, map(repr, scores.score.tolist()))  # id,part,repr(score)
     write_text(path, "\n".join([PREDICTION_HEADER, *rows]) + "\n")
 
 
@@ -135,6 +136,7 @@ def read_predictions(path: str | Path, kind: str = "prediction") -> Scores:
         scores = validate_record(Scores(sids, part, score), kind)
     except (NonFiniteScore, OffGridReference) as exc:  # each names its row
         raise type(exc)(f"{where(exc.row)}: {exc}") from exc
+    del part  # the table holds its own copy; this one is not kept through key_index
     if (row := scores.key_index[2]) is not None:  # the first row repeating a key
         raise DuplicateKey(f"{where(row)}: duplicate key ({sids[row]}, {part_texts[row]})")
     return scores
@@ -156,18 +158,19 @@ def read_leaderboard(path: str | Path) -> list[tuple[str, MetricReport]]:
 def _read_table(path: str | Path, header: str):
     """The cells of a CSV file whose first line is ``header``, row after row, and
     ``where(row)``, the ``path:line`` of data row ``row``. LF, CR and CRLF end a
-    line; blank lines hold no row but are counted.
+    line, and a final line break begins no other; blank lines hold no row but are
+    counted.
 
-    One numpy pass over the file's UTF-8 bytes counts each line's commas; only a
-    line whose count is wrong is decoded on its own: blank, it is dropped,
-    otherwise it is the error. The bytes are dropped before the text is split
-    once into the cells."""
+    One numpy pass over the file's UTF-8 bytes, up to a final line break, counts
+    each line's commas; only a line whose count is wrong is decoded on its own:
+    blank, it is dropped, otherwise it is the error. The bytes are dropped before
+    the text is split once into the cells."""
     text = read_text(path)  # read_text gives CR and CRLF as LF
     _check_line_ends(path, 1, text)
     if not (text == header or text.startswith(header + "\n")):
         raise ParseError(f"{path}: expected header {header!r}")
     data = text.encode()
-    raw = np.frombuffer(data, dtype=np.uint8)
+    raw = np.frombuffer(data, dtype=np.uint8)[:len(data) - text.endswith("\n")]
     ends = np.flatnonzero(raw == ord("\n"))
     commas = np.flatnonzero(raw == ord(","))
     count = np.bincount(np.searchsorted(ends, commas), minlength=len(ends) + 1)  # per line
@@ -187,11 +190,9 @@ def _read_table(path: str | Path, header: str):
     flat = text.replace("\n", ",")  # a blank line gives one cell, dropped below
     del text
     cells = flat.split(",")
-    if odd.size and odd[0] + odd.size == len(count):  # blank lines only at the end
-        del cells[-odd.size:]
-    elif odd.size:
+    if odd.size:  # blank lines: compress ends at the last line's cells
         cells = list(compress(cells, np.repeat(count == width - 1, count + 1).tolist()))
-    del cells[:width]  # the header's
+    del cells[:width], cells[width * len(rows):]  # the header's, and the final break's
     return cells, where
 
 

@@ -614,6 +614,8 @@ OUTPUT_CASES = [
      "error: predictions and --out both name w2v.csv\n"),
     (TRAIN + ["--out", "p.json", "--history", "sub"], cli.EXIT_IO, IS_A_DIRECTORY.format("sub")),
     (TRAIN + ["--out", "sub"], cli.EXIT_IO, IS_A_DIRECTORY.format("sub")),
+    (TRAIN + ["--out", "p.json", "--history", "missing/h.log"], cli.EXIT_IO,
+     "error: [Errno 2] No such file or directory: 'missing/h.log'\n"),
     (["synth", "--out-dir", "sub"], cli.EXIT_IO, IS_A_DIRECTORY.format("sub/mllm.csv")),
     (["synth", "--features", "--out-dir", "feat"], cli.EXIT_IO,
      IS_A_DIRECTORY.format("feat/dev_features.txt")),
@@ -624,8 +626,9 @@ OUTPUT_CASES = [
                          ids=[" ".join(argv) for argv, _, _ in OUTPUT_CASES])
 def test_output_over_input_or_directory_exit_code(tmp_path, capsys, monkeypatch, argv, code,
                                                    err):
-    """An output that names an input or another output, or an existing directory,
-    stops the command before it reads or writes anything: every file is as it was."""
+    """An output that names an input or another output, an existing directory or
+    a file in a missing directory stops the command before it reads or writes
+    anything: every file is as it was."""
     monkeypatch.chdir(tmp_path)
     run(capsys, "synth", "--n-speakers", "3", "--features", "--frames-per-class", "4",
         "--out-dir", ".")
@@ -639,6 +642,16 @@ def test_output_over_input_or_directory_exit_code(tmp_path, capsys, monkeypatch,
     before = files()
     assert run(capsys, *argv) == (code, "", err)
     assert files() == before
+
+
+def test_synth_makes_a_missing_out_dir(tmp_path, capsys, monkeypatch):
+    """``synth`` makes its ``--out-dir`` with any missing parents, so a missing
+    parent of its outputs is no fault."""
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "synth", "--n-speakers", "3", "--out-dir", "new/sub")
+    assert (code, err) == (0, "")
+    assert sorted(p.name for p in (tmp_path / "new" / "sub").iterdir()) == [
+        "mllm.csv", "refs.csv", "w2v.csv"]
 
 
 class TestReport:

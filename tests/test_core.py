@@ -218,6 +218,20 @@ def test_ids_are_the_tables_own():
     assert grid[:, 1].tolist() == [1, 0]  # a in row 1, b in row 0
 
 
+def test_parts_are_the_tables_own():
+    """Changing the caller's part array after the table indexed its keys changes
+    neither the table's parts nor its first repeated key: the index still agrees
+    with a fresh table built from the table's columns."""
+    part = np.array([1, 3, 1], dtype=np.int64)
+    t = Scores(["a", "a", "b"], part, [1.0, 2.0, 3.0])
+    assert t.key_index[2] is None
+    part[1] = 1
+    assert t.part.tolist() == [1, 3, 1]
+    fresh = Scores(t.speaker_id, t.part, t.score)
+    assert (t.key_index[1].tolist(), t.key_index[2]) == (fresh.key_index[1].tolist(),
+                                                         fresh.key_index[2])
+
+
 def test_only_score_tables_copy_their_ids():
     """A ``Scores`` table keeps a key index, so it copies its ids; a
     ``JoinedDataset`` keeps none and stores a read-only view of the ids it is given."""
