@@ -145,6 +145,12 @@ def cmd_synth(args) -> int:
     if out_dir.is_dir():  # made with its parents below otherwise, so no output is there
         check_files({}, {name: out_dir / name for name in ("w2v.csv", "mllm.csv", "refs.csv",
                                                            *features)})
+    else:  # made with its parents below; fail as that mkdir would, before any draw
+        top = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
+        if top == out_dir or not top.exists():  # a file at out_dir, or a dangling link
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(top))
+        if not top.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out_dir))
     if args.preset == "heteroscedastic":
         cfg = synth.heteroscedastic_config(args.n_speakers, args.seed)
     else:

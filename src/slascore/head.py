@@ -171,18 +171,6 @@ def forward(seq: FrameSequence, params: HeadParameters):
     return prediction, cache
 
 
-def _level_index(targets: list[float], levels: np.ndarray) -> np.ndarray:
-    """Each target's one level within ``LEVEL_TOL``; the first with none or two raises."""
-    t = np.asarray(targets, dtype=np.float64)[:, None]
-    # the levels near a target are a run where it sorts in; indices -2 and -1 wrap to the NaNs
-    window = levels.searchsorted(t) + np.arange(-2, 2)
-    near = np.abs(np.append(levels, [np.nan] * 2)[window] - t) <= LEVEL_TOL
-    if (bad := near.sum(axis=1) != 1).any():
-        raise OffGridTarget(f"target {targets[bad.argmax()]} is not one of the trained levels "
-                            f"{levels.tolist()}")
-    return window[near]
-
-
 def _squared_error(prediction: float, target: float) -> tuple[float, np.ndarray]:
     """The regression loss and its gradient d loss / d prediction, shaped as the output."""
     r = prediction - target
@@ -269,16 +257,21 @@ def init_parameters(
     train_data: list[FrameSequence],
     mode: str,
     seed: int = 0,
-) -> HeadParameters:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights; prototypes start
-    at per-level means of the initially pooled embeddings."""
+) -> tuple[HeadParameters, np.ndarray]:
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights and prototypes at the per-level
+    means of the initially pooled embeddings; the levels are the distinct labels. Also
+    returns each sequence's level index, ``train``'s cross-entropy targets."""
     if not train_data:
         raise EmptyDataset("cannot initialize from an empty training set")
     labels = [s.label for s in train_data]
     if any(lbl is None for lbl in labels):
         raise ValidationError("all training sequences must carry labels")
-    levels = np.unique(np.asarray(labels, dtype=np.float64))
-    label_class = _level_index(labels, levels)  # a label near two levels is rejected
+    levels, label_class = np.unique(np.asarray(labels, dtype=np.float64), return_inverse=True)
+    # a label near another names no single level; the levels are sorted, so check neighbours
+    near = np.concatenate([[False], np.diff(levels) <= LEVEL_TOL, [False]])
+    if (bad := (near[:-1] | near[1:])[label_class]).any():
+        raise OffGridTarget(f"target {labels[bad.argmax()]} is not one of the trained levels "
+                            f"{levels.tolist()}")
     d = train_data[0].frames.shape[1]
     n = levels.size
     out = 1 if mode == REGRESSION else n
@@ -300,7 +293,7 @@ def init_parameters(
     for seq, k in zip(train_data, label_class.tolist()):
         sums[k] += _pool(seq.frames, params)[2]
     params.prototypes = sums / np.bincount(label_class, minlength=n)[:, None]
-    return params
+    return params, label_class
 
 
 def train(
@@ -318,7 +311,7 @@ def train(
         raise EmptyDataset("the dev set must be nonempty")
     # init_parameters checks train_data; an empty train set is reported
     # before unlabelled dev sequences are
-    params = init_parameters(train_data, config.mode, config.seed)
+    params, label_class = init_parameters(train_data, config.mode, config.seed)
     if any(seq.label is None for seq in dev_data):
         raise ValidationError("all dev sequences must carry labels")
     # dev data that each epoch's dev predictions would reject fails before epoch 1
@@ -327,10 +320,8 @@ def train(
         raise ShapeMismatch(f"frames have d={bad_d}, parameters expect d={params.d}")
     dev_refs = [seq.label for seq in dev_data]
     macro_f1(dev_refs, dev_refs)  # raises OffGridReference for an off-grid label
-    # each label's loss target, found once per run; the levels are the distinct labels
-    labels = [seq.label for seq in train_data]
-    step_loss, targets = ((_squared_error, labels) if config.mode == REGRESSION else
-                          (_cross_entropy, _level_index(labels, params.levels).tolist()))
+    step_loss, targets = ((_squared_error, [seq.label for seq in train_data])
+                          if config.mode == REGRESSION else (_cross_entropy, label_class.tolist()))
     rng = np.random.default_rng(config.seed + 1)
     # one vector theta holds every trainable array; the fields become views into it
     sizes = [getattr(params, name).size for name in PARAM_FIELDS]

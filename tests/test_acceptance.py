@@ -140,8 +140,7 @@ def test_criterion_4_gradient_correctness():
         target = float(rng.choice(levels))
         # the loss train takes of this output, and its gradient
         loss = (functools.partial(head._squared_error, target=target) if mode == REGRESSION else
-                functools.partial(head._cross_entropy,
-                                  idx=int(head._level_index([target], levels)[0])))
+                functools.partial(head._cross_entropy, idx=levels.tolist().index(target)))
         pred, cache = forward(seq, params)
         grads = backward(cache, loss(pred)[1])
         for name in ("attn_W", "attn_b", "attn_u", "prototypes", "mlp_W", "mlp_b"):

@@ -328,6 +328,29 @@ class TestSynthCommand:
         assert run(capsys, "synth", "--features", "--out-dir", str(tmp_path / "e"))[0] == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("out_dir, err", [
+        ("afile", "error: [Errno 17] File exists: 'afile'\n"),
+        ("afile/sub", "error: [Errno 20] Not a directory: 'afile/sub'\n"),
+        ("afile/sub/deeper/", "error: [Errno 20] Not a directory: 'afile/sub/deeper'\n"),
+        ("dangling/sub", "error: [Errno 17] File exists: 'dangling'\n"),
+    ], ids=["file", "under-a-file", "deeper-under-a-file", "under-a-dangling-link"])
+    def test_out_dir_at_or_under_a_file_refused_before_drawing(self, tmp_path, capsys,
+                                                               monkeypatch, out_dir, err):
+        """An ``--out-dir`` that is a file, or lies under one, fails as its mkdir
+        would, before any frame or score is drawn, and creates nothing."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "dangling").symlink_to("missing")
+        calls = []
+        for name in ("generate_scores", "generate_frames"):
+            monkeypatch.setattr(synth, name, lambda *args, _draw=getattr(synth, name), **kw:
+                                calls.append(args) or _draw(*args, **kw))
+        assert run(capsys, "synth", "--features", "--out-dir", out_dir) == (cli.EXIT_IO, "", err)
+        assert calls == [] and sorted(p.name for p in tmp_path.iterdir()) == ["afile", "dangling"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
+        assert run(capsys, "synth", "--features", "--out-dir", "new")[0] == 0
+        assert len(calls) == 3  # the counters do see a good run's draws
+
     def test_defaults_are_the_library_defaults(self, tmp_path, capsys, monkeypatch):
         """``synth`` draws with ``SynthConfig()`` and ``calibrate`` searches the
         ``GRID_STEP`` grid when no flag is given."""

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import sys
 from functools import cached_property
 
@@ -25,6 +26,7 @@ from slascore.errors import (
     DuplicateKey,
     EmptyJoin,
     InvalidPart,
+    LengthMismatch,
     MissingReference,
     NonFiniteScore,
     NoReferences,
@@ -56,6 +58,10 @@ class TestValidateRecord:
     def test_invalid_part(self):
         with pytest.raises(InvalidPart):
             validate_record(rec("a1", 2, 3.0), "prediction")
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown record kind 'overal'$"):
+            validate_record(rec("a1", 1, 3.0), "overal")
 
     def test_non_finite_prediction(self):
         with pytest.raises(NonFiniteScore):
@@ -189,6 +195,16 @@ def test_part_values_checked_when_built():
     assert grid[grid >= 0].tolist() == [3, 1, 0, 2]
     assert np.argwhere(other >= 0).tolist() == [[0, 2], [2, 3]]
     assert other[other >= 0].tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("columns, shapes", [
+    ((["a", "b"], [1], [3.0, 3.5]), "[(2,), (1,), (2,)]"),
+    ((["a"], [1], [[3.0]]), "[(1,), (1,), (1, 1)]"),
+], ids=["lengths", "matrix"])
+def test_columns_of_one_length_when_built(columns, shapes):
+    with pytest.raises(LengthMismatch, match=re.escape(
+            f"need 1-D columns of one length, got shapes {shapes}") + "$"):
+        Scores(*columns)
 
 
 def test_columns_are_read_only():

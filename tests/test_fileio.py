@@ -520,20 +520,26 @@ class TestHeadParamFiles:
             np.testing.assert_array_equal(getattr(loaded, name), getattr(orig, name))
         assert loaded.mode == orig.mode
 
-    @pytest.mark.parametrize("edit", [
-        lambda doc: [1, 2],
-        lambda doc: {**doc, "levels": [1, [2]]},
-        lambda doc: {**doc, "mlp_b": ["x"]},
-        lambda doc: {**doc, "attn_W": [1.0, 2.0]},
-        lambda doc: {**doc, "prototypes": 5},
-        lambda doc: {**doc, "mlp_b": [10**400]},
+    NOT_NUMERIC = "parameters must be numeric arrays: "
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [1, 2], "parameters must be a JSON object"),
+        (lambda doc: {**doc, "levels": [1, [2]]}, NOT_NUMERIC),
+        (lambda doc: {**doc, "mlp_b": ["x"]}, NOT_NUMERIC),
+        (lambda doc: {**doc, "attn_W": [1.0, 2.0]}, NOT_NUMERIC),
+        (lambda doc: {**doc, "prototypes": 5}, NOT_NUMERIC),
+        (lambda doc: {**doc, "mlp_b": [10**400]}, NOT_NUMERIC),
+        (lambda doc: {**doc, "format_version": 0}, "unsupported format_version 0"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "mlp_W"}, "missing field 'mlp_W'"),
     ], ids=["list-document", "ragged-array", "non-numeric", "vector-attn_W",
-            "scalar-prototypes", "huge-int"])
-    def test_malformed_document(self, tmp_path, edit):
+            "scalar-prototypes", "huge-int", "old-format", "missing-field"])
+    def test_malformed_document(self, tmp_path, edit, message):
+        """Each fault names the file; a numpy conversion fault's own text follows
+        the message, so only its start is pinned."""
         p = tmp_path / "p.json"
         fileio.write_head_params(p, self.make_params())
         p.write_text(json.dumps(edit(json.loads(p.read_text()))))
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{p}: {message}')}"):
             fileio.read_head_params(p)
 
     def test_wrong_shape(self, tmp_path):

@@ -133,6 +133,11 @@ class TestFuseOne:
         calib = make_calib([1.0] * N_BINS)
         assert fuse_one(3.123456789, 4.7, calib) == 4.7
 
+    @pytest.mark.parametrize("w2v", [math.nan, np.array([3.0, math.inf])], ids=["nan", "inf"])
+    def test_non_finite_w2v(self, w2v):
+        with pytest.raises(NonFiniteScore, match=r"^cannot fuse non-finite w2v score\(s\)$"):
+            fuse_one(w2v, np.full(np.shape(w2v), 3.0), make_calib([0.5] * N_BINS))
+
     def test_uses_mllm_bin(self):
         weights = [0.0] * N_BINS
         weights[7] = 1.0

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import level_index_oracle, nearest_class_mean_f1
@@ -59,8 +59,7 @@ def output_loss(params, target):
     squared error against ``target``, or cross-entropy against its level's index."""
     if params.mode == REGRESSION:
         return functools.partial(head._squared_error, target=target)
-    return functools.partial(head._cross_entropy,
-                             idx=int(head._level_index([target], params.levels)[0]))
+    return functools.partial(head._cross_entropy, idx=params.levels.tolist().index(target))
 
 
 def numeric_gradient(seq, params, target, name, idx, step=1e-5):
@@ -232,7 +231,7 @@ class TestForwardLoss:
         seq = FrameSequence(frames=rng.standard_normal((5, 4)))
         logits, _ = forward(seq, params)
         target = float(params.levels[0])
-        idx = int(head._level_index([target], params.levels)[0])
+        idx = params.levels.tolist().index(target)
         assert head._cross_entropy(logits, idx)[0] == pytest.approx(math.log(3))
         assert predict_score(seq, params) == pytest.approx(float(params.levels.mean()))
 
@@ -247,12 +246,6 @@ class TestForwardLoss:
     def test_regression_loss_zero_at_target(self):
         assert head._squared_error(3.5, 3.5)[0] == 0.0
 
-    def test_classification_off_grid_target(self):
-        rng = np.random.default_rng(11)
-        params = random_params(rng, d=4, n=3, mode=CLASSIFICATION)
-        with pytest.raises(OffGridTarget):
-            head._level_index([1.23], params.levels)
-
 
 # Values on or within a few 1e-9 of three levels, so runs of near levels form.
 NEAR_VALUES = st.builds(lambda base, step: base + step * 4e-10,
@@ -260,19 +253,21 @@ NEAR_VALUES = st.builds(lambda base, step: base + step * 4e-10,
 
 
 @settings(max_examples=300, deadline=None)
-@given(levels=st.lists(NEAR_VALUES, min_size=0, max_size=8, unique=True),
-       targets=st.lists(NEAR_VALUES | st.sampled_from([math.nan, 3.0, 1e308]), max_size=8))
-def test_level_index_agrees_with_a_scan_of_every_level(levels, targets):
-    """The two-either-side window finds what a scan of every level finds, and
-    names the first target near no level or near two."""
-    levels = np.array(sorted(levels))
-    expected = level_index_oracle(targets, levels.tolist())
+@given(labels=st.lists(NEAR_VALUES, min_size=1, max_size=8), mode=st.sampled_from(head.MODES))
+@example(labels=[1e-9, 2e-9], mode=CLASSIFICATION)  # exactly LEVEL_TOL apart: refused
+def test_label_classes_agree_with_a_scan_of_every_level(labels, mode):
+    """``init_parameters`` classes each label as a scan of every distinct label
+    does, and names the first label that lies near another level."""
+    train_d = [FrameSequence(frames=np.eye(2) + i, label=lbl) for i, lbl in enumerate(labels)]
+    levels = sorted(set(labels))
+    expected = level_index_oracle(labels, levels)
     if None in expected:
-        first = targets[expected.index(None)]
-        with pytest.raises(OffGridTarget, match=f"^target {re.escape(str(first))} is not"):
-            head._level_index(targets, levels)
+        first = labels[expected.index(None)]
+        with pytest.raises(OffGridTarget, match=f"^target {re.escape(str(first))} is not one "
+                                                f"of the trained levels {re.escape(str(levels))}$"):
+            init_parameters(train_d, mode)
     else:
-        assert head._level_index(targets, levels).tolist() == expected
+        assert init_parameters(train_d, mode)[1].tolist() == expected
 
 
 class TestBackward:
@@ -311,6 +306,17 @@ class TestBackward:
         params.version += 1
         with pytest.raises(StaleCache):
             backward(cache, 1.0)
+
+    @pytest.mark.parametrize("mode, upstream, message", [
+        (REGRESSION, np.zeros(3), r"upstream shape \(3,\) vs output \(1,\)"),
+        (CLASSIFICATION, 1.0, r"upstream shape \(1,\) vs output \(3,\)"),
+    ])
+    def test_upstream_shape_checked(self, mode, upstream, message):
+        rng = np.random.default_rng(15)
+        params = random_params(rng, d=4, n=3, mode=mode)
+        _, cache = forward(FrameSequence(frames=rng.standard_normal((3, 4))), params)
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            backward(cache, upstream)
 
 
 class TestPredictScore:
@@ -381,7 +387,7 @@ class TestTrain:
         train_d, dev_d = toy_data
         cfg = TrainConfig(epochs=3, learning_rate=0.0, warmup_steps=5, seed=0)
         params, history = train(train_d, dev_d, cfg)
-        init = init_parameters(train_d, cfg.mode, cfg.seed)
+        init, _ = init_parameters(train_d, cfg.mode, cfg.seed)
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(params, name), getattr(init, name))
         losses = [h["train_loss"] for h in history]
@@ -440,22 +446,32 @@ class TestTrain:
         _, history = train(train_d, dev_d, cfg)
         assert history[-1]["train_loss"] < history[0]["train_loss"]
 
-    @pytest.mark.parametrize("mode", [REGRESSION, CLASSIFICATION])
-    def test_target_levels_found_once_per_run(self, toy_data, monkeypatch, mode):
+    def test_loss_targets_are_the_classes_init_parameters_returns(self, toy_data, monkeypatch):
+        """Every cross-entropy call of a run takes, as its target, the class
+        ``init_parameters`` returned for the sequence just forwarded."""
         train_d, dev_d = toy_data
-        calls = []
+        returned, forwarded, targets = [], [], []
 
-        def counting(targets, levels, _find=head._level_index):
-            calls.extend(targets)
-            return _find(targets, levels)
+        def init_spy(*args, _init=head.init_parameters):
+            returned.append(_init(*args))
+            return returned[-1]
 
-        monkeypatch.setattr(head, "_level_index", counting)
-        counts = []
-        for epochs in (1, 5):
-            calls.clear()
-            train(train_d, dev_d, TrainConfig(epochs=epochs, learning_rate=0.01, mode=mode))
-            counts.append(len(calls))
-        assert counts[0] == counts[1] <= 2 * len(train_d)
+        def forward_spy(seq, params, _forward=head.forward):
+            forwarded.append(seq)
+            return _forward(seq, params)
+
+        def loss_spy(logits, idx, _loss=head._cross_entropy):
+            targets.append(idx)
+            return _loss(logits, idx)
+
+        for name, spy in (("init_parameters", init_spy), ("forward", forward_spy),
+                          ("_cross_entropy", loss_spy)):
+            monkeypatch.setattr(head, name, spy)
+        train(train_d, dev_d, TrainConfig(epochs=2, learning_rate=0.01))
+        [(_, label_class)] = returned
+        classes = dict(zip(map(id, train_d), label_class.tolist()))
+        assert len(targets) == len(forwarded) == 2 * len(train_d)
+        assert targets == [classes[id(seq)] for seq in forwarded]
 
     @pytest.mark.parametrize("mode", [REGRESSION, CLASSIFICATION])
     @pytest.mark.parametrize("labels,target", [
@@ -526,6 +542,6 @@ class TestTrain:
 
     def test_prototype_init_uses_class_means(self, toy_data):
         train_d, _ = toy_data
-        params = init_parameters(train_d, CLASSIFICATION, seed=0)
+        params, _ = init_parameters(train_d, CLASSIFICATION, seed=0)
         assert params.prototypes.shape == (3, 8)
         np.testing.assert_array_equal(params.levels, [2.5, 3.5, 4.5])

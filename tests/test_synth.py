@@ -43,6 +43,14 @@ class TestSynthConfig:
         with pytest.raises(InvalidConfig, match="^n_speakers 250001 exceeds 250000$"):
             SynthConfig(n_speakers=MAX_SPEAKERS + 1)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_speakers", 0, "need at least one speaker"),
+        ("level_weights", (1.0,) * 7, "level_weights must have length 8"),
+    ])
+    def test_rejects_bad_field(self, field, value, message):
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            SynthConfig(**{field: value})
+
     @pytest.mark.parametrize("field", ["w2v_noise", "mllm_noise", "level_weights"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_value(self, field, value):
