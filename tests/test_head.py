@@ -446,6 +446,25 @@ class TestTrain:
         _, history = train(train_d, dev_d, cfg)
         assert history[-1]["train_loss"] < history[0]["train_loss"]
 
+    @pytest.mark.parametrize("mode", [REGRESSION, CLASSIFICATION])
+    def test_target_levels_found_once_per_run(self, toy_data, monkeypatch, mode):
+        """Training labels are classed by ``init_parameters`` alone, once per run,
+        however many epochs the run takes."""
+        train_d, dev_d = toy_data
+        calls = []
+
+        def counting(data, *args, _init=head.init_parameters):
+            calls.extend(data)
+            return _init(data, *args)
+
+        monkeypatch.setattr(head, "init_parameters", counting)
+        counts = []
+        for epochs in (1, 5):
+            calls.clear()
+            train(train_d, dev_d, TrainConfig(epochs=epochs, learning_rate=0.01, mode=mode))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == len(train_d)
+
     def test_loss_targets_are_the_classes_init_parameters_returns(self, toy_data, monkeypatch):
         """Every cross-entropy call of a run takes, as its target, the class
         ``init_parameters`` returned for the sequence just forwarded."""
