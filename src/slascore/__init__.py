@@ -13,6 +13,7 @@ from .core import (
     JoinedDataset,
     Scores,
     join,
+    snap_to_grid,
     validate_record,
 )
 from .fusion import (
@@ -38,7 +39,6 @@ from .metrics import (
     macro_f1,
     pearson,
     rmse,
-    snap_to_grid,
     spearman,
     within_tolerance,
 )

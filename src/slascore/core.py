@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
+from itertools import chain, count
 
 import numpy as np
 
@@ -112,16 +112,11 @@ class Scores:
 
 
 def _rank(ids: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct ``ids`` in ``str`` order and each id's rank among them. One dict pass
-    finds each id's first position, only the distinct ids are sorted, and array indexing
-    spreads their ranks to the positions."""
-    first: dict[str, int] = {}
-    at = np.fromiter(map(first.setdefault, ids, count()), dtype=np.intp, count=len(ids))
-    distinct = sorted(first)
-    rank = np.empty(len(ids), dtype=np.intp)  # at each id's first position, its rank
-    rank[np.fromiter(map(first.__getitem__, distinct), dtype=np.intp, count=len(distinct))] = \
-        np.arange(len(distinct))
-    return distinct, rank[at]
+    """The distinct ``ids`` in ``str`` order (each the first object the list holds for it)
+    and each id's rank among them: only the distinct ids are sorted, and one dict numbers them."""
+    distinct = sorted(set(ids))
+    rank = dict(zip(distinct, count()))
+    return distinct, np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
 
 
 def _keys(table, rows=slice(None)) -> list[tuple[str, int]]:
@@ -192,10 +187,11 @@ def key_rows(tables: tuple[Scores, ...], labels: tuple[str, ...]) -> list[np.nda
             raise DuplicateKey(f"duplicate {label} key {_keys(table, [repeat])[0]}")
     if all(own == indexes[0][0] for own, _, _ in indexes):
         return [grid for _, grid, _ in indexes]
-    rank = dict(zip(sorted(set().union(*(own for own, _, _ in indexes))), count()))
-    grids = [np.full((len(rank), len(PART_VALUES)), -1, dtype=np.intp) for _ in indexes]
-    for merged, (own, grid, _) in zip(grids, indexes):  # one row scatter per table
-        merged[np.fromiter(map(rank.__getitem__, own), dtype=np.intp, count=len(own))] = grid
+    merged, rank = _rank(list(chain.from_iterable(own for own, _, _ in indexes)))
+    ends = np.cumsum([len(own) for own, _, _ in indexes])[:-1]
+    grids = [np.full((len(merged), len(PART_VALUES)), -1, dtype=np.intp) for _ in indexes]
+    for out, (_, grid, _), rows in zip(grids, indexes, np.split(rank, ends)):
+        out[rows] = grid  # one row scatter per table
     return grids
 
 

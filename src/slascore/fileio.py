@@ -90,6 +90,10 @@ def write_predictions(path: str | Path, scores: Scores) -> None:
     joined = "\n".join(distinct)
     if "" in distinct or "," in joined or joined.splitlines() != distinct:
         raise ValidationError(f"{path}: a speaker id is empty or holds a comma or line break")
+    try:  # before the file is opened, so a failed write leaves it as it was
+        joined.encode()
+    except UnicodeEncodeError:
+        raise ValidationError(f"{path}: a speaker id does not encode as UTF-8") from None
     parts = {p: f",{OVERALL_TEXT if p == OVERALL else p}," for p in PART_VALUES}
     heads = map(str.__add__, ids, map(parts.__getitem__, scores.part.tolist()))
     rows = map(str.__add__, heads, map(repr, scores.score.tolist()))  # id,part,repr(score)

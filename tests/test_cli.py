@@ -1,16 +1,20 @@
 import copy
 import json
 import logging
+import os
 import re
+import tempfile
 from dataclasses import fields
 from itertools import chain
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from slascore import cli, fileio, fusion, head, metrics, synth
-from slascore.core import OVERALL, Scores, join
+from slascore.core import OVERALL, PARTS, REFERENCE_LEVELS, Scores, join
 from slascore.errors import EmptyDataset
 from slascore.synth import SynthConfig, generate_frames, generate_scores, heteroscedastic_config
 from tables import rows, scores
@@ -675,6 +679,84 @@ def test_synth_makes_a_missing_out_dir(tmp_path, capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert sorted(p.name for p in (tmp_path / "new" / "sub").iterdir()) == [
         "mllm.csv", "refs.csv", "w2v.csv"]
+
+
+# Speaker ids for the row-order property: non-ASCII text, NUL and shared prefixes,
+# 1-20 characters (across the 8-byte boundary), never a comma or a line break.
+ID_TEXT = st.text(st.sampled_from(["a", "b", " ", "\x00", "\xe9", "\u20ac", "\U0001f600"])
+                  | st.characters(codec="utf-8",
+                                  exclude_characters=",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"),
+                  max_size=10)
+PIPELINE = [["calibrate", "w2v.csv", "mllm.csv", "refs.csv", "--out", "calib.json"],
+            ["fuse", "w2v.csv", "mllm.csv", "calib.json", "--out", "fused.csv"],
+            ["aggregate", "fused.csv", "--out", "overall.csv"],
+            ["evaluate", "fused.csv", "refs.csv", "--out", "metrics.json"],
+            ["aggregate", "refs.csv", "--out", "refs_overall.csv"],
+            ["evaluate", "--overall", "overall.csv", "refs_overall.csv"]]
+INPUTS = {"w2v_digest": "w2v.csv", "mllm_digest": "mllm.csv", "ref_digest": "refs.csv"}
+
+
+@st.composite
+def reordered_inputs(draw):
+    """The three input tables (all four parts of each speaker, in drawn speaker order),
+    and for each file a row order and a line end (LF, CRLF or CR) per line."""
+    prefixes = draw(st.lists(ID_TEXT, min_size=1, max_size=3))
+    ids = draw(st.lists(st.tuples(st.sampled_from(prefixes), ID_TEXT).map("".join)
+                        .filter(lambda sid: 1 <= len(sid) <= 20),
+                        min_size=2, max_size=8, unique=True))
+    n = len(ids) * len(PARTS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sids, parts = np.repeat(np.array(ids, dtype=object), len(PARTS)), np.tile(PARTS, len(ids))
+    refs = rng.choice(REFERENCE_LEVELS, n)
+    refs[:8] = np.repeat([2.0, 5.5], 4)  # two speakers apart: no metric meets zero variance
+    tables = {"w2v": Scores(sids, parts, rng.uniform(-0.5, 6.5, n)),  # some are warned of
+              "mllm": Scores(sids, parts, rng.uniform(-0.5, 6.5, n)),
+              "refs": Scores(sids, parts, refs)}
+    layouts = {name: (draw(st.permutations(range(n))),
+                      draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                                    min_size=n + 1, max_size=n + 1)))
+               for name in tables}
+    return tables, layouts
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=reordered_inputs())
+def test_row_order_and_line_ends_change_no_output(tmp_path, capsys, caplog, monkeypatch,
+                                                   case):
+    """Permuting the rows of every input score file and rewriting each line end as LF,
+    CRLF or CR leaves every output byte, stdout, stderr and warning of the pipeline unchanged;
+    only the calibration's input digests follow the rewritten files. Prediction files
+    keep their order, since ``evaluate`` pairs in prediction order."""
+    tables, layouts = case
+    runs = []
+    with tempfile.TemporaryDirectory(dir=tmp_path) as top:
+        for rewrite in (False, True):
+            monkeypatch.chdir(top)
+            os.mkdir(str(rewrite))
+            monkeypatch.chdir(str(rewrite))  # the same relative paths in both runs
+            for name, table in tables.items():
+                fileio.write_predictions(f"{name}.csv", table)
+                if rewrite:
+                    header, *lines = Path(f"{name}.csv").read_text("utf-8").split("\n")[:-1]
+                    order, ends = layouts[name]
+                    lines = [header, *(lines[i] for i in order)]
+                    Path(f"{name}.csv").write_bytes("".join(map(str.__add__, lines, ends))
+                                                    .encode())
+            printed = []
+            for argv in PIPELINE:
+                caplog.clear()
+                printed.append((*run(capsys, *argv), caplog.messages))
+                assert printed[-1][0] == 0, printed
+            written = {name: Path(name).read_bytes() for name in sorted(os.listdir())
+                       if name not in INPUTS.values()}
+            provenance = json.loads(written["calib.json"])["provenance"]
+            for key, name in INPUTS.items():  # each digest is its input's, as read
+                assert provenance[key] == fileio.file_digest(name)
+                written["calib.json"] = written["calib.json"].replace(provenance[key].encode(),
+                                                                      name.encode())
+            runs.append((printed, written))
+    assert runs[1] == runs[0]
 
 
 class TestReport:

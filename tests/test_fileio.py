@@ -129,12 +129,21 @@ class TestPredictionFiles:
             tracemalloc.stop()
         assert peak < 6.6 * 2**20
 
-    @pytest.mark.parametrize("sid", ["", "a,b", "a\nb", "a\r", "a\x1cb", "a\u2028b", "\x85"])
+    @pytest.mark.parametrize("sid", ["", "a,b", "a\nb", "a\r", "a\x1cb", "a\u2028b", "\x85",
+                                     "\ud800"])
     def test_unreadable_speaker_id_not_written(self, tmp_path, sid):
         p = tmp_path / "s.csv"
         with pytest.raises(ValidationError, match="speaker id"):
             fileio.write_predictions(p, scores(("ok", 1, 3.0), (sid, 3, 3.0)))
         assert not p.exists()
+
+    def test_unencodable_speaker_id_keeps_the_file(self, tmp_path):
+        # a lone surrogate passes the field and line checks; the file must not be opened
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"speaker_id,part,score\na,1,3.0\n")
+        with pytest.raises(ValidationError, match="speaker id does not encode as UTF-8"):
+            fileio.write_predictions(p, scores(("\ud800", 1, 3.0), ("a", 1, 3.0)))
+        assert p.read_bytes() == b"speaker_id,part,score\na,1,3.0\n"
 
     @pytest.mark.parametrize("ch", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                                     "\u2028", "\u2029"])
