@@ -32,18 +32,28 @@ EXIT_IO = 3
 TABLE_HEADER = "RMSE PCC SRC %<=0.5 %<=1.0"
 
 
+def _file_key(where: str) -> object:
+    """What every name of the file at resolved path ``where`` shares: the device and
+    inode of a file that exists (so a hard link is the file it links), else ``where``."""
+    try:
+        info = os.stat(where)
+    except OSError:
+        return where
+    return info.st_dev, info.st_ino
+
+
 def check_files(inputs: dict, outputs: dict) -> None:
     """Run by every writing command before it reads anything, on its files by the
-    names the command line gives them: an output that resolves to an input or to
-    another output is an InvalidConfig, and one that is an existing directory, or
-    whose parent directory is missing, the OSError its write would raise, so
-    nothing is read or written."""
-    named = {os.path.realpath(path): (name, path) for name, path in inputs.items()}
+    names the command line gives them: an output that is the same file as an input
+    or as another output (by a link or another path) is an InvalidConfig, and one
+    that is an existing directory, or whose parent directory is missing, the OSError
+    its write would raise, so nothing is read or written."""
+    named = {_file_key(os.path.realpath(path)): (name, path) for name, path in inputs.items()}
     for name, path in outputs.items():
         if path is None:
             continue
-        if (where := os.path.realpath(path)) in named:
-            first, given = named[where]
+        if (key := _file_key(where := os.path.realpath(path))) in named:
+            first, given = named[key]
             raise InvalidConfig(f"{first} and {name} both name {given}")
         if os.path.isdir(where):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
@@ -51,7 +61,7 @@ def check_files(inputs: dict, outputs: dict) -> None:
             os.stat(os.path.join(os.path.dirname(where), "."))  # the parent is a directory
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, str(path)) from None
-        named[where] = (name, path)
+        named[key] = (name, path)
 
 
 def cmd_evaluate(args) -> int:
@@ -152,11 +162,13 @@ def cmd_synth(args) -> int:
         if not top.is_dir():
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out_dir))
     if args.preset == "heteroscedastic":
+        if args.noise is not None:  # the preset sets its own sigma per level
+            raise InvalidConfig("--noise applies to the uniform preset only")
         cfg = synth.heteroscedastic_config(args.n_speakers, args.seed)
     else:
-        cfg = synth.SynthConfig(n_speakers=args.n_speakers, seed=args.seed,
-                                w2v_noise=(args.noise,) * synth.N_LEVELS,
-                                mllm_noise=(args.noise,) * synth.N_LEVELS)
+        noise = {} if args.noise is None else dict.fromkeys(
+            ("w2v_noise", "mllm_noise"), (args.noise,) * synth.N_LEVELS)
+        cfg = synth.SynthConfig(n_speakers=args.n_speakers, seed=args.seed, **noise)
     if args.features:  # checked and drawn (each split on its own seed) before any score
         levels = [2.5, 3.5, 4.5]
         frames = synth.generate_frames(args.frames_per_class, levels, args.feature_dim,
@@ -239,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-speakers", type=int, default=synth_defaults.n_speakers)
     p.add_argument("--seed", type=int, default=synth_defaults.seed)
     p.add_argument("--preset", choices=("uniform", "heteroscedastic"), default="uniform")
-    p.add_argument("--noise", type=float, default=synth_defaults.w2v_noise[0],
-                   help="per-bin sigma for the uniform preset")
+    p.add_argument("--noise", type=float,
+                   help=f"per-level sigma of the uniform preset (default "
+                        f"{synth_defaults.w2v_noise[0]})")
     p.add_argument("--features", action="store_true", help="also write feature files")
     p.add_argument("--frames-per-class", type=int, default=50)
     p.add_argument("--feature-dim", type=int, default=8)

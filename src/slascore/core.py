@@ -202,7 +202,8 @@ def join(w2v: Scores, mllm: Scores, refs: Scores | None = None) -> JoinedDataset
     Keys present in only one grader stream are dropped with a warning.
     When references are supplied, every joined key must have one:
     partial reference coverage raises rather than silently shrinking
-    the evaluation set.
+    the evaluation set; reference keys that join no prediction are
+    dropped with one more warning.
     """
     tables = (w2v, mllm) if refs is None else (w2v, mllm, refs)
     in_w2v, in_mllm, *in_refs = (grid.ravel() for grid in
@@ -224,6 +225,10 @@ def join(w2v: Scores, mllm: Scores, refs: Scores | None = None) -> JoinedDataset
             raise MissingReference(f"{missing.size} joined key(s) without a reference, "
                                    f"first {_keys(w2v, missing[:3])}")
         reference = refs.score[at]
+        unused = in_refs[0][(in_refs[0] >= 0) & ~shared]
+        if unused.size:
+            log.warning("%d reference key(s) without a joined prediction dropped, first %s",
+                        unused.size, _keys(refs, unused[:3]))
     return JoinedDataset(w2v.speaker_id[rows], w2v.part[rows], w2v.score[rows],
                          mllm.score[in_mllm[shared]], reference)
 

@@ -382,13 +382,12 @@ def read_head_params(path: str | Path) -> HeadParameters:
     if doc.get("mode") not in MODES:
         raise ParseError(f"{path}: bad mode {doc.get('mode')!r}")
     try:
-        params = HeadParameters(
-            mode=doc["mode"],
-            **{name: np.asarray(doc[name], dtype=np.float64)
-               for name in ("levels", *PARAM_FIELDS)},
-        )
+        arrays = {name: np.asarray(doc[name], dtype=np.float64)
+                  for name in ("levels", *PARAM_FIELDS)}
+        if not all(np.isfinite(array).all() for array in arrays.values()):
+            raise ParseError(f"{path}: parameters must be finite")  # json.loads reads NaN
+        return HeadParameters(mode=doc["mode"], **arrays)
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ParseError(f"{path}: parameters must be numeric arrays: {exc}") from exc
-    return params

@@ -21,6 +21,8 @@ from .head import FrameSequence
 N_LEVELS = len(REFERENCE_LEVELS)
 MAX_SPEAKERS = 250_000  # 1M score rows
 MAX_FRAME_VALUES = 10**7  # the most frame values generate_frames may draw
+LEVEL_P = np.full(N_LEVELS, 1 / N_LEVELS)  # each reference level equally likely
+FRAME_LENGTHS = (5, 20)  # the fewest and most frames of a drawn sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,7 +33,6 @@ class SynthConfig:
     w2v_noise: tuple[float, ...] = (0.3,) * N_LEVELS
     mllm_noise: tuple[float, ...] = (0.3,) * N_LEVELS
     seed: int = 0
-    level_weights: tuple[float, ...] = (1.0,) * N_LEVELS
 
     def __post_init__(self):
         if self.n_speakers < 1:
@@ -44,10 +45,6 @@ class SynthConfig:
             sigmas = getattr(self, name)
             if len(sigmas) != N_LEVELS or not all(0 <= s < math.inf for s in sigmas):
                 raise InvalidConfig(f"{name} must be {N_LEVELS} finite non-negative sigmas")
-        if len(self.level_weights) != N_LEVELS:
-            raise InvalidConfig(f"level_weights must have length {N_LEVELS}")
-        if not all(0 <= w < math.inf for w in self.level_weights) or sum(self.level_weights) == 0:
-            raise InvalidConfig("level_weights must be finite, non-negative and not all zero")
 
 
 def heteroscedastic_config(n_speakers: int = 500, seed: int = 0) -> SynthConfig:
@@ -61,15 +58,13 @@ def heteroscedastic_config(n_speakers: int = 500, seed: int = 0) -> SynthConfig:
 
 
 def generate_scores(cfg: SynthConfig) -> JoinedDataset:
-    """Draw reference levels and noisy grader predictions per (speaker, part);
-    ``InvalidConfig`` if a drawn prediction is not finite."""
+    """Draw uniform reference levels and noisy grader predictions per (speaker,
+    part); ``InvalidConfig`` if a drawn prediction is not finite."""
     rng = np.random.default_rng(cfg.seed)
-    weights = np.asarray(cfg.level_weights, dtype=np.float64)
-    weights = weights / weights.sum()
     n = cfg.n_speakers * len(PARTS)
     level, w2v, mllm = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
     for i in range(n):  # the draw order (level, w2v, mllm) fixes the random stream
-        k = level[i] = rng.choice(N_LEVELS, p=weights)
+        k = level[i] = rng.choice(N_LEVELS, p=LEVEL_P)  # without p=, choice draws another stream
         w2v[i] = rng.normal(0.0, cfg.w2v_noise[k])
         mllm[i] = rng.normal(0.0, cfg.mllm_noise[k])
     ref = np.asarray(REFERENCE_LEVELS)[level]
@@ -88,12 +83,11 @@ def generate_frames(
     d: int,
     separation: float,
     seed: int = 0,
-    t_range: tuple[int, int] = (5, 20),
 ) -> list[FrameSequence]:
     """Class-conditional Gaussian frame sequences, unit within-class sigma.
 
     Class means sit ``separation`` apart along distinct coordinate axes;
-    sequence lengths are uniform over ``t_range``. A request that could draw
+    sequence lengths are uniform over ``FRAME_LENGTHS``. A request that could draw
     more than ``MAX_FRAME_VALUES`` values is refused before anything is drawn.
     """
     if separation < 0:
@@ -102,7 +96,7 @@ def generate_frames(
         raise InvalidConfig("need n_per_class >= 1, d >= 1, and at least one level")
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
-    if (size := n_per_class * len(levels) * t_range[1] * d) > MAX_FRAME_VALUES:
+    if (size := n_per_class * len(levels) * FRAME_LENGTHS[1] * d) > MAX_FRAME_VALUES:
         raise InvalidConfig(f"up to {size} frame values requested, more than {MAX_FRAME_VALUES}")
     rng = np.random.default_rng(seed)
     out = []
@@ -110,7 +104,7 @@ def generate_frames(
         mean = np.zeros(d)
         mean[k % d] = separation
         for _ in range(n_per_class):
-            t = int(rng.integers(t_range[0], t_range[1] + 1))
+            t = int(rng.integers(FRAME_LENGTHS[0], FRAME_LENGTHS[1] + 1))
             frames = mean + rng.standard_normal((t, d))
             out.append(FrameSequence(frames=frames, label=float(level)))
     return out

@@ -339,7 +339,8 @@ def pair_on_keys_oracle(pred: Scores, ref: Scores):
 def join_oracle(w2v: Scores, mllm: Scores, refs: Scores | None = None):
     """Dict-of-tuples inner join: the joined rows as (speaker, part, w2v,
     mllm, reference-or-None) tuples sorted by key, and the warning
-    messages ``join`` logs for keys in only one grader stream."""
+    messages ``join`` logs for keys in only one grader stream and for
+    reference keys that join no prediction."""
     in_w2v, in_mllm = _key_index(w2v, "w2v"), _key_index(mllm, "mllm")
     in_refs = None if refs is None else _key_index(refs, "reference")
     shared = sorted(in_w2v.keys() & in_mllm.keys())
@@ -357,16 +358,24 @@ def join_oracle(w2v: Scores, mllm: Scores, refs: Scores | None = None):
             raise MissingReference(f"{len(missing)} joined key(s) without a reference, "
                                    f"first {missing[:3]}")
         reference = [refs.score[in_refs[key]] for key in shared]
+        unused = sorted(in_refs.keys() - set(shared))
+        if unused:
+            warnings.append(f"{len(unused)} reference key(s) without a joined prediction "
+                            f"dropped, first {unused[:3]}")
     rows = [(*key, w2v.score[in_w2v[key]], mllm.score[in_mllm[key]], ref)
             for key, ref in zip(shared, reference)]
     return rows, warnings
 
 
-def generate_scores_oracle(cfg: SynthConfig) -> JoinedDataset:
+def generate_scores_oracle(cfg: SynthConfig,
+                           weights: tuple[float, ...] = (1.0,) * len(REFERENCE_LEVELS)
+                           ) -> JoinedDataset:
     """``synth.generate_scores`` as a loop of (speaker, part, w2v, mllm,
-    reference) row tuples, each row's interval found by ``bin_index``."""
+    reference) row tuples, each row's interval found by ``bin_index``; each
+    level is drawn in proportion to its entry of ``weights`` (uniform, as
+    ``generate_scores`` draws, by default)."""
     rng = np.random.default_rng(cfg.seed)
-    weights = np.asarray(cfg.level_weights, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
     weights = weights / weights.sum()
     levels = np.asarray(REFERENCE_LEVELS)
     bins = bin_index(levels)  # the interval of each level

@@ -72,9 +72,8 @@ def test_criterion_2_fusion_dominance():
             w2v_noise=tuple(rng.uniform(0.05, 0.7, N_BINS)),
             mllm_noise=tuple(rng.uniform(0.05, 0.7, N_BINS)),
             seed=int(rng.integers(0, 2**31)),
-            level_weights=weights,
         )
-        data = synth.generate_scores(cfg)
+        data = oracles.generate_scores_oracle(cfg, weights)  # levels drawn skewed by weights
         calib = calibrate(data)
         ref = data.reference
         assert calib.dev_rmse <= metrics.rmse(data.w2v, ref)

@@ -177,6 +177,24 @@ class TestCalibrateFuse:
         assert [r.getMessage() for r in caplog.records if r.name == "slascore.fusion"] == [
             "2 score(s) outside [0.0, 6.0] clamped to the end bins"]
 
+    def test_unjoined_references_warned(self, dev_files, tmp_path, capsys, caplog):
+        """Reference keys no joined row uses are dropped with one warning, and the
+        weights are those calibrated without them."""
+        _, paths = dev_files
+        plain, extra = tmp_path / "plain.json", tmp_path / "extra.json"
+        assert run(capsys, "calibrate", paths["w2v"], paths["mllm"], paths["refs"],
+                   "--out", str(plain))[0] == 0
+        refs = tmp_path / "more_refs.csv"
+        refs.write_text(Path(paths["refs"]).read_text() + "zzz,3,4.0\nzzz,1,2.5\n")
+        with caplog.at_level(logging.WARNING):
+            code, _, _ = run(capsys, "calibrate", paths["w2v"], paths["mllm"], str(refs),
+                             "--out", str(extra))
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records if "reference" in r.getMessage()] == [
+            "2 reference key(s) without a joined prediction dropped, "
+            "first [('zzz', 1), ('zzz', 3)]"]
+        assert fileio.read_calibration(extra)[0] == fileio.read_calibration(plain)[0]
+
     def test_score_fault_names_its_file_and_line(self, dev_files, tmp_path, capsys):
         data, paths = dev_files
         mllm = data.mllm.copy()
@@ -303,6 +321,7 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--seed", "-1"], ["--noise", "nan"], ["--n-speakers", "250001"],
+        ["--preset", "heteroscedastic", "--noise", "5"],
         # 1 train sequence per level, up to 20 frames of 166,667 values: past 10**7
         ["--features", "--frames-per-class", "1", "--feature-dim", "166667"],
     ], ids="=".join)
@@ -637,8 +656,14 @@ OUTPUT_CASES = [
      "error: w2v and --out both name w2v.csv\n"),
     (["fuse", "w2v.csv", "mllm.csv", "c.json", "--out", "sub/../c.json"], cli.EXIT_VALIDATION,
      "error: calibration and --out both name c.json\n"),
+    (["fuse", "w2v.csv", "mllm.csv", "c.json", "--out", "gone/../c.json"], cli.EXIT_VALIDATION,
+     "error: calibration and --out both name c.json\n"),
     (["aggregate", "w2v.csv", "--out", "w2v.csv"], cli.EXIT_VALIDATION,
      "error: predictions and --out both name w2v.csv\n"),
+    (["aggregate", "w2v.csv", "--out", "w2v_link.csv"], cli.EXIT_VALIDATION,
+     "error: predictions and --out both name w2v.csv\n"),
+    (TRAIN + ["--out", "h.log", "--history", "h_link.log"], cli.EXIT_VALIDATION,
+     "error: --out and --history both name h.log\n"),
     (TRAIN + ["--out", "p.json", "--history", "sub"], cli.EXIT_IO, IS_A_DIRECTORY.format("sub")),
     (TRAIN + ["--out", "sub"], cli.EXIT_IO, IS_A_DIRECTORY.format("sub")),
     (TRAIN + ["--out", "p.json", "--history", "missing/h.log"], cli.EXIT_IO,
@@ -653,13 +678,16 @@ OUTPUT_CASES = [
                          ids=[" ".join(argv) for argv, _, _ in OUTPUT_CASES])
 def test_output_over_input_or_directory_exit_code(tmp_path, capsys, monkeypatch, argv, code,
                                                    err):
-    """An output that names an input or another output, an existing directory or
-    a file in a missing directory stops the command before it reads or writes
-    anything: every file is as it was."""
+    """An output that names an input or another output (by any path or a hard
+    link), an existing directory or a file in a missing directory stops the command
+    before it reads or writes anything: every file is as it was."""
     monkeypatch.chdir(tmp_path)
     run(capsys, "synth", "--n-speakers", "3", "--features", "--frames-per-class", "4",
         "--out-dir", ".")
     run(capsys, "calibrate", "w2v.csv", "mllm.csv", "refs.csv", "--out", "c.json")
+    os.link("w2v.csv", "w2v_link.csv")
+    (tmp_path / "h.log").write_text("kept\n")
+    os.link("h.log", "h_link.log")
     (tmp_path / "sub" / "mllm.csv").mkdir(parents=True)
     (tmp_path / "feat" / "dev_features.txt").mkdir(parents=True)
 
@@ -669,6 +697,17 @@ def test_output_over_input_or_directory_exit_code(tmp_path, capsys, monkeypatch,
     before = files()
     assert run(capsys, *argv) == (code, "", err)
     assert files() == before
+
+
+def test_repeated_input_runs(tmp_path, capsys, monkeypatch):
+    """One file named as two inputs is no fault: only an output is checked against
+    the other names."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "synth", "--n-speakers", "3", "--out-dir", ".")
+    run(capsys, "calibrate", "w2v.csv", "mllm.csv", "refs.csv", "--out", "c.json")
+    assert run(capsys, "fuse", "w2v.csv", "w2v.csv", "c.json", "--out", "f.csv") == (
+        0, "wrote 12 fused scores to f.csv\n", "")
+    assert run(capsys, "evaluate", "refs.csv", "refs.csv")[0] == 0
 
 
 def test_synth_makes_a_missing_out_dir(tmp_path, capsys, monkeypatch):
@@ -867,12 +906,21 @@ def test_mutated_prediction_file_exit_codes(tmp_path, capsys, content, board_con
         assert code in (0, cli.EXIT_VALIDATION, cli.EXIT_IO), argv
 
 
-# The valid feature file every mutation starts from: two levels, three
-# sequences each, 1-3 frames of d = 2.
-VALID_FEATURES = [fileio.FEATURE_MAGIC] + [
-    line for seq in generate_frames(3, [2.5, 3.5], d=2, separation=4.0, seed=0, t_range=(1, 3))
-    for line in [f"record {len(seq.frames)} 2 {seq.label!r}",
-                 *(f"{a!r} {b!r}" for a, b in seq.frames.tolist())]]
+def valid_features() -> list[str]:
+    """The lines of the valid feature file every mutation starts from: two levels,
+    three sequences each, 1-3 frames of d = 2, drawn in ``generate_frames``' order
+    with the level means 4.0 apart."""
+    rng = np.random.default_rng(0)
+    lines = [fileio.FEATURE_MAGIC]
+    for k, label in enumerate([2.5, 3.5]):
+        for _ in range(3):
+            frames = 4.0 * np.eye(2)[k] + rng.standard_normal((int(rng.integers(1, 4)), 2))
+            lines += [f"record {len(frames)} 2 {label!r}",
+                      *(f"{a!r} {b!r}" for a, b in frames.tolist())]
+    return lines
+
+
+VALID_FEATURES = valid_features()
 
 FEATURE_VALUES = st.sampled_from(["", "-", "0", "1", "-1", "2", "2.5", "3.5", "7.0", "nan",
                                   "inf", "1e308", "-1e308", "1e400", "1e-320", "record",

@@ -488,8 +488,7 @@ class TestFeatureFiles:
         # one record's text is held at a time, not the whole decoded file
         p = tmp_path / "f.txt"
         fileio.write_features(p, generate_frames(15, [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5],
-                                                 d=16, separation=1.0, seed=4,
-                                                 t_range=(20, 60)))
+                                                 d=16, separation=1.0, seed=4))
         tracemalloc.start()
         try:
             seqs = fileio.read_features(p)
@@ -540,8 +539,12 @@ class TestHeadParamFiles:
         (lambda doc: {**doc, "mlp_b": [10**400]}, NOT_NUMERIC),
         (lambda doc: {**doc, "format_version": 0}, "unsupported format_version 0"),
         (lambda doc: {k: v for k, v in doc.items() if k != "mlp_W"}, "missing field 'mlp_W'"),
+        (lambda doc: {**doc, "mlp_b": [float("nan")] * len(doc["mlp_b"])},
+         "parameters must be finite"),
+        (lambda doc: {**doc, "levels": [*doc["levels"][:-1], float("inf")]},
+         "parameters must be finite"),
     ], ids=["list-document", "ragged-array", "non-numeric", "vector-attn_W",
-            "scalar-prototypes", "huge-int", "old-format", "missing-field"])
+            "scalar-prototypes", "huge-int", "old-format", "missing-field", "nan", "infinity"])
     def test_malformed_document(self, tmp_path, edit, message):
         """Each fault names the file; a numpy conversion fault's own text follows
         the message, so only its start is pinned."""

@@ -28,10 +28,6 @@ class TestSynthConfig:
         with pytest.raises(InvalidConfig):
             SynthConfig(w2v_noise=(0.1, 0.2))
 
-    def test_zero_weights(self):
-        with pytest.raises(InvalidConfig):
-            SynthConfig(level_weights=(0.0,) * 8)
-
     def test_negative_seed(self):
         with pytest.raises(InvalidConfig, match="seed"):
             SynthConfig(seed=-1)
@@ -45,13 +41,12 @@ class TestSynthConfig:
 
     @pytest.mark.parametrize("field, value, message", [
         ("n_speakers", 0, "need at least one speaker"),
-        ("level_weights", (1.0,) * 7, "level_weights must have length 8"),
     ])
     def test_rejects_bad_field(self, field, value, message):
         with pytest.raises(InvalidConfig, match=f"^{message}$"):
             SynthConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["w2v_noise", "mllm_noise", "level_weights"])
+    @pytest.mark.parametrize("field", ["w2v_noise", "mllm_noise"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_value(self, field, value):
         with pytest.raises(InvalidConfig, match=field):
@@ -87,9 +82,7 @@ class TestGenerateScores:
         n_speakers=st.integers(1, 30),
         w2v_noise=st.tuples(*[st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.5])] * N_BINS),
         mllm_noise=st.tuples(*[st.floats(0.0, 3.0)] * N_BINS),
-        seed=st.integers(0, 2**32),
-        level_weights=st.tuples(*[st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0])] * N_BINS)
-        .filter(any)))
+        seed=st.integers(0, 2**32)))
     def test_columns_match_row_oracle(self, cfg):
         """The column draw gives the row loop's ids, parts and scores, bit for bit."""
         got, want = generate_scores(cfg), generate_scores_oracle(cfg)
@@ -152,8 +145,8 @@ class TestGenerateFrames:
             generate_frames(5, [3.0], d=4, separation=1.0, seed=-1)
 
     def test_size_bounded_before_drawing(self, monkeypatch):
-        """A request whose longest sequences would draw more than 10**7 values
-        is refused; one at the bound passes the check and starts drawing."""
+        """A request whose longest sequences (20 frames) would draw more than
+        10**7 values is refused; one at the bound passes the check and starts drawing."""
 
         class Drawing(Exception):
             pass
@@ -164,10 +157,10 @@ class TestGenerateFrames:
         monkeypatch.setattr(synth.np.random, "default_rng", no_draw)
         assert MAX_FRAME_VALUES == 10**7
         with pytest.raises(Drawing):
-            generate_frames(1, [3.0], d=1, separation=1.0, t_range=(1, MAX_FRAME_VALUES))
-        with pytest.raises(InvalidConfig, match=r"^up to 10000001 frame values requested, "
+            generate_frames(1, [3.0], d=MAX_FRAME_VALUES // 20, separation=1.0)
+        with pytest.raises(InvalidConfig, match=r"^up to 10000020 frame values requested, "
                                                 r"more than 10000000$"):
-            generate_frames(1, [3.0], d=1, separation=1.0, t_range=(1, MAX_FRAME_VALUES + 1))
+            generate_frames(1, [3.0], d=MAX_FRAME_VALUES // 20 + 1, separation=1.0)
 
 
 class TestBruteForceBinWeight:
