@@ -57,8 +57,8 @@ def check_files(inputs: dict, outputs: dict) -> None:
             raise InvalidConfig(f"{first} and {name} both name {given}")
         if os.path.isdir(where):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        try:
-            os.stat(os.path.join(os.path.dirname(where), "."))  # the parent is a directory
+        try:  # the parent as given is a directory (realpath drops a missing "gone/..")
+            os.stat(os.path.join(os.path.dirname(path), "."))
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         named[key] = (name, path)
@@ -170,12 +170,8 @@ def cmd_synth(args) -> int:
             ("w2v_noise", "mllm_noise"), (args.noise,) * synth.N_LEVELS)
         cfg = synth.SynthConfig(n_speakers=args.n_speakers, seed=args.seed, **noise)
     if args.features:  # checked and drawn (each split on its own seed) before any score
-        levels = [2.5, 3.5, 4.5]
-        frames = synth.generate_frames(args.frames_per_class, levels, args.feature_dim,
-                                       args.separation, seed=args.seed)
-        dev_frames = synth.generate_frames(max(1, args.frames_per_class // 2), levels,
-                                           args.feature_dim, args.separation,
-                                           seed=args.seed + 1)
+        frames = synth.generate_frames(args.frames_per_class, seed=args.seed)
+        dev_frames = synth.generate_frames(max(1, args.frames_per_class // 2), seed=args.seed + 1)
     data = synth.generate_scores(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, column in (("w2v", data.w2v), ("mllm", data.mllm), ("refs", data.reference)):
@@ -255,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"per-level sigma of the uniform preset (default "
                         f"{synth_defaults.w2v_noise[0]})")
     p.add_argument("--features", action="store_true", help="also write feature files")
-    p.add_argument("--frames-per-class", type=int, default=50)
-    p.add_argument("--feature-dim", type=int, default=8)
-    p.add_argument("--separation", type=float, default=8.0)
+    p.add_argument("--frames-per-class", type=int, default=50,
+                   help="training sequences per level (default %(default)s); "
+                        "dev gets half that, at least 1")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 

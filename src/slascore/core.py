@@ -238,8 +238,8 @@ def pair_on_keys(pred: Scores, ref: Scores) -> tuple[np.ndarray, np.ndarray]:
     prediction order.
 
     Every prediction needs a reference; references without a prediction
-    are dropped with one warning giving their count. A repeated key raises
-    DuplicateKey, in the predictions first.
+    are dropped with one warning giving their count and the first three. A
+    repeated key raises DuplicateKey, in the predictions first.
     """
     in_pred, in_ref = (grid.ravel() for grid in key_rows((pred, ref), ("prediction", "reference")))
     held = in_pred >= 0
@@ -252,5 +252,7 @@ def pair_on_keys(pred: Scores, ref: Scores) -> tuple[np.ndarray, np.ndarray]:
         raise MissingReference(f"{len(missing)} prediction key(s) without a reference, "
                                f"first {_keys(pred, missing[:3])}")
     if len(ref) > len(pred):  # each file holds every key once
-        log.warning("%d reference key(s) without a prediction dropped", len(ref) - len(pred))
+        unused = in_ref[(in_ref >= 0) & ~held]  # in (speaker, part) key order
+        log.warning("%d reference key(s) without a prediction dropped, first %s",
+                    unused.size, _keys(ref, unused[:3]))
     return pred.score, ref.score[at]

@@ -23,6 +23,9 @@ MAX_SPEAKERS = 250_000  # 1M score rows
 MAX_FRAME_VALUES = 10**7  # the most frame values generate_frames may draw
 LEVEL_P = np.full(N_LEVELS, 1 / N_LEVELS)  # each reference level equally likely
 FRAME_LENGTHS = (5, 20)  # the fewest and most frames of a drawn sequence
+FEATURE_LEVELS = (2.5, 3.5, 4.5)  # the levels generate_frames draws sequences of
+FEATURE_DIM = 8  # values per frame
+SEPARATION = 8.0  # the distance of each level's mean from the origin, on its own axis
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,34 +80,27 @@ def generate_scores(cfg: SynthConfig) -> JoinedDataset:
     return data
 
 
-def generate_frames(
-    n_per_class: int,
-    levels: list[float],
-    d: int,
-    separation: float,
-    seed: int = 0,
-) -> list[FrameSequence]:
+def generate_frames(n_per_class: int, seed: int = 0) -> list[FrameSequence]:
     """Class-conditional Gaussian frame sequences, unit within-class sigma.
 
-    Class means sit ``separation`` apart along distinct coordinate axes;
-    sequence lengths are uniform over ``FRAME_LENGTHS``. A request that could draw
-    more than ``MAX_FRAME_VALUES`` values is refused before anything is drawn.
+    ``n_per_class`` sequences of each of ``FEATURE_LEVELS``, class means ``SEPARATION``
+    out along distinct axes, lengths uniform over ``FRAME_LENGTHS``. A request that
+    could draw more than ``MAX_FRAME_VALUES`` values is refused before anything is drawn.
     """
-    if separation < 0:
-        raise InvalidConfig("separation must be >= 0")
-    if n_per_class < 1 or d < 1 or not levels:
-        raise InvalidConfig("need n_per_class >= 1, d >= 1, and at least one level")
+    if n_per_class < 1:
+        raise InvalidConfig(f"need n_per_class >= 1, got {n_per_class}")
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
-    if (size := n_per_class * len(levels) * FRAME_LENGTHS[1] * d) > MAX_FRAME_VALUES:
+    size = n_per_class * len(FEATURE_LEVELS) * FRAME_LENGTHS[1] * FEATURE_DIM
+    if size > MAX_FRAME_VALUES:
         raise InvalidConfig(f"up to {size} frame values requested, more than {MAX_FRAME_VALUES}")
     rng = np.random.default_rng(seed)
     out = []
-    for k, level in enumerate(levels):
-        mean = np.zeros(d)
-        mean[k % d] = separation
+    for k, level in enumerate(FEATURE_LEVELS):
+        mean = np.zeros(FEATURE_DIM)
+        mean[k] = SEPARATION
         for _ in range(n_per_class):
             t = int(rng.integers(FRAME_LENGTHS[0], FRAME_LENGTHS[1] + 1))
-            frames = mean + rng.standard_normal((t, d))
-            out.append(FrameSequence(frames=frames, label=float(level)))
+            frames = mean + rng.standard_normal((t, FEATURE_DIM))
+            out.append(FrameSequence(frames=frames, label=level))
     return out

@@ -10,9 +10,11 @@ and the per-speaker aggregate are per-line and dict versions of the
 library's bulk reader, key index, key-grid join and pairing, and key-grid aggregate.
 The grid-scan calibration is the library's search as it stood before its closed
 form, kept unchanged: every grid weight's fused RMSE over each bin's rows.
-The synthetic-score oracle draws row tuples where the library fills columns,
-and the level test compares each value with every level, where the library
-compares it with its snapped level only.
+The synthetic-score oracle draws row tuples where the library fills columns;
+the frame oracle is the library's frame draw as it stood with its levels,
+dimension and separation as arguments, kept unchanged. The level test
+compares each value with every level, where the library compares it with
+its snapped level only.
 """
 
 import math
@@ -39,7 +41,7 @@ from slascore import metrics
 from slascore.fusion import N_BINS, FusionCalibration, _mix, bin_index, weight_grid
 from slascore.head import FrameSequence
 from slascore.metrics import macro_f1
-from slascore.synth import SynthConfig
+from slascore.synth import FRAME_LENGTHS, MAX_FRAME_VALUES, SynthConfig
 
 
 def rmse_oracle(pred, ref):
@@ -330,8 +332,9 @@ def pair_on_keys_oracle(pred: Scores, ref: Scores):
     if missing:
         raise MissingReference(f"{len(missing)} prediction key(s) without a reference, "
                                f"first {missing[:3]}")
-    dropped = len(in_ref.keys() - in_pred.keys())
-    warnings = [f"{dropped} reference key(s) without a prediction dropped"] if dropped else []
+    dropped = sorted(in_ref.keys() - in_pred.keys())
+    warnings = [f"{len(dropped)} reference key(s) without a prediction dropped, "
+                f"first {dropped[:3]}"] if dropped else []
     return ([pred.score[row] for row in in_pred.values()],
             [ref.score[in_ref[key]] for key in in_pred], warnings)
 
@@ -388,3 +391,37 @@ def generate_scores_oracle(cfg: SynthConfig,
             rows.append((sid, part, ref + rng.normal(0.0, cfg.w2v_noise[k]),
                          ref + rng.normal(0.0, cfg.mllm_noise[k]), ref))
     return JoinedDataset(*zip(*rows))
+
+
+def generate_frames_oracle(
+    n_per_class: int,
+    levels: list[float],
+    d: int,
+    separation: float,
+    seed: int = 0,
+) -> list[FrameSequence]:
+    """``synth.generate_frames`` at any levels, dimension and separation:
+    class-conditional Gaussian frame sequences, unit within-class sigma.
+
+    Class means sit ``separation`` apart along distinct coordinate axes;
+    sequence lengths are uniform over ``FRAME_LENGTHS``. A request that could draw
+    more than ``MAX_FRAME_VALUES`` values is refused before anything is drawn.
+    """
+    if separation < 0:
+        raise InvalidConfig("separation must be >= 0")
+    if n_per_class < 1 or d < 1 or not levels:
+        raise InvalidConfig("need n_per_class >= 1, d >= 1, and at least one level")
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+    if (size := n_per_class * len(levels) * FRAME_LENGTHS[1] * d) > MAX_FRAME_VALUES:
+        raise InvalidConfig(f"up to {size} frame values requested, more than {MAX_FRAME_VALUES}")
+    rng = np.random.default_rng(seed)
+    out = []
+    for k, level in enumerate(levels):
+        mean = np.zeros(d)
+        mean[k % d] = separation
+        for _ in range(n_per_class):
+            t = int(rng.integers(FRAME_LENGTHS[0], FRAME_LENGTHS[1] + 1))
+            frames = mean + rng.standard_normal((t, d))
+            out.append(FrameSequence(frames=frames, label=float(level)))
+    return out

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from slascore import cli, fileio, fusion, head, metrics, synth
 from slascore.core import OVERALL, PARTS, REFERENCE_LEVELS, Scores, join
 from slascore.errors import EmptyDataset
-from slascore.synth import SynthConfig, generate_frames, generate_scores, heteroscedastic_config
+from slascore.synth import SynthConfig, generate_scores, heteroscedastic_config
+from oracles import generate_frames_oracle
 from tables import rows, scores
 
 
@@ -101,7 +102,7 @@ class TestEvaluate:
         assert code == 0
         assert out.splitlines()[1].endswith(",4")  # metrics over the 4 predicted keys
         assert [r.getMessage() for r in caplog.records] == [
-            "2 reference key(s) without a prediction dropped"]
+            "2 reference key(s) without a prediction dropped, first [('s4', 1), ('s5', 1)]"]
 
     def test_non_finite_overall_exit_code(self, tmp_path, capsys):
         pred, ref = tmp_path / "p.csv", tmp_path / "r.csv"
@@ -322,8 +323,8 @@ class TestSynthCommand:
     @pytest.mark.parametrize("argv", [
         ["--seed", "-1"], ["--noise", "nan"], ["--n-speakers", "250001"],
         ["--preset", "heteroscedastic", "--noise", "5"],
-        # 1 train sequence per level, up to 20 frames of 166,667 values: past 10**7
-        ["--features", "--frames-per-class", "1", "--feature-dim", "166667"],
+        # 20,834 train sequences per level, up to 20 frames of 8 values: past 10**7
+        ["--features", "--frames-per-class", "20834"],
     ], ids="=".join)
     def test_bad_config_exit_code(self, tmp_path, capsys, argv):
         code, out, err = run(capsys, "synth", *argv, "--out-dir", str(tmp_path / "d"))
@@ -427,8 +428,7 @@ class TestTrainHead:
 
     def test_train_and_reload(self, tmp_path, capsys):
         run(capsys, "synth", "--n-speakers", "2", "--features",
-            "--frames-per-class", "10", "--separation", "8.0",
-            "--out-dir", str(tmp_path / "d"))
+            "--frames-per-class", "10", "--out-dir", str(tmp_path / "d"))
         train_f = str(tmp_path / "d" / "train_features.txt")
         dev_f = str(tmp_path / "d" / "dev_features.txt")
         out = str(tmp_path / "params.json")
@@ -579,7 +579,8 @@ def test_malformed_file_exit_code(tmp_path, capsys, command, content):
 def test_late_decode_error_exit_code(tmp_path, capsys):
     # an invalid UTF-8 byte past the first 64 KiB of a feature file
     feats = tmp_path / "feats.txt"
-    fileio.write_features(feats, generate_frames(40, [3.0, 4.0], d=8, separation=1.0, seed=0))
+    fileio.write_features(feats, generate_frames_oracle(40, [3.0, 4.0], d=8, separation=1.0,
+                                                        seed=0))
     data = feats.read_bytes()
     assert len(data) > 65536
     feats.write_bytes(data + b"\xff\n")
@@ -668,6 +669,8 @@ OUTPUT_CASES = [
     (TRAIN + ["--out", "sub"], cli.EXIT_IO, IS_A_DIRECTORY.format("sub")),
     (TRAIN + ["--out", "p.json", "--history", "missing/h.log"], cli.EXIT_IO,
      "error: [Errno 2] No such file or directory: 'missing/h.log'\n"),
+    (TRAIN + ["--out", "p.json", "--history", "gone/../h.log"], cli.EXIT_IO,
+     "error: [Errno 2] No such file or directory: 'gone/../h.log'\n"),
     (["synth", "--out-dir", "sub"], cli.EXIT_IO, IS_A_DIRECTORY.format("sub/mllm.csv")),
     (["synth", "--features", "--out-dir", "feat"], cli.EXIT_IO,
      IS_A_DIRECTORY.format("feat/dev_features.txt")),

@@ -6,7 +6,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from slascore.core import (
@@ -347,6 +347,9 @@ def bits(values) -> list[int]:
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(tables=key_tables())
+# four keys only in the second table, out of key order: the warnings name the first three
+@example(tables=(Scores(["b"], [1], [3.0]),
+                 Scores(["d", "b", "a", "c", "a"], [1, 1, 3, 1, 1], [3.0] * 5), None))
 def test_join_and_pair_on_keys_agree_with_dict_oracles(caplog, tables):
     """``join`` and ``pair_on_keys`` give the dict joins' rows and scores, in
     their order and bit for bit, their DuplicateKey, EmptyJoin and

@@ -25,8 +25,8 @@ from slascore.errors import (
 )
 from slascore.fusion import FusionCalibration
 from slascore.head import CLASSIFICATION, FrameSequence, HeadParameters
-from slascore.synth import SynthConfig, generate_frames, generate_scores
-from oracles import read_predictions_oracle
+from slascore.synth import SynthConfig, generate_scores
+from oracles import generate_frames_oracle, read_predictions_oracle
 from tables import rows, scores
 
 
@@ -369,7 +369,7 @@ def test_json_beyond_parser_limits(tmp_path, read, text):
 
 class TestFeatureFiles:
     def test_round_trip_byte_identical(self, tmp_path):
-        seqs = generate_frames(4, [2.5, 4.0], d=3, separation=2.0, seed=1)
+        seqs = generate_frames_oracle(4, [2.5, 4.0], d=3, separation=2.0, seed=1)
         seqs.append(FrameSequence(frames=np.ones((2, 3))))  # unlabeled
         p1, p2 = tmp_path / "f1.txt", tmp_path / "f2.txt"
         fileio.write_features(p1, seqs)
@@ -377,7 +377,7 @@ class TestFeatureFiles:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_values_exact(self, tmp_path):
-        seqs = generate_frames(2, [3.0], d=4, separation=1.0, seed=5)
+        seqs = generate_frames_oracle(2, [3.0], d=4, separation=1.0, seed=5)
         p = tmp_path / "f.txt"
         fileio.write_features(p, seqs)
         loaded = fileio.read_features(p)
@@ -407,7 +407,8 @@ class TestFeatureFiles:
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
     def test_crlf_and_cr_read_like_lf(self, tmp_path, newline):
         lf, other = tmp_path / "lf.txt", tmp_path / "other.txt"
-        fileio.write_features(lf, generate_frames(3, [2.5, 4.0], d=3, separation=2.0, seed=2))
+        fileio.write_features(lf, generate_frames_oracle(3, [2.5, 4.0], d=3, separation=2.0,
+                                                         seed=2))
         other.write_bytes(lf.read_bytes().replace(b"\n", newline.encode()))
         for a, b in zip(fileio.read_features(lf), fileio.read_features(other), strict=True):
             np.testing.assert_array_equal(a.frames, b.frames)
@@ -429,7 +430,7 @@ class TestFeatureFiles:
     def test_late_decode_error(self, tmp_path):
         # the reader decodes as it goes; a bad byte past the first chunks is still caught
         p = tmp_path / "f.txt"
-        fileio.write_features(p, generate_frames(40, [3.0], d=8, separation=1.0, seed=3))
+        fileio.write_features(p, generate_frames_oracle(40, [3.0], d=8, separation=1.0, seed=3))
         assert p.stat().st_size > 65536
         p.write_bytes(p.read_bytes() + b"\xff\n")
         with pytest.raises(ParseError, match="^cannot read "):
@@ -487,8 +488,8 @@ class TestFeatureFiles:
     def test_peak_memory_below_file_size(self, tmp_path):
         # one record's text is held at a time, not the whole decoded file
         p = tmp_path / "f.txt"
-        fileio.write_features(p, generate_frames(15, [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5],
-                                                 d=16, separation=1.0, seed=4))
+        fileio.write_features(p, generate_frames_oracle(15, [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0,
+                                                             5.5], d=16, separation=1.0, seed=4))
         tracemalloc.start()
         try:
             seqs = fileio.read_features(p)

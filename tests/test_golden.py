@@ -6,9 +6,10 @@ calibrated weight, a fused or overall score, a printed metric (the
 ``--out`` JSON holds them at full precision) or a line of the calibrate
 table shows up here. "noisy" puts mllm scores both below 0.0 and above
 6.0; "sparse" is small enough to leave bins empty, so calibration takes
-the global fallback weight. The ``train-head`` pins, one per ``--mode``,
-cover the printed epoch lines, the ``--history`` log and every trained
-parameter at full precision.
+the global fallback weight. The ``synth --features`` pins cover both feature
+files at the default and at a second size and seed. The ``train-head`` pins,
+one per ``--mode``, cover the printed epoch lines, the ``--history`` log and
+every trained parameter at full precision.
 """
 
 import hashlib
@@ -100,6 +101,26 @@ def test_golden_outputs(case, tmp_path, capsys):
     else:
         assert 0 in counts
     got = {name: hashlib.sha256(data).hexdigest() for name, data in out.items()}
+    assert got == want
+
+
+FEATURE_CASES = {
+    "default": ([], {
+        "train_features.txt": "326302825f54fe3880a2632b54cabc01738b1efbb8124fad8ca60cd83bedaa55",
+        "dev_features.txt": "7d2e162bd8c12ab58bafd0c421841d1199c207801e20ca50d058ae5dfa694b8b",
+    }),
+    "67-seed-5": (["--frames-per-class", "67", "--seed", "5"], {
+        "train_features.txt": "77b798cb8e2ba64badde90ba59a8769f9b97fde61435525a02e92df368ad537f",
+        "dev_features.txt": "d22cb7e3d63cfbbf0fc1fabcaf4fffdfcace048d5b540e72a4f753d041bad400",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FEATURE_CASES))
+def test_golden_synth_features(case, tmp_path, capsys):
+    flags, want = FEATURE_CASES[case]
+    run(capsys, "synth", "--n-speakers", "2", "--features", *flags, "--out-dir", tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
     assert got == want
 
 

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import EmptyBin, brute_force_bin_weight, generate_scores_oracle, nearest_class_mean_f1
+from oracles import (
+    EmptyBin,
+    brute_force_bin_weight,
+    generate_frames_oracle,
+    generate_scores_oracle,
+    nearest_class_mean_f1,
+)
 from tables import rows
 from slascore import metrics
 from slascore.core import REFERENCE_LEVELS
@@ -116,37 +122,42 @@ class TestGenerateScores:
 
 class TestGenerateFrames:
     def test_separable(self):
-        train = generate_frames(40, [2.5, 3.5, 4.5], d=8, separation=8.0, seed=0)
-        dev = generate_frames(20, [2.5, 3.5, 4.5], d=8, separation=8.0, seed=1)
+        train = generate_frames(40, seed=0)
+        dev = generate_frames(20, seed=1)
         assert nearest_class_mean_f1(train, dev) >= 0.95
 
-    def test_no_separation_near_chance(self):
-        train = generate_frames(100, [2.5, 3.5, 4.5], d=8, separation=0.0, seed=0)
-        dev = generate_frames(100, [2.5, 3.5, 4.5], d=8, separation=0.0, seed=1)
-        f1 = nearest_class_mean_f1(train, dev)
-        assert abs(f1 - 1.0 / 3.0) <= 0.10
+    @pytest.mark.parametrize("n_per_class, seed", [(1, 0), (1, 9), (20, 3), (50, 0), (67, 5)])
+    def test_matches_oracle_at_the_fixed_setting(self, n_per_class, seed):
+        """The draw is the oracle's, bit for bit, at levels 2.5, 3.5 and 4.5,
+        d = 8 and separation 8.0."""
+        assert (synth.FEATURE_LEVELS, synth.FEATURE_DIM, synth.SEPARATION) == (
+            (2.5, 3.5, 4.5), 8, 8.0)
+        got = generate_frames(n_per_class, seed=seed)
+        want = generate_frames_oracle(n_per_class, [2.5, 3.5, 4.5], d=8, separation=8.0,
+                                      seed=seed)
+        assert len(got) == len(want) == 3 * n_per_class
+        for a, b in zip(got, want):
+            assert a.label == b.label and a.frames.tobytes() == b.frames.tobytes()
+            assert a.frames.shape == b.frames.shape
 
     def test_seed_determinism(self):
-        a = generate_frames(5, [3.0], d=4, separation=2.0, seed=9)
-        b = generate_frames(5, [3.0], d=4, separation=2.0, seed=9)
+        a = generate_frames(5, seed=9)
+        b = generate_frames(5, seed=9)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.frames, y.frames)
 
     def test_lengths_in_range(self):
-        data = generate_frames(30, [3.0], d=4, separation=1.0, seed=0)
+        data = generate_frames(30, seed=0)
         assert all(5 <= seq.frames.shape[0] <= 20 for seq in data)
-
-    def test_negative_separation(self):
-        with pytest.raises(InvalidConfig):
-            generate_frames(5, [3.0], d=4, separation=-1.0)
 
     def test_negative_seed(self):
         with pytest.raises(InvalidConfig, match="seed"):
-            generate_frames(5, [3.0], d=4, separation=1.0, seed=-1)
+            generate_frames(5, seed=-1)
 
     def test_size_bounded_before_drawing(self, monkeypatch):
-        """A request whose longest sequences (20 frames) would draw more than
-        10**7 values is refused; one at the bound passes the check and starts drawing."""
+        """A request whose longest sequences (20 frames of 8 values, 3 levels)
+        would draw more than 10**7 values is refused; one at the bound passes the
+        check and starts drawing."""
 
         class Drawing(Exception):
             pass
@@ -157,10 +168,10 @@ class TestGenerateFrames:
         monkeypatch.setattr(synth.np.random, "default_rng", no_draw)
         assert MAX_FRAME_VALUES == 10**7
         with pytest.raises(Drawing):
-            generate_frames(1, [3.0], d=MAX_FRAME_VALUES // 20, separation=1.0)
-        with pytest.raises(InvalidConfig, match=r"^up to 10000020 frame values requested, "
+            generate_frames(20_833)
+        with pytest.raises(InvalidConfig, match=r"^up to 10000320 frame values requested, "
                                                 r"more than 10000000$"):
-            generate_frames(1, [3.0], d=MAX_FRAME_VALUES // 20 + 1, separation=1.0)
+            generate_frames(20_834)
 
 
 class TestBruteForceBinWeight:
