@@ -30,6 +30,7 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 TABLE_HEADER = "RMSE PCC SRC %<=0.5 %<=1.0"
+FRAMES_PER_CLASS = 50  # synth's training sequences per level when --frames-per-class is unset
 
 
 def _file_key(where: str) -> object:
@@ -152,15 +153,14 @@ def cmd_train_head(args) -> int:
 def cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
     features = ("train_features.txt", "dev_features.txt") if args.features else ()
-    if out_dir.is_dir():  # made with its parents below otherwise, so no output is there
-        check_files({}, {name: out_dir / name for name in ("w2v.csv", "mllm.csv", "refs.csv",
-                                                           *features)})
-    else:  # made with its parents below; fail as that mkdir would, before any draw
-        top = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
+    top = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
+    if not top.is_dir():  # fail as the mkdir below would, before any draw
         if top == out_dir or not top.exists():  # a file at out_dir, or a dangling link
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(top))
-        if not top.is_dir():
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out_dir))
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out_dir))
+    if top == out_dir:  # else out_dir is made below and holds no output yet
+        check_files({}, {name: out_dir / name for name in ("w2v.csv", "mllm.csv", "refs.csv",
+                                                           *features)})
     if args.preset == "heteroscedastic":
         if args.noise is not None:  # the preset sets its own sigma per level
             raise InvalidConfig("--noise applies to the uniform preset only")
@@ -170,8 +170,11 @@ def cmd_synth(args) -> int:
             ("w2v_noise", "mllm_noise"), (args.noise,) * synth.N_LEVELS)
         cfg = synth.SynthConfig(n_speakers=args.n_speakers, seed=args.seed, **noise)
     if args.features:  # checked and drawn (each split on its own seed) before any score
-        frames = synth.generate_frames(args.frames_per_class, seed=args.seed)
-        dev_frames = synth.generate_frames(max(1, args.frames_per_class // 2), seed=args.seed + 1)
+        per_class = FRAMES_PER_CLASS if args.frames_per_class is None else args.frames_per_class
+        frames = synth.generate_frames(per_class, seed=args.seed)
+        dev_frames = synth.generate_frames(max(1, per_class // 2), seed=args.seed + 1)
+    elif args.frames_per_class is not None:
+        raise InvalidConfig("--frames-per-class applies with --features only")
     data = synth.generate_scores(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, column in (("w2v", data.w2v), ("mllm", data.mllm), ("refs", data.reference)):
@@ -251,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"per-level sigma of the uniform preset (default "
                         f"{synth_defaults.w2v_noise[0]})")
     p.add_argument("--features", action="store_true", help="also write feature files")
-    p.add_argument("--frames-per-class", type=int, default=50,
-                   help="training sequences per level (default %(default)s); "
-                        "dev gets half that, at least 1")
+    p.add_argument("--frames-per-class", type=int,
+                   help=f"training sequences per level with --features (default "
+                        f"{FRAMES_PER_CLASS}); dev gets half that, at least 1")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -270,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SlaError as exc:
@@ -282,9 +285,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -251,8 +251,8 @@ def pair_on_keys(pred: Scores, ref: Scores) -> tuple[np.ndarray, np.ndarray]:
     if len(missing):
         raise MissingReference(f"{len(missing)} prediction key(s) without a reference, "
                                f"first {_keys(pred, missing[:3])}")
-    if len(ref) > len(pred):  # each file holds every key once
-        unused = in_ref[(in_ref >= 0) & ~held]  # in (speaker, part) key order
+    unused = in_ref[(in_ref >= 0) & ~held]  # in (speaker, part) key order
+    if unused.size:
         log.warning("%d reference key(s) without a prediction dropped, first %s",
                     unused.size, _keys(ref, unused[:3]))
     return pred.score, ref.score[at]

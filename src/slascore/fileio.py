@@ -49,8 +49,14 @@ def read_text(path: str | Path) -> str:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8 with LF line ends."""
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    """Write ``text`` to ``path`` as UTF-8 with LF line ends. An OSError that names no
+    file (such as a full disk) is raised again naming ``path``."""
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def write_json(path: str | Path, doc: dict) -> None:

@@ -3,6 +3,9 @@ import json
 import logging
 import os
 import re
+import resource
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from itertools import chain
@@ -325,6 +328,7 @@ class TestSynthCommand:
         ["--preset", "heteroscedastic", "--noise", "5"],
         # 20,834 train sequences per level, up to 20 frames of 8 values: past 10**7
         ["--features", "--frames-per-class", "20834"],
+        ["--frames-per-class", "8"],  # sets nothing without --features
     ], ids="=".join)
     def test_bad_config_exit_code(self, tmp_path, capsys, argv):
         code, out, err = run(capsys, "synth", *argv, "--out-dir", str(tmp_path / "d"))
@@ -357,7 +361,9 @@ class TestSynthCommand:
         ("afile/sub", "error: [Errno 20] Not a directory: 'afile/sub'\n"),
         ("afile/sub/deeper/", "error: [Errno 20] Not a directory: 'afile/sub/deeper'\n"),
         ("dangling/sub", "error: [Errno 17] File exists: 'dangling'\n"),
-    ], ids=["file", "under-a-file", "deeper-under-a-file", "under-a-dangling-link"])
+        ("dangling", "error: [Errno 17] File exists: 'dangling'\n"),
+    ], ids=["file", "under-a-file", "deeper-under-a-file", "under-a-dangling-link",
+            "dangling-link"])
     def test_out_dir_at_or_under_a_file_refused_before_drawing(self, tmp_path, capsys,
                                                                monkeypatch, out_dir, err):
         """An ``--out-dir`` that is a file, or lies under one, fails as its mkdir
@@ -674,6 +680,10 @@ OUTPUT_CASES = [
     (["synth", "--out-dir", "sub"], cli.EXIT_IO, IS_A_DIRECTORY.format("sub/mllm.csv")),
     (["synth", "--features", "--out-dir", "feat"], cli.EXIT_IO,
      IS_A_DIRECTORY.format("feat/dev_features.txt")),
+    (["synth", "--out-dir", "h_symlink.log"], cli.EXIT_IO,
+     "error: [Errno 17] File exists: 'h_symlink.log'\n"),
+    (["synth", "--out-dir", "sub_symlink"], cli.EXIT_IO,
+     IS_A_DIRECTORY.format("sub_symlink/mllm.csv")),
 ]
 
 
@@ -693,6 +703,8 @@ def test_output_over_input_or_directory_exit_code(tmp_path, capsys, monkeypatch,
     os.link("h.log", "h_link.log")
     (tmp_path / "sub" / "mllm.csv").mkdir(parents=True)
     (tmp_path / "feat" / "dev_features.txt").mkdir(parents=True)
+    os.symlink("h.log", "h_symlink.log")
+    os.symlink("sub", "sub_symlink")
 
     def files():
         return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
@@ -721,6 +733,24 @@ def test_synth_makes_a_missing_out_dir(tmp_path, capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert sorted(p.name for p in (tmp_path / "new" / "sub").iterdir()) == [
         "mllm.csv", "refs.csv", "w2v.csv"]
+
+
+def test_failed_write_names_its_file(tmp_path, capsys, monkeypatch):
+    """A write that fails after the path checks exits 3 with one line naming the
+    file, not a traceback. Here the child process may write at most 200 bytes to a
+    file; Python ignores SIGXFSZ, so the write past it raises EFBIG."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "synth", "--n-speakers", "20", "--out-dir", ".")
+    run(capsys, "calibrate", "w2v.csv", "mllm.csv", "refs.csv", "--out", "c.json")
+    done = subprocess.run(
+        [sys.executable, "-B", "-m", "slascore.cli", "fuse", "w2v.csv", "mllm.csv", "c.json",
+         "--out", "big.csv"],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (200, 200)),
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (cli.EXIT_IO, "")
+    assert done.stderr.splitlines()[-1] == "error: [Errno 27] File too large: 'big.csv'"
+    assert "Traceback" not in done.stderr
 
 
 # Speaker ids for the row-order property: non-ASCII text, NUL and shared prefixes,
