@@ -124,11 +124,12 @@ def _keys(table, rows=slice(None)) -> list[tuple[str, int]]:
     return list(zip(table.speaker_id[rows].tolist(), table.part[rows].tolist()))
 
 
-def validate_record(scores: Scores, kind: str) -> Scores:
+def validate_record(scores: Scores, kind: str, *, where=None) -> Scores:
     """Validate the scores of a ``"prediction"``, ``"reference"`` or ``"overall"``
     table: finite, and references on the 0.5-step level grid. Predictions outside
     ``SCORE_RANGE`` are counted in one warning, not rejected, since both graders regress
-    continuously. The error raised for the first fault names its row in ``row``.
+    continuously. Only the first fault is raised; given ``where``, a reader's row
+    namer, its message starts with ``where(row)``, as in ``f.csv:2: ...``.
     A file's parts are checked against its kind by the reader."""
     if kind not in ("prediction", "reference", "overall"):
         raise ValueError(f"unknown record kind {kind!r}")
@@ -139,10 +140,8 @@ def validate_record(scores: Scores, kind: str) -> Scores:
     for bad, error, message in faults:
         if bad.any():
             row = int(np.argmax(bad))
-            exc = error(message.format(scores.speaker_id[row], scores.part[row],
-                                       scores.score[row]))
-            exc.row = row
-            raise exc
+            text = message.format(scores.speaker_id[row], scores.part[row], scores.score[row])
+            raise error(text if where is None else f"{where(row)}: {text}")
     if kind == "prediction":
         outside = np.count_nonzero(np.clip(scores.score, *SCORE_RANGE) != scores.score)
         if outside:

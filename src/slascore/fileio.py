@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import OVERALL, PART_VALUES, PARTS, Scores, validate_record
 from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidConfig, InvalidPart
-from .errors import NonFiniteScore, OffGridReference, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .fusion import DEFAULT_EDGES, N_BINS, FusionCalibration, _is_number
 from .head import MODES, PARAM_FIELDS, FrameSequence, HeadParameters
 from .metrics import MetricReport
@@ -142,10 +142,7 @@ def read_predictions(path: str | Path, kind: str = "prediction") -> Scores:
         lookup = np.zeros(256, dtype=np.int64)
         lookup[list(map(ord, codes))] = list(codes.values())
         part = lookup[byte]
-    try:
-        scores = validate_record(Scores(sids, part, score), kind)
-    except (NonFiniteScore, OffGridReference) as exc:  # each names its row
-        raise type(exc)(f"{where(exc.row)}: {exc}") from exc
+    scores = validate_record(Scores(sids, part, score), kind, where=where)
     del part  # the table holds its own copy; this one is not kept through key_index
     if (row := scores.key_index[2]) is not None:  # the first row repeating a key
         raise DuplicateKey(f"{where(row)}: duplicate key ({sids[row]}, {part_texts[row]})")

@@ -206,13 +206,12 @@ def backward(cache: ForwardCache, upstream) -> dict[str, np.ndarray]:
     d_v = params.mlp_W.T @ d_out
 
     d = params.d
-    d_x = d_v[:d].copy()
     d_s = d_v[d:]
 
     # cosine: s_j = (x . p_j) / (|x| |p_j|)
     x, s = cache.x, cache.s
     xn, pn = cache.x_norm, cache.p_norms
-    d_x += (params.prototypes.T @ (d_s / pn)) / xn - (d_s @ s) * x / (xn * xn)
+    d_x = d_v[:d] + ((params.prototypes.T @ (d_s / pn)) / xn - (d_s @ s) * x / (xn * xn))
     d_p = (d_s / pn)[:, None] * (x[None, :] / xn - s[:, None] * params.prototypes / pn[:, None])
 
     # pooling: x = alpha @ h
@@ -357,9 +356,7 @@ def train(
                 epoch_loss += batch_loss * len(batch)
 
                 step += 1
-                lr = config.learning_rate
-                if config.warmup_steps > 0:
-                    lr *= min(1.0, step / config.warmup_steps)
+                lr = config.learning_rate * min(1.0, step / max(config.warmup_steps, 1))
                 m = beta1 * m + (1 - beta1) * grad
                 v = beta2 * v + (1 - beta2) * grad * grad
                 m_hat = m / (1 - beta1**step)
@@ -369,7 +366,7 @@ def train(
                 params.version += 1
 
             dev_preds = [predict_score(seq, params) for seq in dev_data]
-        except FloatingPointError as exc:  # under np.errstate(over="raise"), as in the CLI
+        except (FloatingPointError, OverflowError) as exc:  # numpy under errstate; float r**2
             raise NonFiniteLoss(f"loss diverged at epoch {epoch}") from exc
         dev_f1 = macro_f1(dev_preds, dev_refs)
         history.append({

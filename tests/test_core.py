@@ -67,6 +67,18 @@ class TestValidateRecord:
         with pytest.raises(NonFiniteScore):
             validate_record(rec("a1", 1, math.nan), "prediction")
 
+    def test_where_names_the_faulty_row(self):
+        def where(row):
+            return f"f.csv:{row + 2}"
+        with pytest.raises(NonFiniteScore,
+                           match=r"^f\.csv:2: non-finite score for \(a1, 1\)$"):
+            validate_record(rec("a1", 1, math.nan), "prediction", where=where)
+        with pytest.raises(OffGridReference, match=r"^f\.csv:3: reference 3\.3 for \(b2, 3\) "
+                                                   r"is not a 0\.5-step level in \[2\.0, 5\.5\]$"):
+            validate_record(scores(("a1", 1, 3.5), ("b2", 3, 3.3)), "reference", where=where)
+        with pytest.raises(NonFiniteScore, match=r"^non-finite score for \(a1, 1\)$"):
+            validate_record(rec("a1", 1, math.nan), "prediction")
+
     def test_prediction_any_finite_real(self, caplog):
         validate_record(rec("a1", 1, 3.33), "prediction")
         validate_record(rec("a1", 1, -1.0), "prediction")  # warned, not rejected

@@ -514,6 +514,33 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss, match="epoch 2"):
             train(train_d, dev_d, cfg)
 
+    def test_float_overflow_in_the_loss_raises(self, toy_data, monkeypatch):
+        """A regression output past about 1.3e154 overflows the loss's float square,
+        under any errstate; the run reports that as a diverged epoch."""
+        train_d, dev_d = toy_data
+
+        def huge_bias(*args, _init=head.init_parameters):
+            params, label_class = _init(*args)
+            params.mlp_b[:] = 1e200
+            return params, label_class
+
+        monkeypatch.setattr(head, "init_parameters", huge_bias)
+        with pytest.raises(NonFiniteLoss, match="epoch 1"):
+            train(train_d, dev_d, TrainConfig(epochs=1, mode=REGRESSION))
+
+    @pytest.mark.parametrize("mode", [REGRESSION, CLASSIFICATION])
+    def test_no_warmup_and_one_warmup_step_agree(self, toy_data, mode):
+        """No warm-up and a one-step warm-up both scale the first step, and every
+        later one, by 1.0, so the two runs agree bit for bit."""
+        train_d, dev_d = toy_data
+        (p0, h0), (p1, h1) = (
+            train(train_d, dev_d, TrainConfig(epochs=3, learning_rate=0.05, warmup_steps=w,
+                                              seed=0, mode=mode))
+            for w in (0, 1))
+        assert h0 == h1
+        for name in PARAM_NAMES:
+            assert getattr(p0, name).tobytes() == getattr(p1, name).tobytes()
+
     @pytest.mark.parametrize("mode,learning_rate,epochs", [(CLASSIFICATION, 0.05, 4),
                                                            (REGRESSION, 0.01, 5)])
     def test_returned_parameters_own_their_arrays(self, toy_data, mode, learning_rate,
