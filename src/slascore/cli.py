@@ -86,6 +86,7 @@ def cmd_evaluate(args) -> int:
 def cmd_calibrate(args) -> int:
     check_files({"w2v": args.w2v, "mllm": args.mllm, "references": args.references},
                 {"--out": args.out})
+    fusion.weight_grid(args.grid_step)  # a bad --grid-step exits before any input is read
     w2v = fileio.read_predictions(args.w2v, "prediction")
     mllm = fileio.read_predictions(args.mllm, "prediction")
     refs = fileio.read_predictions(args.references, "reference")
@@ -269,12 +270,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="warning: %(message)s", level=logging.WARNING)
+    if hasattr(sys.stdout, "reconfigure"):  # None, or a caller's StringIO, has none
+        sys.stdout.reconfigure(errors="backslashreplace")  # as stderr: caf\xe9, no traceback
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return args.func(args)
+            code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed stdout fails here, under the handlers, not at exit
+        return code
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError) and exc.filename is None:  # stdout, not a file
+            # what stdout still holds goes nowhere, so exit flushes nothing into the pipe
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         return EXIT_IO
     except SlaError as exc:
         print(f"error: {exc}", file=sys.stderr)

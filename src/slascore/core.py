@@ -58,9 +58,23 @@ def is_on_grid(values: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(values, dtype=np.float64) - snap_to_grid(values)) <= LEVEL_TOL
 
 
+def _int64(value) -> int:
+    """``value`` as an int, or -1 (no part) when its int64 conversion fails or differs from it."""
+    try:
+        exact = int(np.int64(value))
+    except (TypeError, ValueError, OverflowError):
+        return -1
+    return exact if exact == value else -1
+
+
 def _store_columns(table, **dtypes) -> None:
     """Store each named field of ``table`` (except a ``None`` one) as a read-only 1-D
-    array of its dtype; all of them must have one length, each part in ``PART_VALUES``."""
+    array of its dtype; all of them must have one length, each part in ``PART_VALUES``.
+    A part whose int64 conversion fails or differs from it (1.7, "3", NaN, 1e30) is none."""
+    given = np.asarray(table.part)
+    if not np.can_cast(given.dtype, np.int64):  # an integer column is taken as it is
+        object.__setattr__(table, "part", np.reshape(
+            [_int64(value) for value in given.ravel().tolist()], given.shape))
     columns = {name: np.asarray(getattr(table, name), dtype=dtype).view()
                for name, dtype in dtypes.items() if getattr(table, name) is not None}
     shapes = {col.shape for col in columns.values()}
@@ -72,7 +86,7 @@ def _store_columns(table, **dtypes) -> None:
         object.__setattr__(table, name, col)
     bad = ~np.isin(table.part, PART_VALUES)
     if bad.any():
-        raise InvalidPart(f"part {table.part[bad][0]} not in {PART_VALUES} "
+        raise InvalidPart(f"part {given[bad].tolist()[0]!r} not in {PART_VALUES} "
                           f"(speaker {table.speaker_id[bad][0]})")
 
 
@@ -88,7 +102,7 @@ class Scores:
     def __post_init__(self):
         # the ids and parts are the table's own, so no caller can change them under key_index
         object.__setattr__(self, "speaker_id", np.array(self.speaker_id, dtype=object))
-        object.__setattr__(self, "part", np.array(self.part, dtype=np.int64))
+        object.__setattr__(self, "part", np.array(self.part))
         _store_columns(self, speaker_id=object, part=np.int64, score=np.float64)
 
     def __len__(self) -> int:

@@ -223,13 +223,21 @@ class TestCalibrateFuse:
         assert code == cli.EXIT_IO and calls == []
         assert err.startswith(f"error: cannot read calibration {calib}")
 
-    def test_grid_step_too_fine_exit_code(self, dev_files, tmp_path, capsys):
+    def test_grid_step_too_fine_exit_code(self, dev_files, tmp_path, capsys, monkeypatch):
+        """A --grid-step that is too fine or does not divide 1 exits 2 before any
+        score file is read, as train-head's flags are checked before its reads."""
         _, paths = dev_files
+        calls = []
+        read = fileio.read_predictions
+        monkeypatch.setattr(fileio, "read_predictions",
+                            lambda *args: calls.append(args) or read(*args))
         out = tmp_path / "calib.json"
-        code, stdout, err = run(capsys, "calibrate", paths["w2v"], paths["mllm"], paths["refs"],
-                                "--grid-step", "1e-4", "--out", str(out))
-        assert code == cli.EXIT_VALIDATION and stdout == "" and not out.exists()
-        assert err == "error: grid_step 0.0001 outside [0.001, 1]\n"
+        for step, fault in (("1e-4", "0.0001 outside [0.001, 1]"),
+                            ("0.3", "0.3 does not divide 1 evenly")):
+            code, stdout, err = run(capsys, "calibrate", paths["w2v"], paths["mllm"],
+                                    paths["refs"], "--grid-step", step, "--out", str(out))
+            assert (code, stdout, calls) == (cli.EXIT_VALIDATION, "", []) and not out.exists()
+            assert err == f"error: grid_step {fault}\n"
 
     def test_calibration_round_trip_identical(self, dev_files, tmp_path, capsys):
         _, paths = dev_files
@@ -742,6 +750,15 @@ def test_synth_makes_a_missing_out_dir(tmp_path, capsys, monkeypatch):
         "mllm.csv", "refs.csv", "w2v.csv"]
 
 
+def run_child(argv, stdout=subprocess.PIPE, env=(), **kwargs):
+    """``slascore`` run as ``python -m slascore.cli`` in a child process, with ``env``
+    over this process's environment; a ``None`` value unsets its variable."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **dict(env)}
+    return subprocess.run([sys.executable, "-B", "-m", "slascore.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, **kwargs,
+                          env={name: value for name, value in env.items() if value is not None})
+
+
 def test_failed_write_names_its_file(tmp_path, capsys, monkeypatch):
     """A write that fails after the path checks exits 3 with one line naming the
     file, not a traceback. Here the child process may write at most 200 bytes to a
@@ -749,15 +766,38 @@ def test_failed_write_names_its_file(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run(capsys, "synth", "--n-speakers", "20", "--out-dir", ".")
     run(capsys, "calibrate", "w2v.csv", "mllm.csv", "refs.csv", "--out", "c.json")
-    done = subprocess.run(
-        [sys.executable, "-B", "-m", "slascore.cli", "fuse", "w2v.csv", "mllm.csv", "c.json",
-         "--out", "big.csv"],
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (200, 200)),
-        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
-        capture_output=True, text=True)
+    done = run_child(["fuse", "w2v.csv", "mllm.csv", "c.json", "--out", "big.csv"],
+                     preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (200, 200)))
     assert (done.returncode, done.stdout) == (cli.EXIT_IO, "")
     assert done.stderr.splitlines()[-1] == "error: [Errno 27] File too large: 'big.csv'"
     assert "Traceback" not in done.stderr
+
+
+def test_stdout_faults_in_a_child_process(tmp_path, capsys, monkeypatch):
+    """Two stdout faults ``capsys`` never shows. With stdout encoded as ASCII, a model
+    name or output path it cannot encode prints escaped, as on stderr, and the command
+    exits 0. A stdout pipe closed before the first line ends in exit 3 and one error
+    line, whether stdout is buffered (the fault shows only when it is flushed) or not."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "synth", "--n-speakers", "3", "--out-dir", ".")
+    Path("board.csv").write_text("name,rmse,pcc,src,within_half,within_one\n"
+                                 "caf\xe9,0.5,0.9,0.9,0.8,1.0\n", encoding="utf-8")
+    ascii_out = {"PYTHONIOENCODING": "ascii"}
+    report = run_child(["report", "board.csv"], env=ascii_out)
+    aggregate = run_child(["aggregate", "refs.csv", "--out", "\xe9.csv"], env=ascii_out)
+    assert [(done.returncode, done.stderr) for done in (report, aggregate)] == [(0, "")] * 2
+    assert report.stdout.splitlines()[1] == "caf\\xe9                 0.500 0.900 0.900 0.8 1.0"
+    assert aggregate.stdout == "wrote 3 overall scores to \\xe9.csv\n"
+    assert Path("\xe9.csv").exists()
+    for unbuffered in (None, "1"):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = run_child(["evaluate", "w2v.csv", "refs.csv"], stdout=write,
+                             env={"PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (cli.EXIT_IO, "error: [Errno 32] Broken pipe\n")
 
 
 # Speaker ids for the row-order property: non-ASCII text, NUL and shared prefixes,

@@ -1,12 +1,11 @@
 """The README's library example and CLI walkthrough run as written, and
-the library's public names and the names the README gives resolve."""
+the names the README gives resolve."""
 
 import dataclasses
 import re
 import shlex
 from pathlib import Path
 
-import slascore
 from slascore import cli, core, fileio, fusion, head, metrics, synth
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -43,11 +42,6 @@ def test_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
         assert cli.main(argv[1:]) == 0, argv
     assert capsys.readouterr().out.splitlines()[-1] == (
         "NTNU SMIL V (2)      0.375 0.820 0.827 82.7 99.3")
-
-
-def test_public_names_resolve():
-    missing = [name for name in slascore.__all__ if not hasattr(slascore, name)]
-    assert missing == []
 
 
 def test_readme_names_resolve():
