@@ -272,10 +272,14 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="warning: %(message)s", level=logging.WARNING)
     if hasattr(sys.stdout, "reconfigure"):  # None, or a caller's StringIO, has none
         sys.stdout.reconfigure(errors="backslashreplace")  # as stderr: caf\xe9, no traceback
-    args = build_parser().parse_args(argv)
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help or a usage error: what it printed is flushed below
+            code = exc.code
+        else:
+            with np.errstate(over="raise", invalid="raise"):
+                code = args.func(args)
         if sys.stdout is not None:
             sys.stdout.flush()  # a closed stdout fails here, under the handlers, not at exit
         return code

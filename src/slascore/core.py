@@ -71,7 +71,9 @@ def _store_columns(table, **dtypes) -> None:
     """Store each named field of ``table`` (except a ``None`` one) as a read-only 1-D
     array of its dtype; all of them must have one length, each part in ``PART_VALUES``.
     A part whose int64 conversion fails or differs from it (1.7, "3", NaN, 1e30) is none."""
-    given = np.asarray(table.part)
+    given = table.part
+    if not isinstance(given, np.ndarray):  # as objects, or numpy reads [1, "3"] as text
+        given = np.array(given, dtype=object)
     if not np.can_cast(given.dtype, np.int64):  # an integer column is taken as it is
         object.__setattr__(table, "part", np.reshape(
             [_int64(value) for value in given.ravel().tolist()], given.shape))
@@ -102,7 +104,8 @@ class Scores:
     def __post_init__(self):
         # the ids and parts are the table's own, so no caller can change them under key_index
         object.__setattr__(self, "speaker_id", np.array(self.speaker_id, dtype=object))
-        object.__setattr__(self, "part", np.array(self.part))
+        if isinstance(self.part, np.ndarray):  # a list is stored as a new array anyway
+            object.__setattr__(self, "part", self.part.copy())
         _store_columns(self, speaker_id=object, part=np.int64, score=np.float64)
 
     def __len__(self) -> int:

@@ -21,7 +21,6 @@ from .head import FrameSequence
 N_LEVELS = len(REFERENCE_LEVELS)
 MAX_SPEAKERS = 250_000  # 1M score rows
 MAX_FRAME_VALUES = 10**7  # the most frame values generate_frames may draw
-LEVEL_P = np.full(N_LEVELS, 1 / N_LEVELS)  # each reference level equally likely
 FRAME_LENGTHS = (5, 20)  # the fewest and most frames of a drawn sequence
 FEATURE_LEVELS = (2.5, 3.5, 4.5)  # the levels generate_frames draws sequences of
 FEATURE_DIM = 8  # values per frame
@@ -67,11 +66,12 @@ def generate_scores(cfg: SynthConfig) -> JoinedDataset:
     n = cfg.n_speakers * len(PARTS)
     level, w2v, mllm = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
     for i in range(n):  # the draw order (level, w2v, mllm) fixes the random stream
-        k = level[i] = rng.choice(N_LEVELS, p=LEVEL_P)  # without p=, choice draws another stream
-        w2v[i] = rng.normal(0.0, cfg.w2v_noise[k])
-        mllm[i] = rng.normal(0.0, cfg.mllm_noise[k])
+        # choice(N_LEVELS, p=equal) finds one random() u in a cdf of exact eighths: floor(8u)
+        k = level[i] = int(N_LEVELS * rng.random())
+        w2v[i] = 0.0 + cfg.w2v_noise[k] * rng.standard_normal()  # normal(0.0, sigma)
+        mllm[i] = 0.0 + cfg.mllm_noise[k] * rng.standard_normal()  # on floats, overflow is inf
     ref = np.asarray(REFERENCE_LEVELS)[level]
-    ids = np.repeat([f"spk{i:04d}" for i in range(cfg.n_speakers)], len(PARTS)).astype(object)
+    ids = np.repeat(np.array([f"spk{i:04d}" for i in range(cfg.n_speakers)], object), len(PARTS))
     data = JoinedDataset(ids, np.tile(PARTS, cfg.n_speakers), ref + w2v, ref + mllm, ref)
     # a finite but huge sigma can still draw a score past the float range
     for name in ("w2v", "mllm"):

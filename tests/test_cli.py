@@ -777,7 +777,8 @@ def test_stdout_faults_in_a_child_process(tmp_path, capsys, monkeypatch):
     """Two stdout faults ``capsys`` never shows. With stdout encoded as ASCII, a model
     name or output path it cannot encode prints escaped, as on stderr, and the command
     exits 0. A stdout pipe closed before the first line ends in exit 3 and one error
-    line, whether stdout is buffered (the fault shows only when it is flushed) or not."""
+    line, whether stdout is buffered (the fault shows only when it is flushed) or not,
+    also when what failed to reach it is argparse's ``--help``."""
     monkeypatch.chdir(tmp_path)
     run(capsys, "synth", "--n-speakers", "3", "--out-dir", ".")
     Path("board.csv").write_text("name,rmse,pcc,src,within_half,within_one\n"
@@ -789,15 +790,85 @@ def test_stdout_faults_in_a_child_process(tmp_path, capsys, monkeypatch):
     assert report.stdout.splitlines()[1] == "caf\\xe9                 0.500 0.900 0.900 0.8 1.0"
     assert aggregate.stdout == "wrote 3 overall scores to \\xe9.csv\n"
     assert Path("\xe9.csv").exists()
-    for unbuffered in (None, "1"):
+    for argv, unbuffered in [(["evaluate", "w2v.csv", "refs.csv"], None),
+                             (["evaluate", "w2v.csv", "refs.csv"], "1"),
+                             (["--help"], None), (["evaluate", "--help"], None)]:
         read, write = os.pipe()
         os.close(read)
         try:
-            done = run_child(["evaluate", "w2v.csv", "refs.csv"], stdout=write,
-                             env={"PYTHONUNBUFFERED": unbuffered})
+            done = run_child(argv, stdout=write, env={"PYTHONUNBUFFERED": unbuffered})
         finally:
             os.close(write)
         assert (done.returncode, done.stderr) == (cli.EXIT_IO, "error: [Errno 32] Broken pipe\n")
+    shown, usage = run_child(["--help"]), run_child(["evaluate"])  # on an open stdout
+    assert (shown.returncode, usage.returncode, usage.stdout) == (0, cli.EXIT_VALIDATION, "")
+    assert shown.stdout.startswith("usage: slascore")
+    assert usage.stderr.splitlines()[-1].startswith("slascore evaluate: error: ")
+
+
+# Every subcommand, given the stem of the one file it names for output (report, which
+# writes nothing, reads its leaderboard from that stem), in a directory that
+# ``contract_inputs`` fills.
+CONTRACT_COMMANDS = {
+    "evaluate": lambda o: ["evaluate", "w2v.csv", "refs.csv", "--out", f"{o}.json"],
+    "calibrate": lambda o: ["calibrate", "w2v.csv", "mllm.csv", "refs.csv", "--out", f"{o}.json"],
+    "fuse": lambda o: ["fuse", "w2v.csv", "mllm.csv", "calib.json", "--out", f"{o}.csv"],
+    "aggregate": lambda o: ["aggregate", "refs.csv", "--out", f"{o}.csv"],
+    "train-head": lambda o: ["train-head", "train_features.txt", "dev_features.txt",
+                             "--epochs", "1", "--out", f"{o}.json", "--history", f"{o}.log"],
+    "synth": lambda o: ["synth", "--n-speakers", "3", "--out-dir", o],
+    "report": lambda o: ["report", f"{o}.csv"],
+}
+# Each fault: the output stem's suffix and run_child's keywords. The size limit is
+# set in the child only; Python ignores SIGXFSZ, so a write past it raises EFBIG.
+CONTRACT_FAULTS = {
+    "closed-stdout-pipe": ("pipe", {"env": {"PYTHONUNBUFFERED": None}}),
+    "ascii-stdout-non-ascii-path": ("\xe9", {"env": {"PYTHONIOENCODING": "ascii"}}),
+    "file-size-limit": ("big", {"preexec_fn": lambda: resource.setrlimit(
+        resource.RLIMIT_FSIZE, (300, 300))}),
+    "undecodable-path": (os.fsdecode(b"\xff"), {}),
+}
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    where = tmp_path_factory.mktemp("contract")
+    assert cli.main(["synth", "--n-speakers", "20", "--features", "--frames-per-class", "4",
+                     "--out-dir", str(where)]) == 0
+    inputs = (str(where / f"{name}.csv") for name in ("w2v", "mllm", "refs"))
+    assert cli.main(["calibrate", *inputs, "--out", str(where / "calib.json")]) == 0
+    return where
+
+
+@pytest.mark.parametrize("command, fault", [
+    (command, fault) for command in CONTRACT_COMMANDS for fault in CONTRACT_FAULTS
+    if (command, fault) != ("report", "file-size-limit")])  # report writes no file
+def test_exit_code_contract_in_a_child_process(contract_inputs, command, fault):
+    """Every subcommand, with valid inputs, under a fault of its process that the
+    in-process tests cannot set up, ends in exit 0, 2 or 3. Its stderr holds the
+    warnings of the run and, on a non-zero exit, one ``error: `` line after them;
+    never a traceback."""
+    suffix, kwargs = CONTRACT_FAULTS[fault]
+    stem = f"{command}-{suffix}"
+    if command == "report":
+        (contract_inputs / f"{stem}.csv").write_text(
+            "name,rmse,pcc,src,within_half,within_one\ntoy,0.5,0.9,0.9,0.8,1.0\n")
+    argv = CONTRACT_COMMANDS[command](stem)
+    if fault == "closed-stdout-pipe":
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = run_child(argv, cwd=contract_inputs, stdout=write, **kwargs)
+        finally:
+            os.close(write)
+    else:
+        done = run_child(argv, cwd=contract_inputs, **kwargs)
+    assert done.returncode in (0, cli.EXIT_VALIDATION, cli.EXIT_IO)
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    if done.returncode:  # one error line, after the warnings of the run
+        assert lines and lines.pop().startswith("error: ")
+    assert all(line.startswith("warning: ") for line in lines)
 
 
 # Speaker ids for the row-order property: non-ASCII text, NUL and shared prefixes,

@@ -195,12 +195,17 @@ def test_part_values_checked_when_built():
     """A table holds only OVERALL and the four parts, so the key grids of
     any tables have five columns, one row per distinct speaker. A part is taken
     exactly: one int64 does not hold as it is (1.7, "3", NaN, 1e30) is neither
-    truncated nor parsed, but named by the InvalidPart it raises."""
+    truncated nor parsed, but named by the InvalidPart it raises, also in a plain
+    list that mixes it with a valid part."""
     for bad in (2, 6, -1, 2**40, 1.7, "3", math.nan, 1e30):
         with pytest.raises(InvalidPart, match=re.escape(f"part {bad!r} not in")):
             Scores(["a", "b"], np.array([1, bad], dtype=object), [3.0, 3.0])
         with pytest.raises(InvalidPart, match=re.escape(f"part {bad!r} not in")):
             JoinedDataset(["a"], [bad], [3.0], [3.0])
+        with pytest.raises(InvalidPart, match=re.escape(f"part {bad!r} not in")):
+            Scores(["a", "b"], [1, bad], [3.0, 3.0])
+        with pytest.raises(InvalidPart, match=re.escape(f"part {bad!r} not in")):
+            JoinedDataset(["a", "b"], [1, bad], [3.0, 3.0], [3.0, 3.0])
     assert Scores(["a"], [3.0], [3.0]).part.tolist() == [3]
     first = Scores(["b", "a", "b", "a"], [OVERALL, 5, 1, 1], np.zeros(4))
     second = Scores(["c", "a"], [4, 3], np.zeros(2))

@@ -12,7 +12,7 @@ from oracles import (
 )
 from tables import rows
 from slascore import metrics
-from slascore.core import REFERENCE_LEVELS
+from slascore.core import PARTS, REFERENCE_LEVELS
 from slascore.errors import InvalidConfig, NoReferences
 from slascore.fusion import N_BINS, bin_index, calibrate
 from slascore import synth
@@ -81,6 +81,12 @@ class TestGenerateScores:
         data = generate_scores(SynthConfig(n_speakers=10, seed=0))
         assert len(data) == 40
         assert len(set(zip(data.speaker_id, data.part.tolist()))) == 40
+
+    def test_one_id_string_per_speaker(self):
+        """The four rows of a speaker hold one ``str`` object, not four equal copies."""
+        ids = generate_scores(SynthConfig(n_speakers=10, seed=0)).speaker_id
+        for first, *rest in ids.reshape(-1, len(PARTS)).tolist():
+            assert type(first) is str and all(other is first for other in rest)
 
     @settings(max_examples=50, deadline=None)
     @given(st.builds(
