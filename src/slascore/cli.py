@@ -86,17 +86,16 @@ def cmd_evaluate(args) -> int:
 def cmd_calibrate(args) -> int:
     check_files({"w2v": args.w2v, "mllm": args.mllm, "references": args.references},
                 {"--out": args.out})
-    fusion.weight_grid(args.grid_step)  # a bad --grid-step exits before any input is read
     w2v = fileio.read_predictions(args.w2v, "prediction")
     mllm = fileio.read_predictions(args.mllm, "prediction")
     refs = fileio.read_predictions(args.references, "reference")
     dev = join(w2v, mllm, refs)
-    calib = fusion.calibrate(dev, grid_step=args.grid_step)
+    calib = fusion.calibrate(dev)
     provenance = {
         "w2v_digest": fileio.file_digest(args.w2v),
         "mllm_digest": fileio.file_digest(args.mllm),
         "ref_digest": fileio.file_digest(args.references),
-        "grid_step": args.grid_step,
+        "grid_step": fusion.GRID_STEP,
     }
     fileio.write_calibration(args.out, calib, provenance)
     print(f"{'bin':>3} {'interval':>14} {'count':>6} {'w':>6} {'bin_rmse':>9}")
@@ -199,8 +198,20 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, its faults left to ``main``'s handlers (subparsers are of this
+    class too): a usage error is one InvalidConfig line, and a failed ``--help`` write
+    the OSError that argparse's own printing would swallow."""
+
+    def error(self, message):
+        raise InvalidConfig(message)
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slascore",
         description="Two-grader spoken language assessment scoring pipeline.",
     )
@@ -218,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("w2v")
     p.add_argument("mllm")
     p.add_argument("references")
-    p.add_argument("--grid-step", type=float, default=fusion.GRID_STEP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
@@ -275,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # --help or a usage error: what it printed is flushed below
+        except SystemExit as exc:  # --help: what it printed is flushed below
             code = exc.code
         else:
             with np.errstate(over="raise", invalid="raise"):

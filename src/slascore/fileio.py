@@ -25,7 +25,7 @@ import numpy as np
 from .core import OVERALL, PART_VALUES, PARTS, Scores, validate_record
 from .errors import CalibrationVersionMismatch, DuplicateKey, InvalidConfig, InvalidPart
 from .errors import ParseError, ValidationError
-from .fusion import DEFAULT_EDGES, N_BINS, FusionCalibration, _is_number
+from .fusion import DEFAULT_EDGES, GRID_STEP, N_BINS, FusionCalibration, _is_number
 from .head import MODES, PARAM_FIELDS, FrameSequence, HeadParameters
 from .metrics import MetricReport
 
@@ -231,7 +231,7 @@ def write_calibration(
 ) -> None:
     write_json(path, {
         "format_version": CALIBRATION_VERSION,
-        "grid_step": calib.grid_step,
+        "grid_step": GRID_STEP,
         "edges": list(DEFAULT_EDGES),
         "weights": list(calib.weights),
         "per_bin_counts": list(calib.per_bin_counts),
@@ -242,8 +242,9 @@ def write_calibration(
 
 def read_calibration(path: str | Path) -> tuple[FusionCalibration, dict]:
     """The calibration in ``path`` and its provenance. A missing field or
-    one of the wrong type is a ParseError; edges other than ``DEFAULT_EDGES``,
-    or a value ``FusionCalibration`` rejects, is an InvalidConfig."""
+    one of the wrong type is a ParseError; edges other than ``DEFAULT_EDGES``, a
+    grid_step other than ``GRID_STEP``, or a value ``FusionCalibration`` rejects, is an
+    InvalidConfig."""
     doc = _json_object(path, "calibration")
     version = doc.get("format_version")
     if version != CALIBRATION_VERSION:
@@ -267,8 +268,10 @@ def read_calibration(path: str | Path) -> tuple[FusionCalibration, dict]:
         if edges != list(DEFAULT_EDGES):
             raise InvalidConfig(f"edges must be the fixed, finite interval edges "
                                 f"{list(DEFAULT_EDGES)}")
-        calib = FusionCalibration(weights=tuple(weights), grid_step=grid_step,
-                                  dev_rmse=dev_rmse, per_bin_counts=tuple(counts))
+        if grid_step != GRID_STEP:
+            raise InvalidConfig(f"grid_step must be the fixed weight grid's step {GRID_STEP}")
+        calib = FusionCalibration(weights=tuple(weights), dev_rmse=dev_rmse,
+                                  per_bin_counts=tuple(counts))
     except InvalidConfig as exc:
         raise InvalidConfig(f"{path}: {exc}") from exc
     return calib, doc.get("provenance", {})

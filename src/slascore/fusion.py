@@ -32,7 +32,9 @@ DEFAULT_EDGES = (SCORE_RANGE[0], *((lo + hi) / 2 for lo, hi in
                                    zip(REFERENCE_LEVELS, REFERENCE_LEVELS[1:])), SCORE_RANGE[1])
 
 N_BINS = len(REFERENCE_LEVELS)
-GRID_STEP = 0.01  # the default weight grid is {0, 0.01, ..., 1}
+GRID_STEP = 0.01
+#: The weights ``calibrate`` searches, {0, 0.01, ..., 1}: fixed, like the edges.
+WEIGHT_GRID = tuple(i * GRID_STEP for i in range(round(1 / GRID_STEP) + 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,7 +42,6 @@ class FusionCalibration:
     """Per-interval weights fixed after dev-set grid search; every field is checked."""
 
     weights: tuple[float, ...]
-    grid_step: float = GRID_STEP
     #: The dev RMSE under these weights; 0.0, like the zero counts, for a
     #: calibration built without a dev set, so that its file reads back.
     dev_rmse: float = 0.0
@@ -53,10 +54,8 @@ class FusionCalibration:
         # tuples, as the file reads back, so a calibration equals its read-back
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "per_bin_counts", tuple(self.per_bin_counts))
-        if not all(map(_is_number, (self.grid_step, self.dev_rmse, *self.weights))):
-            raise InvalidConfig("grid_step, dev_rmse and each weight must be an int or float, "
-                                "not a bool")
-        weight_grid(self.grid_step)  # InvalidConfig unless calibrate accepts the step
+        if not all(map(_is_number, (self.dev_rmse, *self.weights))):
+            raise InvalidConfig("dev_rmse and each weight must be an int or float, not a bool")
         if not 0 <= self.dev_rmse <= sys.float_info.max:
             raise InvalidConfig(f"dev_rmse {self.dev_rmse!r} is not finite and >= 0")
         counts = self.per_bin_counts
@@ -74,17 +73,6 @@ class FusionCalibration:
 def _is_number(x) -> bool:
     """An int or float, as a JSON number reads back, and not a bool."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def weight_grid(grid_step: float) -> list[float]:
-    """The search grid {0, step, 2*step, ..., 1}; step must divide 1 and
-    lie in [0.001, 1], so the grid holds at most 1,001 weights."""
-    if not 0.001 <= grid_step <= 1.0:
-        raise InvalidConfig(f"grid_step {grid_step} outside [0.001, 1]")
-    n = round(1.0 / grid_step)
-    if abs(n * grid_step - 1.0) > 1e-9:
-        raise InvalidConfig(f"grid_step {grid_step} does not divide 1 evenly")
-    return [i * grid_step for i in range(n + 1)]
 
 
 def bin_index(mllm_score: float | np.ndarray) -> np.integer | np.ndarray:
@@ -124,10 +112,10 @@ def fuse_one(
     return _mix(w2v, mllm, np.asarray(calib.weights)[bin_index(mllm)])
 
 
-def calibrate(dev: JoinedDataset, grid_step: float = GRID_STEP) -> FusionCalibration:
+def calibrate(dev: JoinedDataset) -> FusionCalibration:
     """Grid-search each interval's weight on a dev set with references.
 
-    Each populated bin independently gets the grid weight minimizing the
+    Each populated bin independently gets the ``WEIGHT_GRID`` weight minimizing the
     bin-restricted RMSE (ties toward the smallest w, favoring the speech
     grader); empty bins fall back to the single best global weight. The
     result carries the dev RMSE overall and per bin under those weights.
@@ -139,19 +127,17 @@ def calibrate(dev: JoinedDataset, grid_step: float = GRID_STEP) -> FusionCalibra
         raise EmptyDataset("cannot calibrate on an empty dev set")
     if dev.blind:
         raise NoReferences("calibration requires reference scores")
-    grid = weight_grid(grid_step)
 
     bins = bin_index(dev.mllm)
     counts = np.bincount(bins, minlength=N_BINS)
     in_bin = np.split(np.argsort(bins, kind="stable"), np.cumsum(counts)[:-1])
     columns = (dev.w2v, dev.mllm, dev.reference)
-    global_w = _best_weight(grid, *columns) if 0 in counts else None
-    weights = tuple(_best_weight(grid, *(col[rows] for col in columns)) if rows.size else global_w
+    global_w = _best_weight(*columns) if 0 in counts else None
+    weights = tuple(_best_weight(*(col[rows] for col in columns)) if rows.size else global_w
                     for rows in in_bin)
     fused = _mix(dev.w2v, dev.mllm, np.asarray(weights)[bins])
     return FusionCalibration(
         weights=weights,
-        grid_step=grid_step,
         dev_rmse=metrics.rmse(fused, dev.reference),
         per_bin_counts=tuple(counts.tolist()),
         per_bin_rmse=tuple(metrics.rmse(fused[rows], dev.reference[rows]) if rows.size else None
@@ -159,8 +145,8 @@ def calibrate(dev: JoinedDataset, grid_step: float = GRID_STEP) -> FusionCalibra
     )
 
 
-def _best_weight(grid: list[float], w2v: np.ndarray, mllm: np.ndarray, ref: np.ndarray) -> float:
-    """The grid weight a scan of the whole grid picks over these rows, the first of least
+def _best_weight(w2v: np.ndarray, mllm: np.ndarray, ref: np.ndarray) -> float:
+    """The weight a scan of all of ``WEIGHT_GRID`` picks over these rows, the first of least
     RMSE. Over n rows the squared fusion error at weight w is A + 2wB + w²C, for the sums
     A = e·e, B = e·d and C = d·d (e = w2v - ref, d = mllm - w2v); only the weights whose
     computed quadratic lies within (6n + 50)·EPS·V of its least value, V = Σ(|w2v| +
@@ -179,7 +165,7 @@ def _best_weight(grid: list[float], w2v: np.ndarray, mllm: np.ndarray, ref: np.n
     used; the margin covers the rounding of V and, for V >= n·2**-1000, any underflow.
     Below that every weight is kept, as it is when a score above 2**478 could overflow a sum.
     """
-    n, w = len(w2v), np.asarray(grid)
+    n, w = len(w2v), np.asarray(WEIGHT_GRID)
     near = np.arange(len(w))
     if (max(float(np.abs(col).max()) for col in (w2v, mllm, ref)) <= 2.0**478
             and (scale := (size := np.abs(w2v) + np.abs(mllm) + np.abs(ref)) @ size)
@@ -188,7 +174,7 @@ def _best_weight(grid: list[float], w2v: np.ndarray, mllm: np.ndarray, ref: np.n
         q = e @ e + w * (2.0 * (e @ d) + w * (d @ d))
         near = np.flatnonzero(q <= q.min() + (6 * n + 50) * np.finfo(np.float64).eps * scale)
     sq = (w2v + w[near, None] * (mllm - w2v) - ref) ** 2
-    return grid[near[int(np.argmin(np.sqrt(np.mean(sq, axis=1))))]]
+    return WEIGHT_GRID[near[int(np.argmin(np.sqrt(np.mean(sq, axis=1))))]]
 
 
 def fuse_dataset(

@@ -9,7 +9,8 @@ library's own frame sequences. The prediction-CSV reader, the key join
 and the per-speaker aggregate are per-line and dict versions of the
 library's bulk reader, key index, key-grid join and pairing, and key-grid aggregate.
 The grid-scan calibration is the library's search as it stood before its closed
-form, kept unchanged: every grid weight's fused RMSE over each bin's rows.
+form, kept unchanged but for its weight grid, which it builds itself as i * grid_step:
+every grid weight's fused RMSE over each bin's rows.
 The synthetic-score oracle draws row tuples where the library fills columns;
 the frame oracle is the library's frame draw as it stood with its levels,
 dimension and separation as arguments, kept unchanged. The level test
@@ -38,7 +39,7 @@ from slascore.errors import (
 )
 from slascore.fileio import OVERALL_TEXT, PREDICTION_HEADER
 from slascore import metrics
-from slascore.fusion import N_BINS, FusionCalibration, _mix, bin_index, weight_grid
+from slascore.fusion import N_BINS, FusionCalibration, _mix, bin_index
 from slascore.head import FrameSequence
 from slascore.metrics import macro_f1
 from slascore.synth import FRAME_LENGTHS, MAX_FRAME_VALUES, SynthConfig
@@ -155,9 +156,9 @@ def brute_force_bin_weight(
 
 
 def grid_scan_calibration(dev: JoinedDataset, grid_step: float = 0.01) -> FusionCalibration:
-    """``fusion.calibrate`` by a scan of the whole weight grid: one (grid x rows)
-    matrix of squared fusion errors per bin, and the first weight of least RMSE."""
-    grid = weight_grid(grid_step)
+    """``fusion.calibrate`` by a scan of the whole weight grid {i * grid_step}: one
+    (grid x rows) matrix of squared fusion errors per bin, and the first weight of least RMSE."""
+    grid = [i * grid_step for i in range(round(1 / grid_step) + 1)]
 
     bins = bin_index(dev.mllm)
     counts = np.bincount(bins, minlength=N_BINS)
@@ -175,7 +176,6 @@ def grid_scan_calibration(dev: JoinedDataset, grid_step: float = 0.01) -> Fusion
     fused = _mix(dev.w2v, dev.mllm, np.asarray(weights)[bins])
     return FusionCalibration(
         weights=weights,
-        grid_step=grid_step,
         dev_rmse=metrics.rmse(fused, dev.reference),
         per_bin_counts=tuple(counts.tolist()),
         per_bin_rmse=tuple(None if rows is None else metrics.rmse(fused[rows], dev.reference[rows])

@@ -100,7 +100,7 @@ def test_criterion_3_score_conditioned_advantage():
     ref, w2v, mllm = dev.reference, dev.w2v, dev.mllm
     best_global = min(
         float(np.sqrt(np.mean((w2v + w * (mllm - w2v) - ref) ** 2)))
-        for w in fusion.weight_grid(calib.grid_step)
+        for w in fusion.WEIGHT_GRID
     )
     assert calib.dev_rmse <= 0.95 * best_global
 

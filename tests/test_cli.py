@@ -223,22 +223,6 @@ class TestCalibrateFuse:
         assert code == cli.EXIT_IO and calls == []
         assert err.startswith(f"error: cannot read calibration {calib}")
 
-    def test_grid_step_too_fine_exit_code(self, dev_files, tmp_path, capsys, monkeypatch):
-        """A --grid-step that is too fine or does not divide 1 exits 2 before any
-        score file is read, as train-head's flags are checked before its reads."""
-        _, paths = dev_files
-        calls = []
-        read = fileio.read_predictions
-        monkeypatch.setattr(fileio, "read_predictions",
-                            lambda *args: calls.append(args) or read(*args))
-        out = tmp_path / "calib.json"
-        for step, fault in (("1e-4", "0.0001 outside [0.001, 1]"),
-                            ("0.3", "0.3 does not divide 1 evenly")):
-            code, stdout, err = run(capsys, "calibrate", paths["w2v"], paths["mllm"],
-                                    paths["refs"], "--grid-step", step, "--out", str(out))
-            assert (code, stdout, calls) == (cli.EXIT_VALIDATION, "", []) and not out.exists()
-            assert err == f"error: grid_step {fault}\n"
-
     def test_calibration_round_trip_identical(self, dev_files, tmp_path, capsys):
         _, paths = dev_files
         o1, o2 = str(tmp_path / "c1.json"), str(tmp_path / "c2.json")
@@ -390,8 +374,7 @@ class TestSynthCommand:
         assert len(calls) == 3  # the counters do see a good run's draws
 
     def test_defaults_are_the_library_defaults(self, tmp_path, capsys, monkeypatch):
-        """``synth`` draws with ``SynthConfig()`` and ``calibrate`` searches the
-        ``GRID_STEP`` grid when no flag is given."""
+        """``synth`` draws with ``SynthConfig()`` when no flag is given."""
         configs = []
 
         def stop(cfg):
@@ -401,8 +384,6 @@ class TestSynthCommand:
         monkeypatch.setattr(synth, "generate_scores", stop)
         run(capsys, "synth", "--out-dir", str(tmp_path / "d"))
         assert configs == [SynthConfig()]
-        args = cli.build_parser().parse_args(["calibrate", "a", "b", "c", "--out", "o"])
-        assert args.grid_step == fusion.GRID_STEP
 
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 8.00 GiB", "error: Unable to allocate 8.00 GiB"),
@@ -643,11 +624,12 @@ def edges_with(i, value):
     calib_text(dev_rmse=-0.5),
     calib_text(grid_step=float("nan")),
     calib_text(grid_step=0.3),
+    calib_text(grid_step=0.05),
     calib_text(per_bin_counts=[1] * 7 + [-1]),
     calib_text(weights=[0.5] * 7 + [1.5]),
 ], ids=["two-edges", "repeated-edge", "nan-edge", "inf-edge", "huge-int-edge", "moved-edge",
         "1e400-dev-rmse", "nan-dev-rmse", "negative-dev-rmse", "nan-grid-step",
-        "uneven-grid-step", "negative-count", "weight-above-one"])
+        "uneven-grid-step", "coarser-grid-step", "negative-count", "weight-above-one"])
 def test_out_of_range_calibration_exit_code(tmp_path, capsys, content):
     """A calibration field of the right type but a value ``calibrate``
     never writes exits 2; fuse never bins with edges the weights were not
@@ -740,6 +722,23 @@ def test_repeated_input_runs(tmp_path, capsys, monkeypatch):
     assert run(capsys, "evaluate", "refs.csv", "refs.csv")[0] == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--n-speakers", "x", "--out-dir", "d"],
+     "argument --n-speakers: invalid int value: 'x'"),
+    (["calibrate", "w2v.csv", "mllm.csv", "refs.csv", "--grid-step", "0.05", "--out", "c.json"],
+     "unrecognized arguments: --grid-step 0.05"),
+    (["calibrate", "w2v.csv", "mllm.csv", "refs.csv"],
+     "the following arguments are required: --out"),
+    ([], "the following arguments are required: command"),
+], ids=["synth-int", "calibrate-grid-step", "calibrate-no-out", "no-command"])
+def test_usage_error_is_one_line(tmp_path, capsys, monkeypatch, argv, message):
+    """A command line argparse rejects exits 2 with one ``error: `` line, as every
+    other fault does, not argparse's usage text; nothing is read or written."""
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (cli.EXIT_VALIDATION, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_makes_a_missing_out_dir(tmp_path, capsys, monkeypatch):
     """``synth`` makes its ``--out-dir`` with any missing parents, so a missing
     parent of its outputs is no fault."""
@@ -792,7 +791,8 @@ def test_stdout_faults_in_a_child_process(tmp_path, capsys, monkeypatch):
     assert Path("\xe9.csv").exists()
     for argv, unbuffered in [(["evaluate", "w2v.csv", "refs.csv"], None),
                              (["evaluate", "w2v.csv", "refs.csv"], "1"),
-                             (["--help"], None), (["evaluate", "--help"], None)]:
+                             (["--help"], None), (["--help"], "1"),
+                             (["evaluate", "--help"], None)]:
         read, write = os.pipe()
         os.close(read)
         try:
@@ -803,7 +803,7 @@ def test_stdout_faults_in_a_child_process(tmp_path, capsys, monkeypatch):
     shown, usage = run_child(["--help"]), run_child(["evaluate"])  # on an open stdout
     assert (shown.returncode, usage.returncode, usage.stdout) == (0, cli.EXIT_VALIDATION, "")
     assert shown.stdout.startswith("usage: slascore")
-    assert usage.stderr.splitlines()[-1].startswith("slascore evaluate: error: ")
+    assert usage.stderr == "error: the following arguments are required: predictions, references\n"
 
 
 # Every subcommand, given the stem of the one file it names for output (report, which

@@ -272,11 +272,7 @@ class TestLeaderboardFiles:
             fileio.read_leaderboard(p)
 
 
-# Grid steps either side of weight_grid's rules: 1/3 and 0.1 divide 1 in floats.
 # Bools and numpy numbers pass range checks but write no JSON number that reads back.
-GRID_STEPS = st.sampled_from([0.01, 0.001, 1 / 3, 0.1, 0.25, 1.0, 0.3, 0.03, 0.0001, 0.0,
-                              -0.5, 1.5, math.nan, math.inf, True, np.float64(0.5),
-                              np.int64(1)])
 DEV_RMSES = st.one_of(st.floats(0.0, sys.float_info.max),
                       st.sampled_from([-0.0, 0, 7, sys.float_info.max, -1e-300, -1, 10**400,
                                        math.nan, math.inf, -math.inf, True, False,
@@ -301,15 +297,15 @@ CONTAINERS = st.sampled_from([tuple, list, lambda values: np.asarray(values, dty
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(grid_step=GRID_STEPS, dev_rmse=DEV_RMSES, counts=COUNTS, weights=WEIGHTS,
+@given(dev_rmse=DEV_RMSES, counts=COUNTS, weights=WEIGHTS,
        counts_as=CONTAINERS, weights_as=CONTAINERS)
-def test_calibration_is_checked_when_built_or_reads_back(tmp_path, grid_step, dev_rmse,
-                                                         counts, weights, counts_as, weights_as):
+def test_calibration_is_checked_when_built_or_reads_back(tmp_path, dev_rmse, counts, weights,
+                                                         counts_as, weights_as):
     """A calibration either fails when it is built, or the file it writes
     reads back as the same calibration, whatever container its weights and
     counts came in: no value is left to the reader."""
     try:
-        calib = FusionCalibration(weights_as(weights), grid_step, dev_rmse, counts_as(counts))
+        calib = FusionCalibration(weights_as(weights), dev_rmse, counts_as(counts))
     except InvalidConfig:
         return
     path = tmp_path / "calib.json"
@@ -321,7 +317,6 @@ class TestCalibrationFiles:
     def make_calib(self):
         return FusionCalibration(
             weights=(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 0.33),
-            grid_step=0.01,
             dev_rmse=0.123456789,
             per_bin_counts=(1, 2, 3, 4, 5, 6, 7, 8),
         )

@@ -1,4 +1,3 @@
-import inspect
 import logging
 import math
 import tracemalloc
@@ -22,13 +21,13 @@ from slascore.fusion import (
     DEFAULT_EDGES,
     GRID_STEP,
     N_BINS,
+    WEIGHT_GRID,
     FusionCalibration,
     aggregate_overall,
     bin_index,
     calibrate,
     fuse_dataset,
     fuse_one,
-    weight_grid,
 )
 from slascore.synth import SynthConfig, generate_scores, heteroscedastic_config
 from oracles import aggregate_oracle, grid_scan_calibration
@@ -168,8 +167,6 @@ class TestFuseOne:
             make_calib([1.5] * N_BINS)
 
     @pytest.mark.parametrize("fields,message", [
-        ({"grid_step": 0.3}, "grid_step 0.3 does not divide 1 evenly"),
-        ({"grid_step": 0.3, "dev_rmse": math.nan}, "grid_step 0.3 does not divide 1 evenly"),
         ({"dev_rmse": math.nan}, "dev_rmse nan is not finite and >= 0"),
         ({"dev_rmse": -1, "per_bin_counts": (-1,) * N_BINS}, "dev_rmse -1 is not finite and >= 0"),
         ({"dev_rmse": 10**400}, f"dev_rmse {10**400} is not finite and >= 0"),
@@ -177,28 +174,20 @@ class TestFuseOne:
          r"per_bin_counts \[0, 0, 0, 0, 0, 0, 0, -1\] hold a negative count"),
         ({"per_bin_counts": (-1,) * N_BINS, "weights": (2.0,) * N_BINS},
          r"per_bin_counts \[-1, .*\] hold a negative count"),
-    ], ids=["uneven-step", "step-first", "nan-dev-rmse", "dev-rmse-before-counts",
+    ], ids=["nan-dev-rmse", "dev-rmse-before-counts",
             "huge-int-dev-rmse", "negative-count", "counts-before-weights"])
     def test_every_field_checked_when_built(self, fields, message):
         """The calibration file's value rules, in the reader's order and words."""
         with pytest.raises(InvalidConfig, match=f"^{message}$"):
             FusionCalibration(**{"weights": (0.5,) * N_BINS, **fields})
 
-    def test_default_grid_step(self):
-        assert make_calib([0.5] * N_BINS).grid_step == GRID_STEP == 0.01
-        assert inspect.signature(calibrate).parameters["grid_step"].default == GRID_STEP
-
 
 class TestWeightGrid:
     def test_default_grid(self):
-        grid = weight_grid(0.01)
-        assert len(grid) == 101
-        assert grid[0] == 0.0 and grid[-1] == 1.0
-
-    def test_bad_step(self):
-        for step in (0.03, 1e-4, 1e-300):  # 1e-300 divides 1 within 1e-9
-            with pytest.raises(InvalidConfig):
-                weight_grid(step)
+        """The one grid is the scan {i * 0.01 : i = 0..100}, bit for bit."""
+        assert GRID_STEP == 0.01
+        assert [w.hex() for w in WEIGHT_GRID] == [(i * 0.01).hex() for i in range(101)]
+        assert WEIGHT_GRID[0] == 0.0 and WEIGHT_GRID[-1] == 1.0
 
 
 class TestCalibrate:
@@ -249,9 +238,8 @@ class TestCalibrate:
 
     def test_weights_on_grid(self):
         data = generate_scores(SynthConfig(n_speakers=60, seed=9))
-        calib = calibrate(data, grid_step=0.05)
-        for w in calib.weights:
-            assert abs(w / 0.05 - round(w / 0.05)) < 1e-9
+        calib = calibrate(data)
+        assert all(w in WEIGHT_GRID for w in calib.weights)
 
     def test_deterministic(self):
         data = generate_scores(SynthConfig(n_speakers=40, seed=11))
@@ -324,16 +312,15 @@ ULPS_AROUND_3 = tuple(3.0 + np.spacing(3.0) * np.array(steps) for steps in
 
 
 @settings(max_examples=400, deadline=None)
-@given(groups=st.lists(calibration_bins(), min_size=1, max_size=3),
-       grid_step=st.sampled_from([0.01, 0.001, 0.25, 1.0]))
-@example(groups=[ULPS_AROUND_3], grid_step=0.01)
-def test_calibrate_agrees_with_grid_scan(groups, grid_step):
+@given(groups=st.lists(calibration_bins(), min_size=1, max_size=3))
+@example(groups=[ULPS_AROUND_3])
+def test_calibrate_agrees_with_grid_scan(groups):
     """The closed-form search picks the weights a scan of the whole grid picks,
     and the same figures follow, bit for bit. Three groups of rows at most
     mostly leave some bin empty, so the global weight is searched too."""
     w2v, mllm, ref = (np.concatenate(column) for column in zip(*groups))
     dev = JoinedDataset([f"s{i}" for i in range(len(ref))], [1] * len(ref), w2v, mllm, ref)
-    got, want = calibrate(dev, grid_step), grid_scan_calibration(dev, grid_step)
+    got, want = calibrate(dev), grid_scan_calibration(dev)
 
     def bits(calib):
         return [None if x is None else float(x).hex() for x in (calib.dev_rmse,
