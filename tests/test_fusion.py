@@ -1,3 +1,4 @@
+import inspect
 import logging
 import math
 import tracemalloc
@@ -181,11 +182,16 @@ class TestFuseOne:
         with pytest.raises(InvalidConfig, match=f"^{message}$"):
             FusionCalibration(**{"weights": (0.5,) * N_BINS, **fields})
 
+    def test_default_grid_step(self):
+        """The step is fixed at 0.01: neither calibrate nor a calibration takes another."""
+        assert GRID_STEP == 0.01 == WEIGHT_GRID[1]
+        assert "grid_step" not in inspect.signature(calibrate).parameters
+        assert not hasattr(make_calib([0.5] * N_BINS), "grid_step")
+
 
 class TestWeightGrid:
     def test_default_grid(self):
         """The one grid is the scan {i * 0.01 : i = 0..100}, bit for bit."""
-        assert GRID_STEP == 0.01
         assert [w.hex() for w in WEIGHT_GRID] == [(i * 0.01).hex() for i in range(101)]
         assert WEIGHT_GRID[0] == 0.0 and WEIGHT_GRID[-1] == 1.0
 
